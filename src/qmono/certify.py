@@ -13,14 +13,13 @@ grid and tolerances that produced them.  A value is sign-checked only when
 |value| > tol_abs + tol_rel * scale, where scale is the q-difference-table
 row magnitude: high-order cancellation must not produce spurious verdicts.
 
-Grid points are independent, so they may be evaluated concurrently; reports
-aggregate in grid order and are byte-identical across schedules.
+Grid points are certified one after another in grid order, one difference
+table each, so identical inputs give byte-identical reports.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
@@ -212,66 +211,40 @@ def _certification_target(
     return log_target
 
 
-class _Check(NamedTuple):
-    n: int
-    signed: float
-    scale: float
-    margin: float
-    neutral: bool
-
-
-def _point_checks(
-    g: RealFunction, x: float, q: QParam, spec: CertSpec
-) -> list[_Check]:
-    table = QDiffTable.build(g, x, q, spec.max_order)
-    out: list[_Check] = []
-    for n, sign in _signs_and_orders(spec.property, spec.max_order):
-        v = table.value(n, 0)
-        scale = table.row_scale(n)
-        signed = sign * v
-        neutral = abs(v) <= spec.tol_abs + spec.tol_rel * scale
-        margin = 0.0 if neutral else signed
-        out.append(_Check(n, signed, scale, margin, neutral))
-    return out
-
-
 def certify(
     f: RealFunction,
     q: QParam,
     spec: CertSpec,
     *,
     ctrl: SeriesControl = DEFAULT_CTRL,
-    workers: int | None = None,
 ) -> CertReport:
     """Certify the sign pattern named by spec.property for f on spec.grid.
 
     f must be evaluable at every q^j x for x in the grid and j = 0..N (and
-    positive there for QLOGCM).  With workers > 1, grid points run on a
-    thread pool; results aggregate in grid order, so the report is identical
-    to a serial run.
+    positive there for QLOGCM).  Each grid point costs one difference table
+    over its N+1 samples; only column 0 of each value row and the largest
+    entry of each condition row enter the checks.
     """
     g = _certification_target(f, q, spec.property, ctrl)
     pts = spec.grid.points
-
-    def at_point(x: float) -> list[_Check]:
-        return _point_checks(g, x, q, spec)
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(at_point, pts))
-    else:
-        per_point = [at_point(x) for x in pts]
-
+    checks = _signs_and_orders(spec.property, spec.max_order)
+    tol_abs, tol_rel = spec.tol_abs, spec.tol_rel
     counterexamples: list[Counterexample] = []
     min_margin = math.inf
-    checks_run = 0
-    for x, checks in zip(pts, per_point):
-        for c in checks:
-            checks_run += 1
-            if c.margin < min_margin:
-                min_margin = c.margin
-            if not c.neutral and c.signed < 0.0:
-                counterexamples.append(Counterexample(x, c.n, c.signed, c.scale))
+    for x in pts:
+        table = QDiffTable.build(g, x, q, spec.max_order)
+        rows, mag_rows = table.rows, table.mag_rows
+        for n, sign in checks:
+            scale = max(mag_rows[n])
+            signed = sign * rows[n][0]
+            if abs(signed) <= tol_abs + tol_rel * scale:
+                margin = 0.0
+            else:
+                margin = signed
+                if signed < 0.0:
+                    counterexamples.append(Counterexample(x, n, signed, scale))
+            if margin < min_margin:
+                min_margin = margin
     return CertReport(
         property=spec.property,
         q=q.q,
@@ -282,7 +255,7 @@ def certify(
         verdict=Verdict.VIOLATED if counterexamples else Verdict.CONSISTENT,
         counterexamples=tuple(counterexamples),
         min_margin=min_margin,
-        checks_run=checks_run,
+        checks_run=len(pts) * len(checks),
     )
 
 
@@ -343,18 +316,17 @@ def bernstein_iff_check(
     spec: CertSpec,
     *,
     ctrl: SeriesControl = DEFAULT_CTRL,
-    workers: int | None = None,
 ) -> BernsteinIffReport:
     """Certify f as QBERNSTEIN and each x -> E_q(1)^(-t f(x)) as QCM."""
     f_spec = replace(spec, property=CertProperty.QBERNSTEIN)
     cm_spec = replace(spec, property=CertProperty.QCM)
-    f_report = certify(f, q, f_spec, ctrl=ctrl, workers=workers)
+    f_report = certify(f, q, f_spec, ctrl=ctrl)
     cm_reports: list[tuple[float, CertReport]] = []
     for t in ts:
         if not t > 0.0:
             raise InputError(f"transform parameters must be positive, got t = {t!r}")
         target = _scaled_eq_decay(f, t, q, ctrl)
-        cm_reports.append((t, certify(target, q, cm_spec, ctrl=ctrl, workers=workers)))
+        cm_reports.append((t, certify(target, q, cm_spec, ctrl=ctrl)))
     f_ok = f_report.verdict is Verdict.CONSISTENT
     cm_ok = all(r.verdict is Verdict.CONSISTENT for _, r in cm_reports)
     flagged: list[str] = []
@@ -394,7 +366,6 @@ def difference_check(
     *,
     f_report: CertReport | None = None,
     ctrl: SeriesControl = DEFAULT_CTRL,
-    workers: int | None = None,
 ) -> CertReport:
     """Certify x -> f(x) - f(x+a) as QCM.
 
@@ -409,7 +380,7 @@ def difference_check(
     def diff(x: float) -> float:
         return f(x) - f(x + a)
 
-    report = certify(diff, q, diff_spec, ctrl=ctrl, workers=workers)
+    report = certify(diff, q, diff_spec, ctrl=ctrl)
     notes: tuple[str, ...]
     if f_report is None:
         notes = ("precondition not checked: no QCM report for f was supplied",)
@@ -475,7 +446,6 @@ def closure_checks(
     *,
     ts: Sequence[float] = (0.5, 1.0, 2.0),
     ctrl: SeriesControl = DEFAULT_CTRL,
-    workers: int | None = None,
 ) -> ClosureReport:
     """Run the closure laws over a named corpus.
 
@@ -494,7 +464,7 @@ def closure_checks(
         f = fs[name]
         for prop in (CertProperty.QBERNSTEIN, CertProperty.QCM, CertProperty.QLOGCM):
             try:
-                rep = certify(f, q, replace(spec, property=prop), ctrl=ctrl, workers=workers)
+                rep = certify(f, q, replace(spec, property=prop), ctrl=ctrl)
                 verdicts[(name, prop)] = rep.verdict
                 base.append((name, prop.value, rep.verdict.value))
             except InputError:
@@ -510,8 +480,7 @@ def closure_checks(
         for g_name in bernstein_names:
             composed = _compose(fs[g_name], fs[f_name])
             rep = certify(
-                composed, q, replace(spec, property=CertProperty.QBERNSTEIN),
-                ctrl=ctrl, workers=workers,
+                composed, q, replace(spec, property=CertProperty.QBERNSTEIN), ctrl=ctrl
             )
             checks.append(
                 ClosureCheck(
@@ -534,10 +503,7 @@ def closure_checks(
     for name in bernstein_names:
         for t in ts:
             target = _scaled_eq_decay(fs[name], t, q, ctrl)
-            rep = certify(
-                target, q, replace(spec, property=CertProperty.QCM),
-                ctrl=ctrl, workers=workers,
-            )
+            rep = certify(target, q, replace(spec, property=CertProperty.QCM), ctrl=ctrl)
             checks.append(
                 ClosureCheck(
                     "power_stays_cm", name, None, t, rep.verdict,
@@ -545,10 +511,7 @@ def closure_checks(
                 )
             )
         target1 = _scaled_eq_decay(fs[name], 1.0, q, ctrl)
-        rep = certify(
-            target1, q, replace(spec, property=CertProperty.QLOGCM),
-            ctrl=ctrl, workers=workers,
-        )
+        rep = certify(target1, q, replace(spec, property=CertProperty.QLOGCM), ctrl=ctrl)
         checks.append(
             ClosureCheck(
                 "decay_is_logcm", name, None, None, rep.verdict,
@@ -585,7 +548,6 @@ def thm31_harness(
     *,
     negative_control: bool = False,
     ctrl: SeriesControl = HARNESS_CTRL,
-    workers: int | None = None,
 ) -> CertReport:
     """Certify the gamma-based composite f_abq(., p) as QLOGCM.
 
@@ -602,9 +564,7 @@ def thm31_harness(
     def f(x: float) -> float:
         return f_abq(x, p, ctrl)
 
-    report = certify(
-        f, p.q, replace(spec, property=CertProperty.QLOGCM), ctrl=ctrl, workers=workers
-    )
+    report = certify(f, p.q, replace(spec, property=CertProperty.QLOGCM), ctrl=ctrl)
     notes = list(report.notes)
     extra: list[Counterexample] = []
     if p.hypothesis_ok:
@@ -635,7 +595,6 @@ def thm32_harness(
     *,
     negative_control: bool = False,
     ctrl: SeriesControl = HARNESS_CTRL,
-    workers: int | None = None,
 ) -> CertReport:
     """Certify the gamma-ratio product g_ratio(., rp, q) as QCM.
 
@@ -651,9 +610,7 @@ def thm32_harness(
     def f(x: float) -> float:
         return g_ratio(x, rp, q, ctrl)
 
-    report = certify(
-        f, q, replace(spec, property=CertProperty.QCM), ctrl=ctrl, workers=workers
-    )
+    report = certify(f, q, replace(spec, property=CertProperty.QCM), ctrl=ctrl)
     if not rp.hypothesis_ok:
         return replace(
             report,

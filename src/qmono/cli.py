@@ -31,6 +31,7 @@ from .certify import (
     CertSpec,
     Grid,
     Verdict,
+    _linear,
     bernstein_iff_check,
     certify,
     closure_checks,
@@ -344,11 +345,7 @@ class RunConfig:
         lo, hi, count = self.grid_min, self.grid_max, self.grid_count
         if self.grid_spacing == "log":
             return Grid.log_spaced(lo, hi, count).points
-        if count < 2:
-            return (lo,)
-        pts = [lo + i * (hi - lo) / (count - 1) for i in range(count)]
-        pts[0], pts[-1] = lo, hi
-        return tuple(pts)
+        return _linear(lo, hi, count)
 
     def provenance(self) -> dict:
         return {

@@ -82,24 +82,20 @@ class QDiffTable:
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise EvaluationError(f"function not finite at x = {p!r}: got {v!r}")
             samples.append(float(v))
-        rows = [tuple(samples)]
-        mags = [tuple(abs(v) for v in samples)]
+        # Entry (m, j) divides by pts[j] * (q - 1) whatever m is, so the
+        # denominators are formed once; zip stops each row one entry short.
         qm1 = q.q - 1.0
-        for m in range(1, order + 1):
-            prev = rows[m - 1]
-            pmag = mags[m - 1]
-            rows.append(
-                tuple(
-                    (prev[j + 1] - prev[j]) / (pts[j] * qm1)
-                    for j in range(len(prev) - 1)
-                )
-            )
-            mags.append(
-                tuple(
-                    (pmag[j + 1] + pmag[j]) / abs(pts[j] * qm1)
-                    for j in range(len(pmag) - 1)
-                )
-            )
+        dens = [p * qm1 for p in pts[:-1]]
+        abs_dens = [abs(d) for d in dens]
+        row = tuple(samples)
+        mag = tuple([abs(v) for v in row])
+        rows = [row]
+        mags = [mag]
+        for _ in range(order):
+            row = tuple([(b - a) / d for a, b, d in zip(row, row[1:], dens)])
+            mag = tuple([(b + a) / d for a, b, d in zip(mag, mag[1:], abs_dens)])
+            rows.append(row)
+            mags.append(mag)
         return cls(float(x0), q, tuple(rows), tuple(mags))
 
     @property
@@ -118,7 +114,7 @@ class QDiffTable:
         the test keeps high-order cancellation from producing spurious sign
         verdicts.
         """
-        return max(v for v in self.mag_rows[m])
+        return max(self.mag_rows[m])
 
 
 def q_derive(f: RealFunction, x: float, q: QParam) -> float:

@@ -1,19 +1,26 @@
 """Sign-pattern certifier: verdicts, soundness, determinism, harnesses."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import classical_logcm_screen, reciprocal_q_derive_sign
 from qmono import (
     CertProperty,
     CertReport,
     CertSpec,
+    Counterexample,
+    DEFAULT_CTRL,
     DomainError,
     ExpKind,
     GammaParams,
     Grid,
     InputError,
+    QDiffTable,
     QParam,
     RatioParams,
     SeriesControl,
@@ -33,6 +40,7 @@ from qmono import (
     thm31_harness,
     thm32_harness,
 )
+from qmono.certify import _certification_target
 
 Q5 = QParam(0.5)
 QCM = CertProperty.QCM
@@ -185,16 +193,8 @@ class TestDeterminism:
         b = report_to_json(certify(f, Q5, spec))
         assert a == b
 
-    def test_serial_matches_parallel(self):
-        spec = CertSpec(QCM, max_order=5)
-        for f in (lambda x: x, lambda x: 1.0 / (x + 1.0)):
-            serial = certify(f, Q5, spec)
-            parallel = certify(f, Q5, spec, workers=4)
-            assert report_to_json(serial) == report_to_json(parallel)
-            assert report_to_csv(serial) == report_to_csv(parallel)
-
     def test_counterexamples_sorted_by_grid_index_then_order(self):
-        rep = certify(lambda x: x * x, Q5, CertSpec(QBERNSTEIN, max_order=4), workers=3)
+        rep = certify(lambda x: x * x, Q5, CertSpec(QBERNSTEIN, max_order=4))
         keys = [(c.x, c.n) for c in rep.counterexamples]
         order = {x: i for i, x in enumerate(rep.grid)}
         assert keys == sorted(keys, key=lambda p: (order[p[0]], p[1]))
@@ -206,6 +206,91 @@ class TestDeterminism:
             for c in rep.counterexamples:
                 assert c.value < 0.0
                 assert abs(c.value) > rep.tol_abs + rep.tol_rel * c.scale
+
+
+class TestGoldenReports:
+    """report_to_json text recorded from an earlier release: reports must stay
+    byte-identical across versions, not only across runs of one version."""
+
+    GOLDEN = Path(__file__).parent / "golden"
+
+    @pytest.mark.parametrize(
+        "name, f, spec",
+        [
+            ("reciprocal_qcm_n6", lambda x: 1 / (x + 1), CertSpec(QCM)),
+            ("square_qbernstein_n4", lambda x: x * x, CertSpec(QBERNSTEIN, max_order=4)),
+            ("exp_qlogcm_n8", lambda x: math.exp(-x), CertSpec(QLOGCM, max_order=8)),
+        ],
+    )
+    def test_report_json_matches_golden(self, name, f, spec):
+        golden = (self.GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+        assert report_to_json(certify(f, Q5, spec)) == golden
+
+
+def _reference_fold(f, q, spec):
+    """checks_run, min_margin and counterexamples recomputed one check at a
+    time from QDiffTable.value and QDiffTable.row_scale."""
+    n_max = spec.max_order
+    if spec.property is QCM:
+        pattern = [(n, (-1.0) ** n) for n in range(0, n_max + 1)]
+    elif spec.property is QLOGCM:
+        pattern = [(n, (-1.0) ** n) for n in range(1, n_max + 1)]
+    else:
+        pattern = [(0, 1.0)] + [(n, (-1.0) ** (n - 1)) for n in range(1, n_max + 1)]
+    g = _certification_target(f, q, spec.property, DEFAULT_CTRL)
+    checks_run, min_margin, ces = 0, math.inf, []
+    for x in spec.grid.points:
+        table = QDiffTable.build(g, x, q, n_max)
+        for n, sign in pattern:
+            v = table.value(n, 0)
+            scale = table.row_scale(n)
+            signed = sign * v
+            neutral = abs(v) <= spec.tol_abs + spec.tol_rel * scale
+            margin = 0.0 if neutral else signed
+            checks_run += 1
+            if margin < min_margin:
+                min_margin = margin
+            if not neutral and signed < 0.0:
+                ces.append(Counterexample(x, n, signed, scale))
+    return checks_run, min_margin, tuple(ces)
+
+
+_FAMILIES = {
+    "reciprocal": lambda c: lambda x: 1.0 / (x + c),
+    "exp_decay": lambda c: lambda x: math.exp(-c * x),
+    "identity": lambda c: lambda x: x,
+    "square": lambda c: lambda x: x * x,
+    "constant": lambda c: lambda x: c,
+}
+
+
+class TestReferenceFold:
+    @settings(deadline=None)
+    @given(
+        family=st.sampled_from(sorted(_FAMILIES)),
+        c=st.floats(0.1, 3.0),
+        qv=st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 3.0)),
+        prop=st.sampled_from(list(CertProperty)),
+        order=st.integers(1, 8),
+        points=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=8, unique=True),
+    )
+    def test_certify_matches_table_reference_bit_for_bit(
+        self, family, c, qv, prop, order, points
+    ):
+        f = _FAMILIES[family](c)
+        q = QParam(qv)
+        spec = CertSpec(prop, max_order=order, grid=Grid(tuple(sorted(points))))
+        try:
+            rep = certify(f, q, spec)
+        except InputError as exc:  # Log_q of an underflowed sample
+            with pytest.raises(InputError, match=re.escape(str(exc))):
+                _reference_fold(f, q, spec)
+            return
+        checks_run, min_margin, ces = _reference_fold(f, q, spec)
+        assert rep.checks_run == checks_run
+        assert repr(rep.min_margin) == repr(min_margin)
+        assert repr(rep.counterexamples) == repr(ces)
+        assert rep.verdict is (Verdict.VIOLATED if ces else Verdict.CONSISTENT)
 
 
 class TestSerialization:

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import central_diff, monomial_q_derive_n, naive_q_derive_n
 from qmono import (
@@ -169,6 +171,45 @@ class TestQDiffTable:
             for j in range(6 - m):
                 direct = naive_q_derive_n(f, 0.5**j * 1.5, Q5, m)
                 assert t.value(m, j) == pytest.approx(direct, rel=1e-12)
+
+
+def _reference_rows(f, x0, q, order):
+    """Value and condition rows entry by entry, as in the definition:
+    (m, j) = [(m-1, j+1) - (m-1, j)] / (q^j x0 (q - 1))."""
+    pts = [x0]
+    for _ in range(order):
+        pts.append(q.q * pts[-1])
+    rows = [tuple(float(f(p)) for p in pts)]
+    mags = [tuple(abs(v) for v in rows[0])]
+    qm1 = q.q - 1.0
+    for m in range(1, order + 1):
+        prev, pmag = rows[m - 1], mags[m - 1]
+        rows.append(
+            tuple((prev[j + 1] - prev[j]) / (pts[j] * qm1) for j in range(len(prev) - 1))
+        )
+        mags.append(
+            tuple((pmag[j + 1] + pmag[j]) / abs(pts[j] * qm1) for j in range(len(pmag) - 1))
+        )
+    return tuple(rows), tuple(mags)
+
+
+class TestQDiffTableReference:
+    @settings(deadline=None)
+    @given(
+        f=st.sampled_from(
+            [lambda x: 1.0 / (x + 0.7), lambda x: math.exp(-1.3 * x), lambda x: x,
+             lambda x: x * x, lambda x: 2.5]
+        ),
+        qv=st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 3.0)),
+        x0=st.floats(0.05, 5.0),
+        order=st.integers(0, 8),
+    )
+    def test_rows_bit_identical_to_entrywise_recurrence(self, f, qv, x0, order):
+        q = QParam(qv)
+        table = QDiffTable.build(f, x0, q, order)
+        rows, mags = _reference_rows(f, x0, q, order)
+        assert repr(table.rows) == repr(rows)
+        assert repr(table.mag_rows) == repr(mags)
 
 
 class TestQBell:
