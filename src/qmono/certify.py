@@ -72,6 +72,8 @@ class Verdict(Enum):
 
 
 def _log_spaced(lo: float, hi: float, count: int) -> tuple[float, ...]:
+    if count < 1:
+        raise DomainError(f"grid needs at least one point, got count={count}")
     if count < 2:
         return (lo,)
     llo, lhi = math.log(lo), math.log(hi)
@@ -81,6 +83,8 @@ def _log_spaced(lo: float, hi: float, count: int) -> tuple[float, ...]:
 
 
 def _linear(lo: float, hi: float, count: int) -> tuple[float, ...]:
+    if count < 1:
+        raise DomainError(f"grid needs at least one point, got count={count}")
     if count < 2:
         return (lo,)
     pts = [lo + i * (hi - lo) / (count - 1) for i in range(count)]

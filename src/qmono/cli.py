@@ -12,11 +12,15 @@ Output is deterministic: identical configurations produce byte-identical
 files.  CSV uses comma separators, `.` decimals, LF line endings and UTF-8,
 with a provenance footer (q, order, grid, tolerances, library version) and
 no timestamps.  Relative --out paths resolve against $QMONO_OUT_DIR when set.
+
+`main` builds its argument parser on the first call and reuses it for every
+later call in the same process; `build_parser` always returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -532,6 +536,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser unchanged and argparse looks up
+    # sys.stdout/sys.stderr only when it prints, so one parser serves every
+    # call; it is built on first use so that importing the module stays cheap.
+    return build_parser()
+
+
 def _config_from(ns: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=ns.command,
@@ -748,16 +760,16 @@ def run(ns: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
         return run(ns)
-    except (ValueError, ConvergenceError, OSError) as exc:
+    except (ValueError, ArithmeticError, ConvergenceError, OSError) as exc:
         # ValueError covers DomainError, InputError, EvaluationError and
-        # malformed numeric input alike: all usage/domain problems.
+        # malformed numeric input alike; ArithmeticError covers overflow and
+        # division by zero inside a builtin: all usage/domain problems.
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
 

@@ -118,7 +118,9 @@ class CompensatedSum:
     """Neumaier-compensated accumulator.
 
     The alternating E_q(-x) series cancels heavily; plain summation would
-    dominate the error budget long before the stopping rule fires.
+    dominate the error budget long before the stopping rule fires.  `q_exp`
+    inlines `add` and `value` for speed; a change here must be made there
+    too, in the same operations and order.
     """
 
     __slots__ = ("_s", "_c")
@@ -145,7 +147,8 @@ def q_number(x: float, q: QParam) -> float:
     """The q-analogue [x] = (1 - q^x)/(1 - q); tends to x as q -> 1.
 
     Evaluated through expm1 so the heavy cancellation in 1 - q^x at small
-    x*log(q) costs no relative accuracy.
+    x*log(q) costs no relative accuracy.  `q_exp` inlines this expression
+    for speed; a change here must be made there too.
     """
     return -math.expm1(x * math.log(q.q)) / (1.0 - q.q)
 
@@ -202,18 +205,30 @@ def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL
             raise DomainError(
                 f"E_q series (q > 1) diverges for |x| >= q/(q-1) = {radius}, got x={x}"
             )
-    acc = CompensatedSum()
-    acc.add(1.0)
+    # q_number(n, q) and CompensatedSum.add are inlined below, with the same
+    # float operations in the same order, so results stay bit-identical.
+    lq = math.log(qq)
+    omq = 1.0 - qq
+    big = kind is ExpKind.BIG_E
+    tol = ctrl.rel_term_tol
+    expm1 = math.expm1
+    s, c = 1.0, 0.0  # the Neumaier pair after adding the n = 0 term
     term = 1.0
     qpow = 1.0  # q^(n-1) for the E_q weight
     for n in range(1, ctrl.max_terms + 1):
-        term *= x / q_number(n, q)
-        if kind is ExpKind.BIG_E:
+        term *= x / (-expm1(n * lq) / omq)
+        if big:
             term *= qpow
             qpow *= qq
-        acc.add(term)
-        if abs(term) <= ctrl.rel_term_tol * abs(acc.value):
-            return acc.value
+        t = s + term
+        if abs(s) >= abs(term):
+            c += (s - t) + term
+        else:
+            c += (term - t) + s
+        s = t
+        total = s + c
+        if abs(term) <= tol * abs(total):
+            return total
     raise ConvergenceError(
         f"q-exponential series did not settle within {ctrl.max_terms} terms"
     )

@@ -68,6 +68,12 @@ class TestGrid:
         log = Grid.log_spaced(0.1, 10.0, 7)
         assert log.points[0] == 0.1 and log.points[-1] == 10.0
 
+    @pytest.mark.parametrize("count", [0, -5])
+    @pytest.mark.parametrize("build", [Grid.linear, Grid.log_spaced])
+    def test_nonpositive_count_rejected(self, build, count):
+        with pytest.raises(DomainError, match="at least one point"):
+            build(0.1, 5.0, count)
+
 
 class TestCertSpec:
     def test_defaults(self):

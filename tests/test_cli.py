@@ -1,13 +1,18 @@
 """Command-line front end: exit codes, file formats, determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from qmono import QParam, q_factorial, q_gamma
-from qmono.cli import main
+from qmono.cli import build_parser, main, run
 
 Q5 = QParam(0.5)
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*args):
@@ -297,3 +302,110 @@ class TestPlumbing:
         raw = out.read_bytes()
         assert b"\r" not in raw
         assert b"0.10000000000000001" in raw  # 17 significant digits of 0.1
+
+
+class TestArithmeticErrors:
+    """Overflow and division by zero inside a builtin are domain errors."""
+
+    def test_overflow_is_usage_error(self, capsys):
+        assert run_cli("eval", "exp_decay", "--rate", "-1000") == 2
+        assert "error: math range error" in capsys.readouterr().err
+
+    def test_zero_division_is_usage_error(self, capsys):
+        code = run_cli(
+            "eval", "reciprocal_shift", "--shift", "-0.1",
+            "--grid-min", "0.1", "--grid-max", "0.1", "--grid-count", "1",
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+class TestGridCount:
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    @pytest.mark.parametrize("spacing", ["log", "linear"])
+    @pytest.mark.parametrize("command", [["eval", "identity"], ["laplace", "--atoms", "1:1"]])
+    def test_nonpositive_count_is_usage_error(self, capsys, command, spacing, count):
+        code = run_cli(
+            *command, "--grid-min", "0.1", "--grid-max", "5",
+            "--grid-count", count, "--grid-spacing", spacing,
+        )
+        assert code == 2
+        assert "at least one point" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """main keeps one parser per process: no call may see another's state."""
+
+    @staticmethod
+    def fresh(argv, capsys):
+        code = run(build_parser().parse_args(argv))
+        return code, capsys.readouterr().out
+
+    def test_no_state_carries_between_calls(self, capsys):
+        assert run_cli("eval", "identity", "--grid-spacing", "cubic") == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+        assert run_cli("--version") == 0
+        assert capsys.readouterr().out.startswith("qmono ")
+
+        assert run_cli("semigroup", "--ts", "1,2", "--format", "json") == 0
+        capsys.readouterr()
+        argv = ["semigroup", "--format", "json"]
+        assert run_cli(*argv) == 0
+        out = capsys.readouterr().out
+        assert {e["t"] for e in json.loads(out)["entries"]} == {1, 2, 3}  # default --ts
+        assert self.fresh(argv, capsys) == (0, out)
+
+        for argv in (
+            ["eval", "q_gamma", "--grid-count", "5"],
+            ["laplace", "--atoms", "0:0.5,1:0.5", "--kernel", "jackson"],
+        ):
+            assert run_cli(*argv) == 0
+            out = capsys.readouterr().out
+            assert self.fresh(argv, capsys) == (0, out)
+
+
+class TestGoldenOutputs:
+    """Jackson-kernel transforms written byte for byte as a reference
+    version wrote them."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("laplace_jackson.csv",
+             ["laplace", "--atoms", "0:0.25,0.5:0.25,1.5:0.5", "--kernel", "jackson",
+              "--q", "0.7", "--grid-min", "0", "--grid-max", "2", "--grid-count", "9",
+              "--grid-spacing", "linear"]),
+            ("laplace_jackson.json",
+             ["laplace", "--atoms", "0.25:1,1:2", "--kernel", "jackson",
+              "--q", "1.5", "--grid-min", "0", "--grid-max", "1", "--grid-count", "5",
+              "--grid-spacing", "linear", "--format", "json"]),
+            ("semigroup_jackson.json",
+             ["semigroup", "--family", "delta", "--speed", "0.5", "--ts", "1,2,3",
+              "--kernel", "jackson", "--q", "0.5", "--format", "json"]),
+        ],
+    )
+    def test_matches_golden(self, tmp_path, name, argv):
+        out = tmp_path / name
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def _readme_cli_lines():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.strip()]
+
+
+class TestReadmeExamples:
+    """Every command in the README's CLI block runs, and exits 1 exactly
+    where the README says so."""
+
+    @pytest.mark.parametrize("line", _readme_cli_lines())
+    def test_line_runs_with_documented_exit(self, tmp_path, monkeypatch, capsys, line):
+        monkeypatch.setenv("QMONO_OUT_DIR", str(tmp_path))
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "qmono"
+        expected = 1 if re.search(r"#\s*exit 1\b", line) else 0
+        assert main(argv[1:]) == expected, capsys.readouterr().err

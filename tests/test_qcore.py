@@ -3,9 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmono import (
+    CompensatedSum,
     ConvergenceError,
+    DEFAULT_CTRL,
     DomainError,
     ExpKind,
     QParam,
@@ -180,6 +184,78 @@ class TestQExp:
         ctrl = SeriesControl(rel_term_tol=1e-16, max_terms=3)
         with pytest.raises(ConvergenceError):
             q_exp(1.9, Q5, ExpKind.SMALL_E, ctrl)
+
+
+def _reference_q_exp(x, q, kind, ctrl):
+    """The q_exp series loop as written before q_number and CompensatedSum
+    were inlined into it; the guards are the ones q_exp keeps."""
+    if not math.isfinite(x):
+        raise DomainError(f"q-exponential argument must be finite, got {x!r}")
+    qq = q.q
+    if kind is ExpKind.SMALL_E and qq < 1.0:
+        radius = 1.0 / (1.0 - qq)
+        if not abs(x) < radius:
+            raise DomainError(
+                f"e_q series diverges for |x| >= 1/(1-q) = {radius}, got x={x}"
+            )
+    if kind is ExpKind.BIG_E and qq > 1.0:
+        radius = qq / (qq - 1.0)
+        if not abs(x) < radius:
+            raise DomainError(
+                f"E_q series (q > 1) diverges for |x| >= q/(q-1) = {radius}, got x={x}"
+            )
+    acc = CompensatedSum()
+    acc.add(1.0)
+    term = 1.0
+    qpow = 1.0  # q^(n-1) for the E_q weight
+    for n in range(1, ctrl.max_terms + 1):
+        term *= x / q_number(n, q)
+        if kind is ExpKind.BIG_E:
+            term *= qpow
+            qpow *= qq
+        acc.add(term)
+        if abs(term) <= ctrl.rel_term_tol * abs(acc.value):
+            return acc.value
+    raise ConvergenceError(
+        f"q-exponential series did not settle within {ctrl.max_terms} terms"
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+class TestQExpReference:
+    """q_exp inlines q_number and the Neumaier update; every value and every
+    error must stay bit-identical to the loop that called them."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(
+        qv=st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 4.0)),
+        kind=st.sampled_from(list(ExpKind)),
+        u=st.floats(-1.2, 1.2),
+        max_terms=st.one_of(st.integers(1, 40), st.just(10_000)),
+        tol=st.sampled_from([1e-16, 1e-12, 1e-6]),
+    )
+    def test_matches_reference_loop(self, qv, kind, u, max_terms, tol):
+        q = QParam(qv)
+        # x runs a little past the finite radius of whichever kind has one
+        radius = 1.0 / (1.0 - qv) if qv < 1.0 else qv / (qv - 1.0)
+        x = u * radius
+        ctrl = SeriesControl(rel_term_tol=tol, max_terms=max_terms)
+        assert _outcome(q_exp, x, q, kind, ctrl) == _outcome(_reference_q_exp, x, q, kind, ctrl)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1e300, -1e300])
+    @pytest.mark.parametrize("kind", list(ExpKind))
+    @pytest.mark.parametrize("qv", [0.5, 3.0])
+    def test_extreme_arguments_match_reference(self, qv, kind, x):
+        q = QParam(qv)
+        assert _outcome(q_exp, x, q, kind, DEFAULT_CTRL) == _outcome(
+            _reference_q_exp, x, q, kind, DEFAULT_CTRL
+        )
 
 
 class TestEqPowerLogQ:
