@@ -69,7 +69,7 @@ from .qspecial import (
     q_psi,
     q_psi_k,
 )
-from .certify import (
+from .cert import (
     HARNESS_CTRL,
     BernsteinIffReport,
     CertProperty,
@@ -109,7 +109,7 @@ __all__ = [
     "GammaParams", "RatioParams", "log_q_gamma", "q_gamma",
     "q_gamma_jackson", "q_gamma_jackson_info", "q_psi", "q_psi_k", "polylog",
     "h_aux", "log_f_abq", "f_abq", "g_ab", "g_ratio",
-    # certify
+    # cert
     "CertProperty", "Verdict", "Grid", "CertSpec", "Counterexample",
     "CertReport", "certify", "BernsteinIffReport", "bernstein_iff_check",
     "difference_check", "ClosureReport", "closure_checks", "thm31_harness",

@@ -3,13 +3,17 @@
 Floats always print with 17 significant digits (lossless decimal round-trip
 for doubles), keys keep insertion order, and there is no environment- or
 time-dependent content, so identical inputs render byte-identically.
+
+One rule for missing and non-finite values covers both formats: `None` is
+the only empty value (`null` in JSON, an empty CSV cell), and a non-finite
+float raises `ValueError`.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["format17", "render_json"]
+__all__ = ["format17", "format_cell", "render_csv", "render_json"]
 
 
 def format17(v: float) -> str:
@@ -58,3 +62,23 @@ def render_json(obj) -> str:
     _render(obj, out)
     out.append("\n")
     return "".join(out)
+
+
+def format_cell(v) -> str:
+    """One CSV cell: floats at 17 significant digits, `None` empty, booleans
+    as `true`/`false`, anything else as `str`."""
+    if isinstance(v, float):
+        return format17(v)
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
+
+
+def render_csv(header, rows) -> str:
+    """Comma-separated text with LF line endings: the header line, then one
+    line per row."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(format_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"

@@ -14,7 +14,9 @@ grid and tolerances that produced them.  A value is sign-checked only when
 row magnitude: high-order cancellation must not produce spurious verdicts.
 
 Grid points are certified one after another in grid order, one difference
-table each, so identical inputs give byte-identical reports.
+table each, so identical inputs give byte-identical reports.  Every report
+here and `qmeasure.SemigroupReport` offers `to_tree()` (its JSON form) and
+`csv_rows() -> (header, rows)` (its CSV form); `_serialize` renders both.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
-from ._serialize import format17, render_json
+from ._serialize import format17, render_csv, render_json
 from .qcore import (
     DEFAULT_CTRL,
     DomainError,
@@ -92,6 +94,12 @@ def _linear(lo: float, hi: float, count: int) -> tuple[float, ...]:
     return tuple(pts)
 
 
+def _increasing(pts: tuple[float, ...]) -> tuple[float, ...]:
+    if any(a >= b for a, b in zip(pts, pts[1:])):
+        raise DomainError("grid points must be strictly increasing")
+    return pts
+
+
 _DEFAULT_POINTS = _log_spaced(0.1, 5.0, 64)
 
 
@@ -112,9 +120,7 @@ class Grid:
         for p in pts:
             if not (math.isfinite(p) and p > 0.0):
                 raise DomainError(f"grid points must be finite and > 0, got {p!r}")
-        if any(a >= b for a, b in zip(pts, pts[1:])):
-            raise DomainError("grid points must be strictly increasing")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _increasing(pts))
 
     @classmethod
     def log_spaced(cls, lo: float, hi: float, count: int) -> "Grid":
@@ -181,6 +187,31 @@ class CertReport:
     min_margin: float
     checks_run: int
     notes: tuple[str, ...] = ()
+
+    def to_tree(self) -> dict:
+        return {
+            "kind": "cert_report",
+            "property": self.property.value,
+            "q": self.q,
+            "max_order": self.max_order,
+            "tol_abs": self.tol_abs,
+            "tol_rel": self.tol_rel,
+            "grid": {"count": len(self.grid), "points": list(self.grid)},
+            "verdict": self.verdict.value,
+            "checks_run": self.checks_run,
+            "min_margin": self.min_margin,
+            "counterexamples": [
+                {"x": c.x, "n": c.n, "value": c.value, "scale": c.scale}
+                for c in self.counterexamples
+            ],
+            "notes": list(self.notes),
+        }
+
+    def csv_rows(self) -> tuple[tuple[str, ...], list[tuple]]:
+        """Counterexample rows; the margin of a violation equals its signed
+        value, and a Consistent report has no rows."""
+        header = ("x", "n", "value", "scale", "margin")
+        return header, [(c.x, c.n, c.value, c.scale, c.value) for c in self.counterexamples]
 
 
 def _signs_and_orders(prop: CertProperty, n_max: int) -> list[tuple[int, float]]:
@@ -288,9 +319,9 @@ class BernsteinIffReport:
             "kind": "bernstein_iff_report",
             "agree": self.agree,
             "flagged": list(self.flagged),
-            "bernstein_side": report_to_tree(self.f_report),
+            "bernstein_side": self.f_report.to_tree(),
             "cm_side": [
-                {"t": t, "report": report_to_tree(r)} for t, r in self.cm_reports
+                {"t": t, "report": r.to_tree()} for t, r in self.cm_reports
             ],
         }
 
@@ -299,7 +330,7 @@ class BernsteinIffReport:
         rows: list[tuple] = [
             (
                 "qbernstein",
-                math.nan,
+                None,
                 self.f_report.verdict.value,
                 self.f_report.min_margin,
                 self.f_report.checks_run,
@@ -437,7 +468,7 @@ class ClosureReport:
     def csv_rows(self) -> tuple[tuple[str, ...], list[tuple]]:
         header = ("kind", "f", "g", "t", "verdict", "ok")
         rows = [
-            (c.kind, c.f_name, c.g_name or "", c.t if c.t is not None else math.nan, c.verdict.value, c.ok)
+            (c.kind, c.f_name, c.g_name, c.t, c.verdict.value, c.ok)
             for c in self.checks
         ]
         return header, rows
@@ -626,41 +657,14 @@ def thm32_harness(
 
 def report_to_tree(report: CertReport) -> dict:
     """Key-value tree form of a certification report (JSON-renderable)."""
-    return {
-        "kind": "cert_report",
-        "property": report.property.value,
-        "q": report.q,
-        "max_order": report.max_order,
-        "tol_abs": report.tol_abs,
-        "tol_rel": report.tol_rel,
-        "grid": {"count": len(report.grid), "points": list(report.grid)},
-        "verdict": report.verdict.value,
-        "checks_run": report.checks_run,
-        "min_margin": report.min_margin,
-        "counterexamples": [
-            {"x": c.x, "n": c.n, "value": c.value, "scale": c.scale}
-            for c in report.counterexamples
-        ],
-        "notes": list(report.notes),
-    }
+    return report.to_tree()
 
 
 def report_to_json(report: CertReport) -> str:
     """Deterministic JSON text; floats at 17 significant digits."""
-    return render_json(report_to_tree(report))
+    return render_json(report.to_tree())
 
 
 def report_to_csv(report: CertReport) -> str:
-    """Counterexample rows as CSV: x, n, value, scale, margin.
-
-    The margin of a violation equals its signed value.  A Consistent report
-    yields only the header.
-    """
-    lines = ["x,n,value,scale,margin"]
-    for c in report.counterexamples:
-        lines.append(
-            ",".join(
-                (format17(c.x), str(c.n), format17(c.value), format17(c.scale), format17(c.value))
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Counterexample rows as CSV: x, n, value, scale, margin."""
+    return render_csv(*report.csv_rows())

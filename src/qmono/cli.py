@@ -12,6 +12,8 @@ Output is deterministic: identical configurations produce byte-identical
 files.  CSV uses comma separators, `.` decimals, LF line endings and UTF-8,
 with a provenance footer (q, order, grid, tolerances, library version) and
 no timestamps.  Relative --out paths resolve against $QMONO_OUT_DIR when set.
+Every subcommand writes its result through one emitter, `_emit`, which
+renders only the chosen format; a non-finite value is a usage error in both.
 
 `main` builds its argument parser on the first call and reuses it for every
 later call in the same process; `build_parser` always returns a fresh one.
@@ -29,19 +31,19 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from ._serialize import format17, render_json
-from .certify import (
+from ._serialize import format17, format_cell, render_csv, render_json
+from .cert import (
+    HARNESS_CTRL,
     CertProperty,
     CertSpec,
     Grid,
     Verdict,
+    _increasing,
     _linear,
     bernstein_iff_check,
     certify,
     closure_checks,
     difference_check,
-    report_to_csv,
-    report_to_tree,
     thm31_harness,
     thm32_harness,
 )
@@ -78,10 +80,6 @@ from .qspecial import (
 _USAGE_EXIT = 2
 _VIOLATION_EXIT = 1
 
-#: Series depth for builtins whose series converge slowly at the small grid
-#: points reached by order-N shrinking (dilogarithm / Lambert-type sums).
-_DEEP_CTRL = SeriesControl(rel_term_tol=1e-16, max_terms=400_000)
-
 
 # --------------------------------------------------------------------------
 # builtin function registry
@@ -100,7 +98,7 @@ class Builtin:
     name: str
     summary: str
     params: tuple[ParamSpec, ...]
-    deep_series: bool
+    deep_series: bool  # slow series at small x: evaluate with HARNESS_CTRL
     build: Callable[[QParam, SeriesControl, dict], RealFunction]
 
 
@@ -302,7 +300,7 @@ def build_function(name: str, q: QParam, params: dict) -> RealFunction:
     for ps in b.params:
         given = params.get(ps.name)
         values[ps.name] = ps.default if given is None else given
-    ctrl = _DEEP_CTRL if b.deep_series else SeriesControl()
+    ctrl = HARNESS_CTRL if b.deep_series else SeriesControl()
     return b.build(q, ctrl, values)
 
 
@@ -345,11 +343,11 @@ class RunConfig:
         )
 
     def lambda_points(self) -> tuple[float, ...]:
-        # transform grids may start at 0, so bypass the positive-grid check
+        # transform grids may start at 0: keep the order check, not positivity
         lo, hi, count = self.grid_min, self.grid_max, self.grid_count
         if self.grid_spacing == "log":
             return Grid.log_spaced(lo, hi, count).points
-        return _linear(lo, hi, count)
+        return _increasing(_linear(lo, hi, count))
 
     def provenance(self) -> dict:
         return {
@@ -362,32 +360,27 @@ class RunConfig:
         }
 
 
+@dataclass(frozen=True)
+class _Table:
+    """A computed table under the report protocol.  Its JSON tree is `meta`
+    plus `rows`, each row keyed by `row_keys` (a plain list when None)."""
+
+    meta: dict
+    header: tuple[str, ...]
+    rows: list[tuple]
+    row_keys: tuple[str, ...] | None = None
+
+    def to_tree(self) -> dict:
+        keys = self.row_keys
+        rows = self.rows if keys is None else [dict(zip(keys, r)) for r in self.rows]
+        return {**self.meta, "rows": rows}
+
+    def csv_rows(self) -> tuple[tuple[str, ...], list[tuple]]:
+        return self.header, self.rows
+
+
 def _footer(cfg: RunConfig) -> str:
-    p = cfg.provenance()
-    parts = [
-        f"q={format17(p['q'])}",
-        f"order={p['order']}",
-        f"grid={p['grid']}",
-        f"tol_abs={format17(p['tol_abs'])}",
-        f"tol_rel={format17(p['tol_rel'])}",
-        f"version={p['version']}",
-    ]
-    return "# " + " ".join(parts) + "\n"
-
-
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format17(v) if math.isfinite(v) else ""
-    return str(v)
-
-
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence], cfg: RunConfig) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n" + _footer(cfg)
+    return "# " + " ".join(f"{k}={format_cell(v)}" for k, v in cfg.provenance().items()) + "\n"
 
 
 def _resolve_out(out: str | None) -> Path | None:
@@ -401,35 +394,20 @@ def _resolve_out(out: str | None) -> Path | None:
     return path
 
 
-def _emit(text: str, out: str | None) -> None:
-    path = _resolve_out(out)
+def _emit(rep, cfg: RunConfig) -> None:
+    """Write a report or table (`to_tree`/`csv_rows`) in the chosen format:
+    JSON gains the provenance, CSV the provenance footer."""
+    if cfg.fmt == "json":
+        text = render_json({**rep.to_tree(), "provenance": cfg.provenance()})
+    else:
+        text = render_csv(*rep.csv_rows()) + _footer(cfg)
+    path = _resolve_out(cfg.out)
     if path is None:
         sys.stdout.write(text)
         return
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def _emit_tree(tree: dict, cfg: RunConfig, out: str | None) -> None:
-    tree = dict(tree)
-    tree["provenance"] = cfg.provenance()
-    _emit(render_json(tree), out)
-
-
-def _emit_report(report, cfg: RunConfig, out: str | None) -> None:
-    if cfg.fmt == "json":
-        _emit_tree(report_to_tree(report), cfg, out)
-    else:
-        _emit(report_to_csv(report) + _footer(cfg), out)
-
-
-def _emit_composite(rep, cfg: RunConfig, out: str | None) -> None:
-    if cfg.fmt == "json":
-        _emit_tree(rep.to_tree(), cfg, out)
-    else:
-        header, rows = rep.csv_rows()
-        _emit(_csv_text(header, rows, cfg), out)
 
 
 # --------------------------------------------------------------------------
@@ -577,17 +555,9 @@ def _fn_params(ns: argparse.Namespace) -> dict:
 
 def _run_eval(ns: argparse.Namespace, cfg: RunConfig) -> int:
     f = build_function(ns.function, cfg.qparam(), _fn_params(ns))
-    pts = cfg.grid().points
-    rows = [(x, f(x)) for x in pts]
-    if cfg.fmt == "json":
-        tree = {
-            "kind": "eval_table",
-            "function": ns.function,
-            "rows": [{"x": x, "value": v} for x, v in rows],
-        }
-        _emit_tree(tree, cfg, cfg.out)
-    else:
-        _emit(_csv_text(("x", ns.function), rows, cfg), cfg.out)
+    rows = [(x, f(x)) for x in cfg.grid().points]
+    meta = {"kind": "eval_table", "function": ns.function}
+    _emit(_Table(meta, ("x", ns.function), rows, ("x", "value")), cfg)
     return 0
 
 
@@ -595,18 +565,9 @@ def _run_table(ns: argparse.Namespace, cfg: RunConfig) -> int:
     q = cfg.qparam()
     params = _fn_params(ns)
     fns = [(name, build_function(name, q, params)) for name in ns.functions]
-    pts = cfg.grid().points
-    rows = [tuple([x] + [f(x) for _, f in fns]) for x in pts]
+    rows = [tuple([x] + [f(x) for _, f in fns]) for x in cfg.grid().points]
     header = ("x",) + tuple(name for name, _ in fns)
-    if cfg.fmt == "json":
-        tree = {
-            "kind": "table",
-            "columns": list(header),
-            "rows": [list(r) for r in rows],
-        }
-        _emit_tree(tree, cfg, cfg.out)
-    else:
-        _emit(_csv_text(header, rows, cfg), cfg.out)
+    _emit(_Table({"kind": "table", "columns": header}, header, rows), cfg)
     return 0
 
 
@@ -615,7 +576,7 @@ def _run_certify(ns: argparse.Namespace, cfg: RunConfig) -> int:
     f = build_function(ns.function, q, _fn_params(ns))
     spec = cfg.cert_spec(CertProperty(ns.prop))
     report = certify(f, q, spec)
-    _emit_report(report, cfg, cfg.out)
+    _emit(report, cfg)
     return 0 if report.verdict is Verdict.CONSISTENT else _VIOLATION_EXIT
 
 
@@ -628,21 +589,21 @@ def _run_theorem(ns: argparse.Namespace, cfg: RunConfig) -> int:
         beta = params.get("beta", 1.0)
         gp = GammaParams(alpha, beta, q)
         report = thm31_harness(gp, spec, negative_control=cfg.negative_control)
-        _emit_report(report, cfg, cfg.out)
+        _emit(report, cfg)
         return 0 if report.verdict is Verdict.CONSISTENT else _VIOLATION_EXIT
     if ns.name == "thm32":
         a = tuple(params.get("a", (1.0,)))
         b = tuple(params.get("b", (2.0,)))
         rp = RatioParams(a, b, allow_violations=cfg.negative_control)
         report = thm32_harness(rp, q, spec, negative_control=cfg.negative_control)
-        _emit_report(report, cfg, cfg.out)
+        _emit(report, cfg)
         return 0 if report.verdict is Verdict.CONSISTENT else _VIOLATION_EXIT
     if ns.name == "bernstein_iff":
         if ns.fn is None:
             raise InputError("bernstein_iff needs --fn NAME")
         f = build_function(ns.fn, q, params)
         rep = bernstein_iff_check(f, ns.ts, q, spec)
-        _emit_composite(rep, cfg, cfg.out)
+        _emit(rep, cfg)
         return 0 if not rep.any_violation else _VIOLATION_EXIT
     if ns.name == "difference":
         if ns.fn is None:
@@ -650,13 +611,13 @@ def _run_theorem(ns: argparse.Namespace, cfg: RunConfig) -> int:
         f = build_function(ns.fn, q, params)
         f_rep = certify(f, q, spec)
         report = difference_check(f, ns.offset, q, spec, f_report=f_rep)
-        _emit_report(report, cfg, cfg.out)
+        _emit(report, cfg)
         violated = report.verdict is Verdict.VIOLATED or f_rep.verdict is Verdict.VIOLATED
         return _VIOLATION_EXIT if violated else 0
     # closure
     corpus = {name: build_function(name, q, params) for name in _CLOSURE_CORPUS}
     rep = closure_checks(corpus, q, spec, ts=ns.ts)
-    _emit_composite(rep, cfg, cfg.out)
+    _emit(rep, cfg)
     return 0 if rep.all_ok else _VIOLATION_EXIT
 
 
@@ -692,16 +653,9 @@ def _run_laplace(ns: argparse.Namespace, cfg: RunConfig) -> int:
     kernel = _kernel_of(ns.kernel)
     lams = cfg.lambda_points()
     rows = [(lam, q_laplace(mu, lam, q, kernel)) for lam in lams]
-    if cfg.fmt == "json":
-        tree = {
-            "kind": "laplace_table",
-            "kernel": kernel.value,
-            "mass": mu.mass,
-            "rows": [{"lambda": lam, "value": v} for lam, v in rows],
-        }
-        _emit_tree(tree, cfg, cfg.out)
-    else:
-        _emit(_csv_text(("lambda", "value"), rows, cfg), cfg.out)
+    meta = {"kind": "laplace_table", "kernel": kernel.value, "mass": mu.mass}
+    header = ("lambda", "value")
+    _emit(_Table(meta, header, rows, header), cfg)
     return 0
 
 
@@ -737,7 +691,7 @@ def _run_semigroup(ns: argparse.Namespace, cfg: RunConfig) -> int:
         }
     lams = cfg.lambda_points()
     report = semigroup_check(family, ts, lams, q, kernel, ns.tol)
-    _emit_composite(report, cfg, cfg.out)
+    _emit(report, cfg)
     return 0 if report.passed else _VIOLATION_EXIT
 
 

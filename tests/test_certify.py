@@ -1,5 +1,6 @@
 """Sign-pattern certifier: verdicts, soundness, determinism, harnesses."""
 
+import importlib
 import math
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmono
 from _oracles import classical_logcm_screen, reciprocal_q_derive_sign
 from qmono import (
     CertProperty,
@@ -37,10 +39,12 @@ from qmono import (
     q_psi_k,
     report_to_csv,
     report_to_json,
+    report_to_tree,
     thm31_harness,
     thm32_harness,
 )
-from qmono.certify import _certification_target
+from qmono._serialize import render_csv, render_json
+from qmono.cert import _certification_target
 
 Q5 = QParam(0.5)
 QCM = CertProperty.QCM
@@ -320,6 +324,18 @@ class TestSerialization:
     def test_consistent_report_has_header_only_csv(self):
         rep = certify(lambda x: 1.0 / (x + 1.0), Q5, CertSpec(QCM, max_order=3))
         assert report_to_csv(rep) == "x,n,value,scale,margin\n"
+
+    def test_public_serializers_follow_the_report_protocol(self):
+        rep = certify(lambda x: x, Q5, CertSpec(QCM, max_order=2, grid=Grid.linear(1.0, 2.0, 2)))
+        assert report_to_tree(rep) == rep.to_tree()
+        assert report_to_json(rep) == render_json(rep.to_tree())
+        assert report_to_csv(rep) == render_csv(*rep.csv_rows())
+
+
+def test_module_is_not_shadowed_by_the_function():
+    mod = importlib.import_module("qmono.cert")
+    assert mod.__name__ == "qmono.cert"
+    assert mod.certify is certify is qmono.certify
 
 
 class TestBernsteinIff:

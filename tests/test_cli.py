@@ -332,6 +332,35 @@ class TestGridCount:
         assert code == 2
         assert "at least one point" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["laplace", "--atoms", "1:1", "--grid-min", "2", "--grid-max", "0"],
+            ["laplace", "--atoms", "1:1", "--grid-min", "1", "--grid-max", "1"],
+            ["semigroup", "--grid-min", "1", "--grid-max", "1"],
+            ["semigroup", "--grid-min", "2", "--grid-max", "0.5"],
+        ],
+    )
+    def test_non_increasing_lambda_grid_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert run_cli(*argv, "--grid-count", "3", "--out", str(out)) == 2
+        assert "grid points must be strictly increasing" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNonFinite:
+    """A non-finite value is a usage error in both formats, and nothing is
+    written."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_value_is_usage_error(self, tmp_path, capsys, value, fmt):
+        out = tmp_path / f"out.{fmt}"
+        code = run_cli("eval", "constant", "--value", value, "--format", fmt, "--out", str(out))
+        assert code == 2
+        assert "refusing to serialize non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestParserReuse:
     """main keeps one parser per process: no call may see another's state."""
@@ -366,8 +395,12 @@ class TestParserReuse:
 
 
 class TestGoldenOutputs:
-    """Jackson-kernel transforms written byte for byte as a reference
-    version wrote them."""
+    """Every subcommand, in both formats, written byte for byte as a
+    reference version wrote them, with the same exit code."""
+
+    #: runs that find a violation: exit 1, the report is still written
+    VIOLATED = {"certify_violated.csv", "certify_violated.json", "bernstein_iff.csv",
+                "difference.csv", "semigroup_power.json"}
 
     @pytest.mark.parametrize(
         "name, argv",
@@ -383,11 +416,57 @@ class TestGoldenOutputs:
             ("semigroup_jackson.json",
              ["semigroup", "--family", "delta", "--speed", "0.5", "--ts", "1,2,3",
               "--kernel", "jackson", "--q", "0.5", "--format", "json"]),
+            ("eval.csv", ["eval", "q_gamma", "--q", "0.7", "--grid-count", "5"]),
+            ("eval.json",
+             ["eval", "reciprocal_shift", "--shift", "0.5", "--grid-min", "0.5", "--grid-max", "2",
+              "--grid-count", "4", "--grid-spacing", "linear", "--format", "json"]),
+            ("table.csv",
+             ["table", "identity", "square", "exp_decay", "--rate", "2", "--grid-count", "4"]),
+            ("table.json",
+             ["table", "q_psi", "eq_decay", "--q", "1.5", "--grid-count", "3", "--format", "json"]),
+            ("certify_violated.csv",
+             ["certify", "identity", "--property", "qcm", "--order", "3", "--grid-count", "4"]),
+            ("certify_violated.json",
+             ["certify", "square", "--property", "qlogcm", "--order", "3", "--grid-count", "4",
+              "--format", "json"]),
+            ("thm31.csv",
+             ["theorem", "thm31", "--alpha", "0.5", "--beta", "1", "--order", "3",
+              "--grid-count", "4"]),
+            ("thm31.json",
+             ["theorem", "thm31", "--alpha", "0.25", "--beta", "1.5", "--q", "0.7", "--order", "3",
+              "--grid-count", "4", "--format", "json"]),
+            ("bernstein_iff.csv",
+             ["theorem", "bernstein_iff", "--fn", "square", "--ts", "0.5,1", "--order", "3",
+              "--grid-count", "4"]),
+            ("bernstein_iff.json",
+             ["theorem", "bernstein_iff", "--fn", "identity", "--ts", "0.5,1", "--order", "3",
+              "--grid-count", "4", "--format", "json"]),
+            ("difference.csv",
+             ["theorem", "difference", "--fn", "identity", "--offset", "0.5", "--order", "3",
+              "--grid-count", "4"]),
+            ("difference.json",
+             ["theorem", "difference", "--fn", "reciprocal_shift", "--order", "3",
+              "--grid-count", "4", "--format", "json"]),
+            ("closure.csv",
+             ["theorem", "closure", "--ts", "0.5,1", "--order", "3", "--grid-count", "4"]),
+            ("closure.json",
+             ["theorem", "closure", "--ts", "0.5,1", "--order", "3", "--grid-count", "4",
+              "--format", "json"]),
+            ("semigroup_power.csv",
+             ["semigroup", "--family", "delta", "--speed", "0.5", "--ts", "1,2", "--q", "0.5"]),
+            ("semigroup_power.json",
+             ["semigroup", "--family", "broken-delta", "--ts", "1,2", "--q", "0.7",
+              "--format", "json"]),
+            ("laplace_power.csv",
+             ["laplace", "--atoms", "0:0.25,0.5:0.25,1.5:0.5", "--q", "0.7", "--grid-count", "5"]),
+            ("laplace_power.json",
+             ["laplace", "--atoms", "0.25:1,1:2", "--q", "1.5", "--grid-min", "0",
+              "--grid-max", "1", "--grid-count", "5", "--format", "json"]),
         ],
     )
     def test_matches_golden(self, tmp_path, name, argv):
         out = tmp_path / name
-        assert run_cli(*argv, "--out", str(out)) == 0
+        assert run_cli(*argv, "--out", str(out)) == (1 if name in self.VIOLATED else 0)
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
