@@ -5,15 +5,16 @@ sign-pattern certification on a builtin), theorem (run a named harness),
 laplace (transform a measure), semigroup (transform-side semigroup check),
 table (several builtins side by side, plot-ready).
 
-Exit codes: 0 all checks consistent / evaluation succeeded; 1 a certification
-found a violation (the report is still written); 2 usage or domain error.
+Each subcommand driver `_run_X(ns)` returns (result, ok), the result having
+`to_tree()` (JSON) and `csv_rows()` (CSV).  `run` alone dispatches, writes
+through `_emit` (which renders only the chosen format) and sets the exit code:
+0 if ok, 1 if a check found a violation (the result is still written).  `main`
+exits 2 on a usage or domain error, a non-finite value included.
 
 Output is deterministic: identical configurations produce byte-identical
 files.  CSV uses comma separators, `.` decimals, LF line endings and UTF-8,
 with a provenance footer (q, order, grid, tolerances, library version) and
 no timestamps.  Relative --out paths resolve against $QMONO_OUT_DIR when set.
-Every subcommand writes its result through one emitter, `_emit`, which
-renders only the chosen format; a non-finite value is a usage error in both.
 
 `main` builds its argument parser on the first call and reuses it for every
 later call in the same process; `build_parser` always returns a fresh one.
@@ -96,7 +97,6 @@ class ParamSpec:
 @dataclass(frozen=True)
 class Builtin:
     name: str
-    summary: str
     params: tuple[ParamSpec, ...]
     deep_series: bool  # slow series at small x: evaluate with HARNESS_CTRL
     build: Callable[[QParam, SeriesControl, dict], RealFunction]
@@ -185,47 +185,41 @@ def _b_g_ratio(q, ctrl, p):
 BUILTINS: dict[str, Builtin] = {
     b.name: b
     for b in (
-        Builtin("identity", "f(x) = x", (), False, _b_identity),
+        Builtin("identity", (), False, _b_identity),
         Builtin(
             "constant",
-            "f(x) = value",
             (ParamSpec("value", "float", 1.0, "constant value"),),
             False,
             _b_constant,
         ),
-        Builtin("square", "f(x) = x^2", (), False, _b_square),
+        Builtin("square", (), False, _b_square),
         Builtin(
             "reciprocal_shift",
-            "f(x) = 1/(x + shift)",
             (ParamSpec("shift", "float", 1.0, "denominator shift"),),
             False,
             _b_reciprocal_shift,
         ),
         Builtin(
             "exp_decay",
-            "f(x) = exp(-rate x)",
             (ParamSpec("rate", "float", 1.0, "decay rate"),),
             False,
             _b_exp_decay,
         ),
         Builtin(
             "eq_decay",
-            "f(x) = E_q(1)^(-rate x)",
             (ParamSpec("rate", "float", 1.0, "decay rate"),),
             False,
             _b_eq_decay,
         ),
         Builtin(
             "one_minus_eq_decay",
-            "f(x) = 1 - E_q(1)^(-rate x)",
             (ParamSpec("rate", "float", 1.0, "decay rate"),),
             False,
             _b_one_minus_eq_decay,
         ),
-        Builtin("q_gamma", "q-gamma (product form)", (), False, _b_q_gamma),
+        Builtin("q_gamma", (), False, _b_q_gamma),
         Builtin(
             "q_gamma_jackson",
-            "q-gamma (Jackson-sum form)",
             (
                 ParamSpec("n-lo", "int", 200, "small-t lattice cutoff exponent"),
                 ParamSpec("n-hi", "int", 40, "large-t lattice cutoff exponent"),
@@ -233,26 +227,23 @@ BUILTINS: dict[str, Builtin] = {
             False,
             _b_q_gamma_jackson,
         ),
-        Builtin("q_psi", "q-digamma", (), True, _b_q_psi),
-        Builtin("q_psi_prime", "first derivative of the q-digamma", (), True, _b_q_psi_prime),
+        Builtin("q_psi", (), True, _b_q_psi),
+        Builtin("q_psi_prime", (), True, _b_q_psi_prime),
         Builtin(
             "q_psi_k",
-            "k-th derivative of the q-digamma",
             (ParamSpec("k", "int", 1, "derivative order, k >= 1"),),
             True,
             _b_q_psi_k,
         ),
         Builtin(
             "polylog_qx",
-            "Li_s(q^x)",
             (ParamSpec("s", "float", 2.0, "polylogarithm order"),),
             True,
             _b_polylog_qx,
         ),
-        Builtin("h_aux", "dilogarithm correction term", (), True, _b_h_aux),
+        Builtin("h_aux", (), True, _b_h_aux),
         Builtin(
             "f_abq",
-            "gamma-based composite (1-q)^x e^h(x) Gamma_q(x+beta) / [x]^(x+beta-alpha)",
             (
                 ParamSpec("alpha", "float", 0.5, "exponent alpha"),
                 ParamSpec("beta", "float", 1.0, "exponent beta (>= 0)"),
@@ -262,7 +253,6 @@ BUILTINS: dict[str, Builtin] = {
         ),
         Builtin(
             "g_ab",
-            "positivity witness t + ((beta-alpha)t - 1)(e^(beta t) - e^((beta-1)t))",
             (
                 ParamSpec("alpha", "float", 0.5, "exponent alpha"),
                 ParamSpec("beta", "float", 1.0, "exponent beta"),
@@ -272,7 +262,6 @@ BUILTINS: dict[str, Builtin] = {
         ),
         Builtin(
             "g_ratio",
-            "gamma-ratio product prod Gamma_q(x+a_i)/Gamma_q(x+b_i)",
             (
                 ParamSpec("a", "floats", (1.0,), "numerator shifts, comma-separated"),
                 ParamSpec("b", "floats", (2.0,), "denominator shifts, comma-separated"),
@@ -283,81 +272,67 @@ BUILTINS: dict[str, Builtin] = {
     )
 }
 
-THEOREM_NAMES = ("thm31", "thm32", "bernstein_iff", "difference", "closure")
-
 #: Corpus used by `theorem closure`: positive builtins with known patterns.
 _CLOSURE_CORPUS = ("identity", "constant", "one_minus_eq_decay", "reciprocal_shift", "eq_decay")
 
 
-def build_function(name: str, q: QParam, params: dict) -> RealFunction:
-    """Instantiate a builtin by name with explicit parameter values."""
+def _param_values(name: str, params: dict) -> dict:
+    """A builtin's parameter values: the given ones, defaults for the rest."""
     if name not in BUILTINS:
         raise InputError(
             f"unknown function {name!r}; available: {', '.join(sorted(BUILTINS))}"
         )
-    b = BUILTINS[name]
     values = {}
-    for ps in b.params:
+    for ps in BUILTINS[name].params:
         given = params.get(ps.name)
         values[ps.name] = ps.default if given is None else given
+    return values
+
+
+def build_function(name: str, q: QParam, params: dict) -> RealFunction:
+    """Instantiate a builtin by name with explicit parameter values."""
+    values = _param_values(name, params)
+    b = BUILTINS[name]
     ctrl = HARNESS_CTRL if b.deep_series else SeriesControl()
     return b.build(q, ctrl, values)
 
 
 # --------------------------------------------------------------------------
-# configuration and output plumbing
+# run parameters and output plumbing (read from the parsed namespace)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by every subcommand."""
+def _grid(ns: argparse.Namespace) -> Grid:
+    if ns.grid_spacing == "log":
+        return Grid.log_spaced(ns.grid_min, ns.grid_max, ns.grid_count)
+    return Grid.linear(ns.grid_min, ns.grid_max, ns.grid_count)
 
-    command: str
-    q: float
-    grid_min: float
-    grid_max: float
-    grid_count: int
-    grid_spacing: str  # "linear" | "log"
-    order: int
-    tol_abs: float
-    tol_rel: float
-    fmt: str  # "csv" | "json"
-    out: str | None
-    negative_control: bool
 
-    def qparam(self) -> QParam:
-        return QParam(self.q)
+def _spec(ns: argparse.Namespace, prop: CertProperty) -> CertSpec:
+    return CertSpec(
+        property=prop,
+        max_order=ns.order,
+        grid=_grid(ns),
+        tol_abs=ns.tol_abs,
+        tol_rel=ns.tol_rel,
+    )
 
-    def grid(self) -> Grid:
-        if self.grid_spacing == "log":
-            return Grid.log_spaced(self.grid_min, self.grid_max, self.grid_count)
-        return Grid.linear(self.grid_min, self.grid_max, self.grid_count)
 
-    def cert_spec(self, prop: CertProperty) -> CertSpec:
-        return CertSpec(
-            property=prop,
-            max_order=self.order,
-            grid=self.grid(),
-            tol_abs=self.tol_abs,
-            tol_rel=self.tol_rel,
-        )
+def _lambda_points(ns: argparse.Namespace) -> tuple[float, ...]:
+    # transform grids may start at 0: keep the order check, not positivity
+    if ns.grid_spacing == "log":
+        return _grid(ns).points
+    return _increasing(_linear(ns.grid_min, ns.grid_max, ns.grid_count))
 
-    def lambda_points(self) -> tuple[float, ...]:
-        # transform grids may start at 0: keep the order check, not positivity
-        lo, hi, count = self.grid_min, self.grid_max, self.grid_count
-        if self.grid_spacing == "log":
-            return Grid.log_spaced(lo, hi, count).points
-        return _increasing(_linear(lo, hi, count))
 
-    def provenance(self) -> dict:
-        return {
-            "q": self.q,
-            "order": self.order,
-            "grid": f"{format17(self.grid_min)}:{format17(self.grid_max)}:{self.grid_count}:{self.grid_spacing}",
-            "tol_abs": self.tol_abs,
-            "tol_rel": self.tol_rel,
-            "version": __version__,
-        }
+def _provenance(ns: argparse.Namespace) -> dict:
+    return {
+        "q": ns.q,
+        "order": ns.order,
+        "grid": f"{format17(ns.grid_min)}:{format17(ns.grid_max)}:{ns.grid_count}:{ns.grid_spacing}",
+        "tol_abs": ns.tol_abs,
+        "tol_rel": ns.tol_rel,
+        "version": __version__,
+    }
 
 
 @dataclass(frozen=True)
@@ -379,10 +354,6 @@ class _Table:
         return self.header, self.rows
 
 
-def _footer(cfg: RunConfig) -> str:
-    return "# " + " ".join(f"{k}={format_cell(v)}" for k, v in cfg.provenance().items()) + "\n"
-
-
 def _resolve_out(out: str | None) -> Path | None:
     if out is None:
         return None
@@ -394,14 +365,16 @@ def _resolve_out(out: str | None) -> Path | None:
     return path
 
 
-def _emit(rep, cfg: RunConfig) -> None:
+def _emit(rep, ns: argparse.Namespace) -> None:
     """Write a report or table (`to_tree`/`csv_rows`) in the chosen format:
     JSON gains the provenance, CSV the provenance footer."""
-    if cfg.fmt == "json":
-        text = render_json({**rep.to_tree(), "provenance": cfg.provenance()})
+    prov = _provenance(ns)
+    if ns.fmt == "json":
+        text = render_json({**rep.to_tree(), "provenance": prov})
     else:
-        text = render_csv(*rep.csv_rows()) + _footer(cfg)
-    path = _resolve_out(cfg.out)
+        footer = " ".join(f"{k}={format_cell(v)}" for k, v in prov.items())
+        text = render_csv(*rep.csv_rows()) + f"# {footer}\n"
+    path = _resolve_out(ns.out)
     if path is None:
         sys.stdout.write(text)
         return
@@ -482,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fn_params(p_cert)
 
     p_thm = subs.add_parser("theorem", help="run a named theorem harness")
-    p_thm.add_argument("name", choices=THEOREM_NAMES)
+    p_thm.add_argument("name", choices=tuple(_THEOREMS))
     p_thm.add_argument("--fn", default=None, help="target builtin (bernstein_iff, difference)")
     p_thm.add_argument("--ts", type=_parse_floats, default=(0.5, 1.0, 2.0),
                        help="transform parameters t, comma-separated")
@@ -522,23 +495,6 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=ns.command,
-        q=ns.q,
-        grid_min=ns.grid_min,
-        grid_max=ns.grid_max,
-        grid_count=ns.grid_count,
-        grid_spacing=ns.grid_spacing,
-        order=ns.order,
-        tol_abs=ns.tol_abs,
-        tol_rel=ns.tol_rel,
-        fmt=ns.fmt,
-        out=ns.out,
-        negative_control=ns.negative_control,
-    )
-
-
 def _fn_params(ns: argparse.Namespace) -> dict:
     out = {}
     for b in BUILTINS.values():
@@ -553,72 +509,83 @@ def _fn_params(ns: argparse.Namespace) -> dict:
 # subcommand drivers
 
 
-def _run_eval(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    f = build_function(ns.function, cfg.qparam(), _fn_params(ns))
-    rows = [(x, f(x)) for x in cfg.grid().points]
+def _run_eval(ns: argparse.Namespace) -> tuple[object, bool]:
+    f = build_function(ns.function, QParam(ns.q), _fn_params(ns))
+    rows = [(x, f(x)) for x in _grid(ns).points]
     meta = {"kind": "eval_table", "function": ns.function}
-    _emit(_Table(meta, ("x", ns.function), rows, ("x", "value")), cfg)
-    return 0
+    return _Table(meta, ("x", ns.function), rows, ("x", "value")), True
 
 
-def _run_table(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    q = cfg.qparam()
+def _run_table(ns: argparse.Namespace) -> tuple[object, bool]:
+    q = QParam(ns.q)
     params = _fn_params(ns)
     fns = [(name, build_function(name, q, params)) for name in ns.functions]
-    rows = [tuple([x] + [f(x) for _, f in fns]) for x in cfg.grid().points]
+    rows = [tuple([x] + [f(x) for _, f in fns]) for x in _grid(ns).points]
     header = ("x",) + tuple(name for name, _ in fns)
-    _emit(_Table({"kind": "table", "columns": header}, header, rows), cfg)
-    return 0
+    return _Table({"kind": "table", "columns": header}, header, rows), True
 
 
-def _run_certify(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    q = cfg.qparam()
+def _run_certify(ns: argparse.Namespace) -> tuple[object, bool]:
+    q = QParam(ns.q)
     f = build_function(ns.function, q, _fn_params(ns))
-    spec = cfg.cert_spec(CertProperty(ns.prop))
+    spec = _spec(ns, CertProperty(ns.prop))
     report = certify(f, q, spec)
-    _emit(report, cfg)
-    return 0 if report.verdict is Verdict.CONSISTENT else _VIOLATION_EXIT
+    return report, report.verdict is Verdict.CONSISTENT
 
 
-def _run_theorem(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    q = cfg.qparam()
-    spec = cfg.cert_spec(CertProperty.QCM)
-    params = _fn_params(ns)
-    if ns.name == "thm31":
-        alpha = params.get("alpha", 0.5)
-        beta = params.get("beta", 1.0)
-        gp = GammaParams(alpha, beta, q)
-        report = thm31_harness(gp, spec, negative_control=cfg.negative_control)
-        _emit(report, cfg)
-        return 0 if report.verdict is Verdict.CONSISTENT else _VIOLATION_EXIT
-    if ns.name == "thm32":
-        a = tuple(params.get("a", (1.0,)))
-        b = tuple(params.get("b", (2.0,)))
-        rp = RatioParams(a, b, allow_violations=cfg.negative_control)
-        report = thm32_harness(rp, q, spec, negative_control=cfg.negative_control)
-        _emit(report, cfg)
-        return 0 if report.verdict is Verdict.CONSISTENT else _VIOLATION_EXIT
-    if ns.name == "bernstein_iff":
-        if ns.fn is None:
-            raise InputError("bernstein_iff needs --fn NAME")
-        f = build_function(ns.fn, q, params)
-        rep = bernstein_iff_check(f, ns.ts, q, spec)
-        _emit(rep, cfg)
-        return 0 if not rep.any_violation else _VIOLATION_EXIT
-    if ns.name == "difference":
-        if ns.fn is None:
-            raise InputError("difference needs --fn NAME")
-        f = build_function(ns.fn, q, params)
-        f_rep = certify(f, q, spec)
-        report = difference_check(f, ns.offset, q, spec, f_report=f_rep)
-        _emit(report, cfg)
-        violated = report.verdict is Verdict.VIOLATED or f_rep.verdict is Verdict.VIOLATED
-        return _VIOLATION_EXIT if violated else 0
-    # closure
+def _thm31(ns, q, spec, params):
+    p = _param_values("f_abq", params)
+    gp = GammaParams(p["alpha"], p["beta"], q)
+    report = thm31_harness(gp, spec, negative_control=ns.negative_control)
+    return report, report.verdict is Verdict.CONSISTENT
+
+
+def _thm32(ns, q, spec, params):
+    p = _param_values("g_ratio", params)
+    rp = RatioParams(tuple(p["a"]), tuple(p["b"]), allow_violations=ns.negative_control)
+    report = thm32_harness(rp, q, spec, negative_control=ns.negative_control)
+    return report, report.verdict is Verdict.CONSISTENT
+
+
+def _target(ns, q, params) -> RealFunction:
+    if ns.fn is None:
+        raise InputError(f"{ns.name} needs --fn NAME")
+    return build_function(ns.fn, q, params)
+
+
+def _bernstein_iff(ns, q, spec, params):
+    rep = bernstein_iff_check(_target(ns, q, params), ns.ts, q, spec)
+    return rep, not rep.any_violation
+
+
+def _difference(ns, q, spec, params):
+    f = _target(ns, q, params)
+    f_rep = certify(f, q, spec)
+    report = difference_check(f, ns.offset, q, spec, f_report=f_rep)
+    # a violated precondition on f fails the run even when the difference holds
+    return report, Verdict.VIOLATED not in (report.verdict, f_rep.verdict)
+
+
+def _closure(ns, q, spec, params):
     corpus = {name: build_function(name, q, params) for name in _CLOSURE_CORPUS}
     rep = closure_checks(corpus, q, spec, ts=ns.ts)
-    _emit(rep, cfg)
-    return 0 if rep.all_ok else _VIOLATION_EXIT
+    return rep, rep.all_ok
+
+
+#: theorem harness drivers by name: (ns, q, spec, params) -> (report, ok)
+_THEOREMS = {
+    "thm31": _thm31,
+    "thm32": _thm32,
+    "bernstein_iff": _bernstein_iff,
+    "difference": _difference,
+    "closure": _closure,
+}
+
+
+def _run_theorem(ns: argparse.Namespace) -> tuple[object, bool]:
+    q = QParam(ns.q)
+    spec = _spec(ns, CertProperty.QCM)
+    return _THEOREMS[ns.name](ns, q, spec, _fn_params(ns))
 
 
 def _parse_atoms(text: str) -> DiscreteMeasure:
@@ -647,20 +614,19 @@ def _kernel_of(name: str) -> KernelKind:
     return KernelKind.POWER_E if name == "power" else KernelKind.JACKSON_E
 
 
-def _run_laplace(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    q = cfg.qparam()
+def _run_laplace(ns: argparse.Namespace) -> tuple[object, bool]:
+    q = QParam(ns.q)
     mu = _load_measure(ns)
     kernel = _kernel_of(ns.kernel)
-    lams = cfg.lambda_points()
+    lams = _lambda_points(ns)
     rows = [(lam, q_laplace(mu, lam, q, kernel)) for lam in lams]
     meta = {"kind": "laplace_table", "kernel": kernel.value, "mass": mu.mass}
     header = ("lambda", "value")
-    _emit(_Table(meta, header, rows, header), cfg)
-    return 0
+    return _Table(meta, header, rows, header), True
 
 
-def _run_semigroup(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    q = cfg.qparam()
+def _run_semigroup(ns: argparse.Namespace) -> tuple[object, bool]:
+    q = QParam(ns.q)
     kernel = _kernel_of(ns.kernel)
     ts = tuple(ns.ts)
     sums = sorted({t + s for i, t in enumerate(ts) for s in ts[i:]})
@@ -672,14 +638,10 @@ def _run_semigroup(ns: argparse.Namespace, cfg: RunConfig) -> int:
         for t in needed:
             if abs(t - round(t)) > 1e-9 or round(t) < 1:
                 raise InputError(f"conv family needs positive integer times, got {t}")
-        family: dict[float, DiscreteMeasure] = {}
-        power = base
-        for m in range(1, int(round(max(needed))) + 1):
-            if m > 1:
-                power = q_convolve(power, base)
-            if float(m) in needed or m in needed:
-                family[float(m)] = power
-        family = {float(t): family[float(round(t))] for t in needed}
+        powers = [base]  # powers[m - 1] is the m-fold convolution power
+        while len(powers) < round(max(needed)):
+            powers.append(q_convolve(powers[-1], base))
+        family = {float(t): powers[round(t) - 1] for t in needed}
     elif ns.family == "delta":
         family = {float(t): DiscreteMeasure.delta(ns.speed * t) for t in needed}
     else:  # broken-delta: correct on the input times, offset on the sums
@@ -689,28 +651,26 @@ def _run_semigroup(ns: argparse.Namespace, cfg: RunConfig) -> int:
             )
             for t in needed
         }
-    lams = cfg.lambda_points()
+    lams = _lambda_points(ns)
     report = semigroup_check(family, ts, lams, q, kernel, ns.tol)
-    _emit(report, cfg)
-    return 0 if report.passed else _VIOLATION_EXIT
+    return report, report.passed
+
+
+_DRIVERS = {
+    "eval": _run_eval,
+    "certify": _run_certify,
+    "theorem": _run_theorem,
+    "laplace": _run_laplace,
+    "semigroup": _run_semigroup,
+    "table": _run_table,
+}
 
 
 def run(ns: argparse.Namespace) -> int:
-    """Dispatch a parsed command line; returns the process exit code."""
-    cfg = _config_from(ns)
-    if ns.command == "eval":
-        return _run_eval(ns, cfg)
-    if ns.command == "certify":
-        return _run_certify(ns, cfg)
-    if ns.command == "theorem":
-        return _run_theorem(ns, cfg)
-    if ns.command == "laplace":
-        return _run_laplace(ns, cfg)
-    if ns.command == "semigroup":
-        return _run_semigroup(ns, cfg)
-    if ns.command == "table":
-        return _run_table(ns, cfg)
-    raise InputError(f"unknown command {ns.command!r}")
+    """Run a parsed command line, write its result and return the exit code."""
+    result, ok = _DRIVERS[ns.command](ns)
+    _emit(result, ns)
+    return 0 if ok else _VIOLATION_EXIT
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -7,8 +7,8 @@ table over n+1 samples with O(n^2) arithmetic.  On top of the table sit the
 q-partial Bell polynomials and the q-analogue composition (Faa di Bruno)
 rule for D_q^n of g(h(x)).
 
-Tables are built per call and nothing is shared, so concurrent sweeps over
-x-grids are safe and schedule-independent.
+Tables are built per call and share nothing: a table depends only on f, q,
+x and the order, never on which tables were built before it.
 """
 
 from __future__ import annotations

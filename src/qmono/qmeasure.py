@@ -286,24 +286,22 @@ def semigroup_check(
 
     For every unordered pair (t, s) from ts, compares the transform of the
     convolution family(t) * family(s) against the transform of family(t+s)
-    at each lambda, and reports the worst deviation against tol.  A family
-    member missing at some t + s is an input error.
+    at each lambda, and reports the worst deviation against tol, which must
+    be finite and >= 0.  A family member missing at some t + s, or one that
+    is not a DiscreteMeasure, is an input error.
     """
-    if isinstance(family, Mapping):
-        def member(t: float) -> DiscreteMeasure:
-            try:
-                return family[t]
-            except KeyError as exc:
-                raise InputError(f"family has no member at t = {t!r}") from exc
-    else:
-        def member(t: float) -> DiscreteMeasure:
-            try:
-                m = family(t)
-            except Exception as exc:
-                raise InputError(f"family has no member at t = {t!r}") from exc
-            if not isinstance(m, DiscreteMeasure):
-                raise InputError(f"family({t!r}) is not a DiscreteMeasure")
-            return m
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"semigroup tolerance must be finite and >= 0, got {tol!r}")
+    get = family.__getitem__ if isinstance(family, Mapping) else family
+
+    def member(t: float) -> DiscreteMeasure:
+        try:
+            m = get(t)
+        except Exception as exc:
+            raise InputError(f"family has no member at t = {t!r}") from exc
+        if not isinstance(m, DiscreteMeasure):
+            raise InputError(f"family({t!r}) is not a DiscreteMeasure")
+        return m
 
     entries: list[SemigroupEntry] = []
     for i, t in enumerate(ts):

@@ -214,6 +214,19 @@ def q_gamma_jackson(
     return q_gamma_jackson_info(x, q, n_lo, n_hi, ctrl).value
 
 
+def _digamma_series(x: float, lr: float, k: int, ctrl: SeriesControl) -> float:
+    """sum_{n>=1} n^k r^(nx) / (1 - r^n) with log r = lr < 0, summed until a
+    term falls below rel_term_tol times the partial sum."""
+    acc = CompensatedSum()
+    for n in range(1, ctrl.max_terms + 1):
+        term = float(n) ** k * math.exp(n * x * lr) / -math.expm1(n * lr)
+        acc.add(term)
+        if term <= ctrl.rel_term_tol * acc.value:
+            return acc.value
+    what = "q-digamma series" if k == 0 else "q-digamma derivative series"
+    raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
+
+
 def q_psi(x: float, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
     """q-digamma, the logarithmic derivative of the q-gamma.
 
@@ -226,20 +239,9 @@ def q_psi(x: float, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
         raise DomainError(f"q-digamma needs x > 0, got {x!r}")
     qq = q.q
     lq = math.log(qq)
-    acc = CompensatedSum()
     if q.is_sub_one:
-        for n in range(1, ctrl.max_terms + 1):
-            term = math.exp(n * x * lq) / -math.expm1(n * lq)
-            acc.add(term)
-            if term <= ctrl.rel_term_tol * acc.value:
-                return -math.log1p(-qq) + lq * acc.value
-        raise ConvergenceError(f"q-digamma series did not settle within {ctrl.max_terms} terms")
-    for n in range(1, ctrl.max_terms + 1):
-        term = math.exp(-n * x * lq) / -math.expm1(-n * lq)
-        acc.add(term)
-        if term <= ctrl.rel_term_tol * acc.value:
-            return -math.log(qq - 1.0) + lq * (x - 0.5 - acc.value)
-    raise ConvergenceError(f"q-digamma series did not settle within {ctrl.max_terms} terms")
+        return -math.log1p(-qq) + lq * _digamma_series(x, lq, 0, ctrl)
+    return -math.log(qq - 1.0) + lq * (x - 0.5 - _digamma_series(x, -lq, 0, ctrl))
 
 
 def q_psi_k(x: float, q: QParam, k: int, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
@@ -255,29 +257,13 @@ def q_psi_k(x: float, q: QParam, k: int, ctrl: SeriesControl = DEFAULT_CTRL) -> 
         raise DomainError(f"q-digamma derivatives need x > 0, got {x!r}")
     if k < 1:
         raise DomainError(f"derivative order must be >= 1, got {k}")
-    qq = q.q
-    lq = math.log(qq)
-    acc = CompensatedSum()
+    lq = math.log(q.q)
     if q.is_sub_one:
-        for n in range(1, ctrl.max_terms + 1):
-            term = float(n) ** k * math.exp(n * x * lq) / -math.expm1(n * lq)
-            acc.add(term)
-            if term <= ctrl.rel_term_tol * acc.value:
-                return lq ** (k + 1) * acc.value
-        raise ConvergenceError(
-            f"q-digamma derivative series did not settle within {ctrl.max_terms} terms"
-        )
-    for n in range(1, ctrl.max_terms + 1):
-        term = float(n) ** k * math.exp(-n * x * lq) / -math.expm1(-n * lq)
-        acc.add(term)
-        if term <= ctrl.rel_term_tol * acc.value:
-            value = (-1.0) ** (k + 1) * lq ** (k + 1) * acc.value
-            if k == 1:
-                value += lq
-            return value
-    raise ConvergenceError(
-        f"q-digamma derivative series did not settle within {ctrl.max_terms} terms"
-    )
+        return lq ** (k + 1) * _digamma_series(x, lq, k, ctrl)
+    value = (-1.0) ** (k + 1) * lq ** (k + 1) * _digamma_series(x, -lq, k, ctrl)
+    if k == 1:
+        value += lq
+    return value
 
 
 def polylog(s: float, z: float, ctrl: SeriesControl = DEFAULT_CTRL) -> float:

@@ -62,3 +62,12 @@ def classical_logcm_screen(f, xs, n_max: int = 3, h: float = 1e-2, tol: float = 
             if (-1.0) ** n * central_diff(g, x, n, h) < -tol:
                 return False
     return True
+
+
+def outcome(fn, *args):
+    """("value", repr of the result) or (exception type, message): equal
+    outcomes mean bit-identical values or identical errors."""
+    try:
+        return "value", repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)

@@ -13,6 +13,7 @@ from qmono.cli import build_parser, main, run
 Q5 = QParam(0.5)
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
+MEASURE = GOLDEN / "measure_two_atom.txt"
 
 
 def run_cli(*args):
@@ -236,6 +237,14 @@ class TestSemigroup:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, tol, fmt):
+        out = tmp_path / f"out.{fmt}"
+        assert run_cli("semigroup", "--tol", tol, "--format", fmt, "--out", str(out)) == 2
+        assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_conv_needs_integer_times(self, tmp_path):
         mfile = tmp_path / "p.txt"
         mfile.write_text("0 1\n", encoding="utf-8")
@@ -400,7 +409,8 @@ class TestGoldenOutputs:
 
     #: runs that find a violation: exit 1, the report is still written
     VIOLATED = {"certify_violated.csv", "certify_violated.json", "bernstein_iff.csv",
-                "difference.csv", "semigroup_power.json"}
+                "difference.csv", "semigroup_power.json", "thm32_negative_control.csv",
+                "difference_precondition.csv"}
 
     @pytest.mark.parametrize(
         "name, argv",
@@ -461,6 +471,36 @@ class TestGoldenOutputs:
              ["laplace", "--atoms", "0:0.25,0.5:0.25,1.5:0.5", "--q", "0.7", "--grid-count", "5"]),
             ("laplace_power.json",
              ["laplace", "--atoms", "0.25:1,1:2", "--q", "1.5", "--grid-min", "0",
+              "--grid-max", "1", "--grid-count", "5", "--format", "json"]),
+            ("thm32.csv",
+             ["theorem", "thm32", "--a", "1,2", "--b", "2,3", "--q", "0.7", "--order", "3",
+              "--grid-count", "4"]),
+            ("thm32.json",
+             ["theorem", "thm32", "--a", "1,2", "--b", "2,3", "--q", "0.7", "--order", "3",
+              "--grid-count", "4", "--format", "json"]),
+            ("thm32_negative_control.csv",
+             ["theorem", "thm32", "--a", "2", "--b", "1", "--negative-control", "--q", "0.7",
+              "--order", "3", "--grid-count", "4"]),
+            ("thm31_negative_control.json",
+             ["theorem", "thm31", "--alpha", "0.75", "--beta", "1", "--negative-control",
+              "--order", "3", "--grid-count", "4", "--format", "json"]),
+            # exit 1 from the violated precondition only: the difference is Consistent
+            ("difference_precondition.csv",
+             ["theorem", "difference", "--fn", "constant", "--value", "-1", "--order", "3",
+              "--grid-count", "4"]),
+            ("certify_reciprocal.csv",
+             ["certify", "reciprocal_shift", "--property", "qcm", "--order", "3",
+              "--grid-count", "4"]),
+            ("semigroup_conv.csv",
+             ["semigroup", "--family", "conv", "--measure", str(MEASURE), "--ts", "1,2",
+              "--q", "0.7"]),
+            ("semigroup_conv.json",
+             ["semigroup", "--family", "conv", "--measure", str(MEASURE), "--ts", "1,2,3",
+              "--kernel", "jackson", "--q", "0.5", "--format", "json"]),
+            ("laplace_measure.csv",
+             ["laplace", "--measure", str(MEASURE), "--q", "0.7", "--grid-count", "5"]),
+            ("laplace_measure.json",
+             ["laplace", "--measure", str(MEASURE), "--kernel", "jackson", "--q", "1.5",
               "--grid-max", "1", "--grid-count", "5", "--format", "json"]),
         ],
     )

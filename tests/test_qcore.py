@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import outcome
 from qmono import (
     CompensatedSum,
     ConvergenceError,
@@ -221,13 +222,6 @@ def _reference_q_exp(x, q, kind, ctrl):
     )
 
 
-def _outcome(fn, *args):
-    try:
-        return "value", repr(fn(*args))
-    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
-        return type(exc), str(exc)
-
-
 class TestQExpReference:
     """q_exp inlines q_number and the Neumaier update; every value and every
     error must stay bit-identical to the loop that called them."""
@@ -246,14 +240,14 @@ class TestQExpReference:
         radius = 1.0 / (1.0 - qv) if qv < 1.0 else qv / (qv - 1.0)
         x = u * radius
         ctrl = SeriesControl(rel_term_tol=tol, max_terms=max_terms)
-        assert _outcome(q_exp, x, q, kind, ctrl) == _outcome(_reference_q_exp, x, q, kind, ctrl)
+        assert outcome(q_exp, x, q, kind, ctrl) == outcome(_reference_q_exp, x, q, kind, ctrl)
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1e300, -1e300])
     @pytest.mark.parametrize("kind", list(ExpKind))
     @pytest.mark.parametrize("qv", [0.5, 3.0])
     def test_extreme_arguments_match_reference(self, qv, kind, x):
         q = QParam(qv)
-        assert _outcome(q_exp, x, q, kind, DEFAULT_CTRL) == _outcome(
+        assert outcome(q_exp, x, q, kind, DEFAULT_CTRL) == outcome(
             _reference_q_exp, x, q, kind, DEFAULT_CTRL
         )
 

@@ -269,3 +269,19 @@ class TestSemigroup:
         family = lambda t: DiscreteMeasure.delta(2.0 * t)
         report = semigroup_check(family, (0.5, 1.0), self.LAMS, Q5, KernelKind.POWER_E, 1e-12)
         assert report.passed
+
+    def test_mapping_value_not_a_measure_is_input_error(self):
+        family = {1.0: DiscreteMeasure.delta(1.0), 2.0: "delta(2)"}
+        with pytest.raises(InputError, match="not a DiscreteMeasure"):
+            semigroup_check(family, (1.0,), self.LAMS, Q5, KernelKind.POWER_E, 1e-12)
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        family = lambda t: DiscreteMeasure.delta(t)
+        with pytest.raises(DomainError, match="tolerance must be finite and >= 0"):
+            semigroup_check(family, (1.0,), self.LAMS, Q5, KernelKind.POWER_E, tol)
+
+    def test_zero_tolerance_accepted(self):
+        family = lambda t: DiscreteMeasure.delta(t)
+        report = semigroup_check(family, (1.0,), self.LAMS, Q5, KernelKind.POWER_E, 0.0)
+        assert report.tol == 0.0

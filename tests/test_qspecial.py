@@ -3,9 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import central_diff
+from _oracles import central_diff, outcome
 from qmono import (
+    CompensatedSum,
+    ConvergenceError,
     DomainError,
     GammaParams,
     QParam,
@@ -169,6 +173,80 @@ class TestQPsiK:
     def test_rejects_bad_order(self):
         with pytest.raises(DomainError):
             q_psi_k(1.0, Q5, 0)
+
+
+def _reference_q_psi(x, q, ctrl):
+    """q_psi as written before its series loops were shared with q_psi_k."""
+    if not x > 0.0:
+        raise DomainError(f"q-digamma needs x > 0, got {x!r}")
+    qq = q.q
+    lq = math.log(qq)
+    acc = CompensatedSum()
+    if q.is_sub_one:
+        for n in range(1, ctrl.max_terms + 1):
+            term = math.exp(n * x * lq) / -math.expm1(n * lq)
+            acc.add(term)
+            if term <= ctrl.rel_term_tol * acc.value:
+                return -math.log1p(-qq) + lq * acc.value
+        raise ConvergenceError(f"q-digamma series did not settle within {ctrl.max_terms} terms")
+    for n in range(1, ctrl.max_terms + 1):
+        term = math.exp(-n * x * lq) / -math.expm1(-n * lq)
+        acc.add(term)
+        if term <= ctrl.rel_term_tol * acc.value:
+            return -math.log(qq - 1.0) + lq * (x - 0.5 - acc.value)
+    raise ConvergenceError(f"q-digamma series did not settle within {ctrl.max_terms} terms")
+
+
+def _reference_q_psi_k(x, q, k, ctrl):
+    """q_psi_k as written before its series loops were shared with q_psi."""
+    if not x > 0.0:
+        raise DomainError(f"q-digamma derivatives need x > 0, got {x!r}")
+    if k < 1:
+        raise DomainError(f"derivative order must be >= 1, got {k}")
+    qq = q.q
+    lq = math.log(qq)
+    acc = CompensatedSum()
+    if q.is_sub_one:
+        for n in range(1, ctrl.max_terms + 1):
+            term = float(n) ** k * math.exp(n * x * lq) / -math.expm1(n * lq)
+            acc.add(term)
+            if term <= ctrl.rel_term_tol * acc.value:
+                return lq ** (k + 1) * acc.value
+        raise ConvergenceError(
+            f"q-digamma derivative series did not settle within {ctrl.max_terms} terms"
+        )
+    for n in range(1, ctrl.max_terms + 1):
+        term = float(n) ** k * math.exp(-n * x * lq) / -math.expm1(-n * lq)
+        acc.add(term)
+        if term <= ctrl.rel_term_tol * acc.value:
+            value = (-1.0) ** (k + 1) * lq ** (k + 1) * acc.value
+            if k == 1:
+                value += lq
+            return value
+    raise ConvergenceError(
+        f"q-digamma derivative series did not settle within {ctrl.max_terms} terms"
+    )
+
+
+class TestQPsiReference:
+    """q_psi and q_psi_k share one series loop; every value and every error
+    must stay bit-identical to the four loops they replaced."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(
+        qv=st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 4.0)),
+        x=st.one_of(st.floats(1e-3, 60.0), st.floats(-1.0, 0.0)),
+        k=st.integers(0, 4),
+        max_terms=st.one_of(st.integers(1, 40), st.sampled_from([100, 10_000])),
+        tol=st.sampled_from([1e-16, 1e-12, 1e-6]),
+    )
+    def test_matches_reference_loops(self, qv, x, k, max_terms, tol):
+        q = QParam(qv)
+        ctrl = SeriesControl(rel_term_tol=tol, max_terms=max_terms)
+        if k == 0:
+            assert outcome(q_psi, x, q, ctrl) == outcome(_reference_q_psi, x, q, ctrl)
+        else:
+            assert outcome(q_psi_k, x, q, k, ctrl) == outcome(_reference_q_psi_k, x, q, k, ctrl)
 
 
 class TestPolylog:
