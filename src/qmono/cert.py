@@ -28,7 +28,6 @@ from typing import Mapping, NamedTuple, Sequence
 
 from ._serialize import format17, render_csv, render_json
 from .qcore import (
-    DEFAULT_CTRL,
     DomainError,
     InputError,
     QParam,
@@ -223,9 +222,7 @@ def _signs_and_orders(prop: CertProperty, n_max: int) -> list[tuple[int, float]]
     return [(0, 1.0)] + [(n, (-1.0) ** (n - 1)) for n in range(1, n_max + 1)]
 
 
-def _certification_target(
-    f: RealFunction, q: QParam, prop: CertProperty, ctrl: SeriesControl
-) -> RealFunction:
+def _certification_target(f: RealFunction, q: QParam, prop: CertProperty) -> RealFunction:
     """Wrap f with evaluability checks; for QLOGCM, compose with Log_q."""
 
     def checked(y: float) -> float:
@@ -241,18 +238,12 @@ def _certification_target(
         v = checked(y)
         if v <= 0.0:
             raise InputError(f"Log_q needs a positive function: f({y!r}) = {v!r}")
-        return log_q(v, q, ctrl)
+        return log_q(v, q)
 
     return log_target
 
 
-def certify(
-    f: RealFunction,
-    q: QParam,
-    spec: CertSpec,
-    *,
-    ctrl: SeriesControl = DEFAULT_CTRL,
-) -> CertReport:
+def certify(f: RealFunction, q: QParam, spec: CertSpec) -> CertReport:
     """Certify the sign pattern named by spec.property for f on spec.grid.
 
     f must be evaluable at every q^j x for x in the grid and j = 0..N (and
@@ -260,7 +251,7 @@ def certify(
     over its N+1 samples; only column 0 of each value row and the largest
     entry of each condition row enter the checks.
     """
-    g = _certification_target(f, q, spec.property, ctrl)
+    g = _certification_target(f, q, spec.property)
     pts = spec.grid.points
     checks = _signs_and_orders(spec.property, spec.max_order)
     tol_abs, tol_rel = spec.tol_abs, spec.tol_rel
@@ -349,19 +340,17 @@ def bernstein_iff_check(
     ts: Sequence[float],
     q: QParam,
     spec: CertSpec,
-    *,
-    ctrl: SeriesControl = DEFAULT_CTRL,
 ) -> BernsteinIffReport:
     """Certify f as QBERNSTEIN and each x -> E_q(1)^(-t f(x)) as QCM."""
     f_spec = replace(spec, property=CertProperty.QBERNSTEIN)
     cm_spec = replace(spec, property=CertProperty.QCM)
-    f_report = certify(f, q, f_spec, ctrl=ctrl)
+    f_report = certify(f, q, f_spec)
     cm_reports: list[tuple[float, CertReport]] = []
     for t in ts:
         if not t > 0.0:
             raise InputError(f"transform parameters must be positive, got t = {t!r}")
-        target = _scaled_eq_decay(f, t, q, ctrl)
-        cm_reports.append((t, certify(target, q, cm_spec, ctrl=ctrl)))
+        target = _scaled_eq_decay(f, t, q)
+        cm_reports.append((t, certify(target, q, cm_spec)))
     f_ok = f_report.verdict is Verdict.CONSISTENT
     cm_ok = all(r.verdict is Verdict.CONSISTENT for _, r in cm_reports)
     flagged: list[str] = []
@@ -384,11 +373,9 @@ def bernstein_iff_check(
     )
 
 
-def _scaled_eq_decay(
-    f: RealFunction, t: float, q: QParam, ctrl: SeriesControl
-) -> RealFunction:
+def _scaled_eq_decay(f: RealFunction, t: float, q: QParam) -> RealFunction:
     def target(x: float) -> float:
-        return eq_power(-t * f(x), q, ctrl)
+        return eq_power(-t * f(x), q)
 
     return target
 
@@ -400,7 +387,6 @@ def difference_check(
     spec: CertSpec,
     *,
     f_report: CertReport | None = None,
-    ctrl: SeriesControl = DEFAULT_CTRL,
 ) -> CertReport:
     """Certify x -> f(x) - f(x+a) as QCM.
 
@@ -415,7 +401,7 @@ def difference_check(
     def diff(x: float) -> float:
         return f(x) - f(x + a)
 
-    report = certify(diff, q, diff_spec, ctrl=ctrl)
+    report = certify(diff, q, diff_spec)
     notes: tuple[str, ...]
     if f_report is None:
         notes = ("precondition not checked: no QCM report for f was supplied",)
@@ -480,7 +466,6 @@ def closure_checks(
     spec: CertSpec,
     *,
     ts: Sequence[float] = (0.5, 1.0, 2.0),
-    ctrl: SeriesControl = DEFAULT_CTRL,
 ) -> ClosureReport:
     """Run the closure laws over a named corpus.
 
@@ -499,7 +484,7 @@ def closure_checks(
         f = fs[name]
         for prop in (CertProperty.QBERNSTEIN, CertProperty.QCM, CertProperty.QLOGCM):
             try:
-                rep = certify(f, q, replace(spec, property=prop), ctrl=ctrl)
+                rep = certify(f, q, replace(spec, property=prop))
                 verdicts[(name, prop)] = rep.verdict
                 base.append((name, prop.value, rep.verdict.value))
             except InputError:
@@ -514,9 +499,7 @@ def closure_checks(
     for f_name in bernstein_names:
         for g_name in bernstein_names:
             composed = _compose(fs[g_name], fs[f_name])
-            rep = certify(
-                composed, q, replace(spec, property=CertProperty.QBERNSTEIN), ctrl=ctrl
-            )
+            rep = certify(composed, q, replace(spec, property=CertProperty.QBERNSTEIN))
             checks.append(
                 ClosureCheck(
                     "composition", f_name, g_name, None, rep.verdict,
@@ -537,16 +520,16 @@ def closure_checks(
 
     for name in bernstein_names:
         for t in ts:
-            target = _scaled_eq_decay(fs[name], t, q, ctrl)
-            rep = certify(target, q, replace(spec, property=CertProperty.QCM), ctrl=ctrl)
+            target = _scaled_eq_decay(fs[name], t, q)
+            rep = certify(target, q, replace(spec, property=CertProperty.QCM))
             checks.append(
                 ClosureCheck(
                     "power_stays_cm", name, None, t, rep.verdict,
                     rep.verdict is Verdict.CONSISTENT,
                 )
             )
-        target1 = _scaled_eq_decay(fs[name], 1.0, q, ctrl)
-        rep = certify(target1, q, replace(spec, property=CertProperty.QLOGCM), ctrl=ctrl)
+        target1 = _scaled_eq_decay(fs[name], 1.0, q)
+        rep = certify(target1, q, replace(spec, property=CertProperty.QLOGCM))
         checks.append(
             ClosureCheck(
                 "decay_is_logcm", name, None, None, rep.verdict,
@@ -568,9 +551,10 @@ def _compose(g: RealFunction, f: RealFunction) -> RealFunction:
     return composed
 
 
-#: Harness-facing series policy: certification grids shrink points down to
-#: x ~ 1e-3, where the dilogarithm / Lambert-type series need several tens of
-#: thousands of terms.  The primitive-layer default stays at 10_000.
+#: Series policy for the functions certified down to x ~ 1e-3, where the
+#: dilogarithm and Lambert-type series need tens of thousands of terms: the
+#: six series builtins of `cli` (q_psi, q_psi_prime, q_psi_k, polylog_qx,
+#: h_aux, f_abq) and thm31_harness.  The primitive default stays at 10_000.
 HARNESS_CTRL = SeriesControl(rel_term_tol=1e-16, max_terms=400_000)
 
 #: Witness sweep for the gamma-based composite: 200 log-spaced points on (0, 50].
@@ -582,7 +566,6 @@ def thm31_harness(
     spec: CertSpec,
     *,
     negative_control: bool = False,
-    ctrl: SeriesControl = HARNESS_CTRL,
 ) -> CertReport:
     """Certify the gamma-based composite f_abq(., p) as QLOGCM.
 
@@ -597,9 +580,9 @@ def thm31_harness(
         )
 
     def f(x: float) -> float:
-        return f_abq(x, p, ctrl)
+        return f_abq(x, p, HARNESS_CTRL)
 
-    report = certify(f, p.q, replace(spec, property=CertProperty.QLOGCM), ctrl=ctrl)
+    report = certify(f, p.q, replace(spec, property=CertProperty.QLOGCM))
     notes = list(report.notes)
     extra: list[Counterexample] = []
     if p.hypothesis_ok:
@@ -629,7 +612,6 @@ def thm32_harness(
     spec: CertSpec,
     *,
     negative_control: bool = False,
-    ctrl: SeriesControl = HARNESS_CTRL,
 ) -> CertReport:
     """Certify the gamma-ratio product g_ratio(., rp, q) as QCM.
 
@@ -643,9 +625,9 @@ def thm32_harness(
         )
 
     def f(x: float) -> float:
-        return g_ratio(x, rp, q, ctrl)
+        return g_ratio(x, rp, q)
 
-    report = certify(f, q, replace(spec, property=CertProperty.QCM), ctrl=ctrl)
+    report = certify(f, q, replace(spec, property=CertProperty.QCM))
     if not rp.hypothesis_ok:
         return replace(
             report,

@@ -48,13 +48,7 @@ from .cert import (
     thm31_harness,
     thm32_harness,
 )
-from .qcore import (
-    ConvergenceError,
-    InputError,
-    QParam,
-    SeriesControl,
-    eq_power,
-)
+from .qcore import ConvergenceError, InputError, QParam, eq_power
 from .qdiff import RealFunction
 from .qmeasure import (
     DiscreteMeasure,
@@ -81,6 +75,11 @@ from .qspecial import (
 _USAGE_EXIT = 2
 _VIOLATION_EXIT = 1
 
+#: Largest time (input or pairwise sum) `semigroup --family conv` accepts:
+#: its convolution powers are built one by one, and the atom count grows
+#: with the power.
+_MAX_CONV_TIME = 1024
+
 
 # --------------------------------------------------------------------------
 # builtin function registry
@@ -98,157 +97,147 @@ class ParamSpec:
 class Builtin:
     name: str
     params: tuple[ParamSpec, ...]
-    deep_series: bool  # slow series at small x: evaluate with HARNESS_CTRL
-    build: Callable[[QParam, SeriesControl, dict], RealFunction]
+    build: Callable[[QParam, dict], RealFunction]
 
 
-def _b_identity(q, ctrl, p):
+def _b_identity(q, p):
     return lambda x: x
 
 
-def _b_constant(q, ctrl, p):
+def _b_constant(q, p):
     c = p["value"]
     return lambda x: c
 
 
-def _b_square(q, ctrl, p):
+def _b_square(q, p):
     return lambda x: x * x
 
 
-def _b_reciprocal_shift(q, ctrl, p):
+def _b_reciprocal_shift(q, p):
     c = p["shift"]
     return lambda x: 1.0 / (x + c)
 
 
-def _b_exp_decay(q, ctrl, p):
+def _b_exp_decay(q, p):
     c = p["rate"]
     return lambda x: math.exp(-c * x)
 
 
-def _b_eq_decay(q, ctrl, p):
+def _b_eq_decay(q, p):
     c = p["rate"]
-    return lambda x: eq_power(-c * x, q, ctrl)
+    return lambda x: eq_power(-c * x, q)
 
 
-def _b_one_minus_eq_decay(q, ctrl, p):
+def _b_one_minus_eq_decay(q, p):
     c = p["rate"]
-    return lambda x: 1.0 - eq_power(-c * x, q, ctrl)
+    return lambda x: 1.0 - eq_power(-c * x, q)
 
 
-def _b_q_gamma(q, ctrl, p):
-    return lambda x: q_gamma(x, q, ctrl)
+def _b_q_gamma(q, p):
+    return lambda x: q_gamma(x, q)
 
 
-def _b_q_gamma_jackson(q, ctrl, p):
+def _b_q_gamma_jackson(q, p):
     n_lo, n_hi = p["n-lo"], p["n-hi"]
-    return lambda x: q_gamma_jackson(x, q, n_lo, n_hi, ctrl)
+    return lambda x: q_gamma_jackson(x, q, n_lo, n_hi)
 
 
-def _b_q_psi(q, ctrl, p):
-    return lambda x: q_psi(x, q, ctrl)
+def _b_q_psi(q, p):
+    return lambda x: q_psi(x, q, HARNESS_CTRL)
 
 
-def _b_q_psi_prime(q, ctrl, p):
-    return lambda x: q_psi_k(x, q, 1, ctrl)
+def _b_q_psi_prime(q, p):
+    return lambda x: q_psi_k(x, q, 1, HARNESS_CTRL)
 
 
-def _b_q_psi_k(q, ctrl, p):
+def _b_q_psi_k(q, p):
     k = p["k"]
-    return lambda x: q_psi_k(x, q, k, ctrl)
+    return lambda x: q_psi_k(x, q, k, HARNESS_CTRL)
 
 
-def _b_polylog_qx(q, ctrl, p):
+def _b_polylog_qx(q, p):
     s = p["s"]
     lq = math.log(q.q)
-    return lambda x: polylog(s, math.exp(x * lq), ctrl)
+    return lambda x: polylog(s, math.exp(x * lq), HARNESS_CTRL)
 
 
-def _b_h_aux(q, ctrl, p):
-    return lambda x: h_aux(x, q, ctrl)
+def _b_h_aux(q, p):
+    return lambda x: h_aux(x, q, HARNESS_CTRL)
 
 
-def _b_f_abq(q, ctrl, p):
+def _b_f_abq(q, p):
     gp = GammaParams(p["alpha"], p["beta"], q)
-    return lambda x: f_abq(x, gp, ctrl)
+    return lambda x: f_abq(x, gp, HARNESS_CTRL)
 
 
-def _b_g_ab(q, ctrl, p):
+def _b_g_ab(q, p):
     alpha, beta = p["alpha"], p["beta"]
     return lambda t: g_ab(t, alpha, beta)
 
 
-def _b_g_ratio(q, ctrl, p):
+def _b_g_ratio(q, p):
     rp = RatioParams(tuple(p["a"]), tuple(p["b"]), allow_violations=True)
-    return lambda x: g_ratio(x, rp, q, ctrl)
+    return lambda x: g_ratio(x, rp, q)
 
 
 BUILTINS: dict[str, Builtin] = {
     b.name: b
     for b in (
-        Builtin("identity", (), False, _b_identity),
+        Builtin("identity", (), _b_identity),
         Builtin(
             "constant",
             (ParamSpec("value", "float", 1.0, "constant value"),),
-            False,
             _b_constant,
         ),
-        Builtin("square", (), False, _b_square),
+        Builtin("square", (), _b_square),
         Builtin(
             "reciprocal_shift",
             (ParamSpec("shift", "float", 1.0, "denominator shift"),),
-            False,
             _b_reciprocal_shift,
         ),
         Builtin(
             "exp_decay",
             (ParamSpec("rate", "float", 1.0, "decay rate"),),
-            False,
             _b_exp_decay,
         ),
         Builtin(
             "eq_decay",
             (ParamSpec("rate", "float", 1.0, "decay rate"),),
-            False,
             _b_eq_decay,
         ),
         Builtin(
             "one_minus_eq_decay",
             (ParamSpec("rate", "float", 1.0, "decay rate"),),
-            False,
             _b_one_minus_eq_decay,
         ),
-        Builtin("q_gamma", (), False, _b_q_gamma),
+        Builtin("q_gamma", (), _b_q_gamma),
         Builtin(
             "q_gamma_jackson",
             (
                 ParamSpec("n-lo", "int", 200, "small-t lattice cutoff exponent"),
                 ParamSpec("n-hi", "int", 40, "large-t lattice cutoff exponent"),
             ),
-            False,
             _b_q_gamma_jackson,
         ),
-        Builtin("q_psi", (), True, _b_q_psi),
-        Builtin("q_psi_prime", (), True, _b_q_psi_prime),
+        Builtin("q_psi", (), _b_q_psi),
+        Builtin("q_psi_prime", (), _b_q_psi_prime),
         Builtin(
             "q_psi_k",
             (ParamSpec("k", "int", 1, "derivative order, k >= 1"),),
-            True,
             _b_q_psi_k,
         ),
         Builtin(
             "polylog_qx",
             (ParamSpec("s", "float", 2.0, "polylogarithm order"),),
-            True,
             _b_polylog_qx,
         ),
-        Builtin("h_aux", (), True, _b_h_aux),
+        Builtin("h_aux", (), _b_h_aux),
         Builtin(
             "f_abq",
             (
                 ParamSpec("alpha", "float", 0.5, "exponent alpha"),
                 ParamSpec("beta", "float", 1.0, "exponent beta (>= 0)"),
             ),
-            True,
             _b_f_abq,
         ),
         Builtin(
@@ -257,7 +246,6 @@ BUILTINS: dict[str, Builtin] = {
                 ParamSpec("alpha", "float", 0.5, "exponent alpha"),
                 ParamSpec("beta", "float", 1.0, "exponent beta"),
             ),
-            False,
             _b_g_ab,
         ),
         Builtin(
@@ -266,7 +254,6 @@ BUILTINS: dict[str, Builtin] = {
                 ParamSpec("a", "floats", (1.0,), "numerator shifts, comma-separated"),
                 ParamSpec("b", "floats", (2.0,), "denominator shifts, comma-separated"),
             ),
-            False,
             _b_g_ratio,
         ),
     )
@@ -292,9 +279,7 @@ def _param_values(name: str, params: dict) -> dict:
 def build_function(name: str, q: QParam, params: dict) -> RealFunction:
     """Instantiate a builtin by name with explicit parameter values."""
     values = _param_values(name, params)
-    b = BUILTINS[name]
-    ctrl = HARNESS_CTRL if b.deep_series else SeriesControl()
-    return b.build(q, ctrl, values)
+    return BUILTINS[name].build(q, values)
 
 
 # --------------------------------------------------------------------------
@@ -399,11 +384,6 @@ def _add_common(sub: argparse.ArgumentParser, *, grid_min=0.1, grid_max=5.0,
     sub.add_argument("--tol-rel", type=float, default=1e-7)
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default=None, help="output path (stdout when omitted)")
-    sub.add_argument(
-        "--negative-control",
-        action="store_true",
-        help="run hypothesis-violating parameters on purpose",
-    )
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -460,6 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm.add_argument("--ts", type=_parse_floats, default=(0.5, 1.0, 2.0),
                        help="transform parameters t, comma-separated")
     p_thm.add_argument("--offset", type=float, default=1.0, help="difference shift a")
+    p_thm.add_argument(
+        "--negative-control",
+        action="store_true",
+        help="run thm31/thm32 with hypothesis-violating parameters on purpose",
+    )
     _add_common(p_thm)
     _add_fn_params(p_thm)
 
@@ -597,7 +582,10 @@ def _parse_atoms(text: str) -> DiscreteMeasure:
         if ":" not in chunk:
             raise InputError(f'atoms must look like "t:w", got {chunk!r}')
         t_s, w_s = chunk.split(":", 1)
-        pairs.append((float(t_s), float(w_s)))
+        try:
+            pairs.append((float(t_s), float(w_s)))
+        except ValueError as exc:
+            raise InputError(f"unparsable number in atom {chunk!r}") from exc
     if not pairs:
         raise InputError("no atoms given")
     return DiscreteMeasure.from_pairs(pairs)
@@ -636,10 +624,15 @@ def _run_semigroup(ns: argparse.Namespace) -> tuple[object, bool]:
             raise InputError("--family conv needs --measure FILE")
         base = _load_measure(ns)
         for t in needed:
-            if abs(t - round(t)) > 1e-9 or round(t) < 1:
+            if t > _MAX_CONV_TIME:
+                raise InputError(
+                    f"conv family needs times and pairwise sums <= {_MAX_CONV_TIME}, got {t}"
+                )
+            if not t > 0.5 or abs(t - round(t)) > 1e-9:
                 raise InputError(f"conv family needs positive integer times, got {t}")
         powers = [base]  # powers[m - 1] is the m-fold convolution power
-        while len(powers) < round(max(needed)):
+        # with no times the family stays empty and semigroup_check rejects it
+        while len(powers) < round(max(needed, default=1)):
             powers.append(q_convolve(powers[-1], base))
         family = {float(t): powers[round(t) - 1] for t in needed}
     elif ns.family == "delta":

@@ -5,10 +5,11 @@ Everything else in the package is built from the functions here: q-numbers
 the two q-exponentials e_q and E_q, powers of the constant E_q(1), and the
 infinite q-Pochhammer product (a;q)_inf.
 
-All functions are pure and keep no shared mutable state, so concurrent use
-is safe.  The base q = 1 is rejected at construction; classical q -> 1
-behaviour is exercised only by tests with q close to 1, which keeps every
-formula single-cased.
+All functions are pure.  The one piece of shared state is the lru_cache of
+log E_q(1) behind eq_power and log_q; it is keyed by q alone and holds what
+a fresh computation would return.  The base q = 1 is rejected at
+construction; classical q -> 1 behaviour is exercised only by tests with q
+close to 1, which keeps every formula single-cased.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "QParam",
     "SeriesControl",
     "DEFAULT_CTRL",
+    "PRODUCT_TAIL_TOL",
     "CompensatedSum",
     "ExpKind",
     "q_number",
@@ -89,29 +91,29 @@ class QParam:
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation policy for infinite sums and products.
+    """Truncation policy for the summed series (q_exp, the q-digamma family
+    and the polylogarithm).
 
-    Series stop once |term| <= rel_term_tol * |partial sum|, with max_terms a
-    hard cap.  Infinite products are governed by product_tail_tol alone: the
-    factors 1 - a q^j are dropped once |a q^j| falls below it.  All the series
-    in this package are eventually dominated by a geometric ratio, so the
-    relative stopping rule is sound.
+    A series stops once |term| <= rel_term_tol * |partial sum|, with max_terms
+    a hard cap.  All the series in this package are eventually dominated by a
+    geometric ratio, so the relative stopping rule is sound.
     """
 
     rel_term_tol: float = 1e-16
     max_terms: int = 10_000
-    product_tail_tol: float = 1e-18
 
     def __post_init__(self) -> None:
         if not self.rel_term_tol > 0.0:
             raise DomainError("rel_term_tol must be positive")
         if self.max_terms < 1:
             raise DomainError("max_terms must be at least 1")
-        if not self.product_tail_tol > 0.0:
-            raise DomainError("product_tail_tol must be positive")
 
 
 DEFAULT_CTRL = SeriesControl()
+
+#: Infinite products drop their factors 1 - a q^j once |a q^j| falls below
+#: this cut-off.
+PRODUCT_TAIL_TOL = 1e-18
 
 
 class CompensatedSum:
@@ -235,33 +237,33 @@ def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL
 
 
 @lru_cache(maxsize=128)
-def _log_eq_base(qval: float, rel_term_tol: float, max_terms: int) -> float:
+def _log_eq_base(qval: float) -> float:
     """log E_q(1), the logarithm base behind eq_power and log_q.
 
-    Cached per (q, policy): certification sweeps call eq_power millions of
-    times with the same base.
+    Cached per q: certification sweeps call eq_power millions of times with
+    the same base.  The E_q(1) series settles within a few hundred terms for
+    every q, far inside the default cap, so no caller needs another policy.
     """
-    e1 = q_exp(1.0, QParam(qval), ExpKind.BIG_E, SeriesControl(rel_term_tol, max_terms))
-    return math.log(e1)
+    return math.log(q_exp(1.0, QParam(qval), ExpKind.BIG_E))
 
 
-def eq_power(x: float, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
+def eq_power(x: float, q: QParam) -> float:
     """The ordinary power E_q(1)^x of the constant E_q(1)."""
-    return math.exp(x * _log_eq_base(q.q, ctrl.rel_term_tol, ctrl.max_terms))
+    return math.exp(x * _log_eq_base(q.q))
 
 
-def log_q(y: float, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
+def log_q(y: float, q: QParam) -> float:
     """Logarithm to base E_q(1); exact inverse of eq_power.  Needs y > 0."""
     if not y > 0.0:
         raise DomainError(f"logarithm base E_q(1) needs y > 0, got {y!r}")
-    return math.log(y) / _log_eq_base(q.q, ctrl.rel_term_tol, ctrl.max_terms)
+    return math.log(y) / _log_eq_base(q.q)
 
 
-def qpoch_inf(a: float, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
+def qpoch_inf(a: float, q: QParam) -> float:
     """Infinite q-Pochhammer product (a;q)_inf = prod_{j>=0} (1 - a q^j).
 
     Converges only for 0 < q < 1; callers in the q > 1 regime must transform
-    to base 1/q first.  The tail is cut once |a q^j| < ctrl.product_tail_tol.
+    to base 1/q first.  The tail is cut once |a q^j| < PRODUCT_TAIL_TOL.
     """
     if not q.is_sub_one:
         raise DomainError(
@@ -271,7 +273,7 @@ def qpoch_inf(a: float, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
         raise DomainError(f"(a;q)_inf needs finite a, got {a!r}")
     p = 1.0
     aj = float(a)
-    while abs(aj) >= ctrl.product_tail_tol:
+    while abs(aj) >= PRODUCT_TAIL_TOL:
         p *= 1.0 - aj
         if p == 0.0:
             return 0.0
@@ -279,7 +281,7 @@ def qpoch_inf(a: float, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
     return p
 
 
-def _log_qpoch_inf(a: float, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
+def _log_qpoch_inf(a: float, q: QParam) -> float:
     """log (a;q)_inf for 0 <= a < 1, where every factor is positive.
 
     This is the log-space workhorse behind the q-gamma ratios; the same
@@ -291,7 +293,7 @@ def _log_qpoch_inf(a: float, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> f
         raise DomainError("log (a;q)_inf needs 0 < q < 1")
     acc = CompensatedSum()
     aj = float(a)
-    while aj >= ctrl.product_tail_tol:
+    while aj >= PRODUCT_TAIL_TOL:
         acc.add(math.log1p(-aj))
         aj *= q.q
     return acc.value

@@ -19,14 +19,12 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .qcore import (
-    DEFAULT_CTRL,
     CompensatedSum,
     DomainError,
     EvaluationError,
     ExpKind,
     InputError,
     QParam,
-    SeriesControl,
     eq_power,
     q_exp,
 )
@@ -173,10 +171,10 @@ def jackson_integral(f: Callable[[float], float], q: QParam, n_lo: int, n_hi: in
     return jackson_integral_info(f, q, n_lo, n_hi).value
 
 
-def _kernel_value(lam: float, t: float, q: QParam, kernel: KernelKind, ctrl: SeriesControl) -> float:
+def _kernel_value(lam: float, t: float, q: QParam, kernel: KernelKind) -> float:
     if kernel is KernelKind.JACKSON_E:
-        return q_exp(-lam * t, q, ExpKind.BIG_E, ctrl)
-    return eq_power(-lam * t, q, ctrl)
+        return q_exp(-lam * t, q, ExpKind.BIG_E)
+    return eq_power(-lam * t, q)
 
 
 def q_laplace(
@@ -184,7 +182,6 @@ def q_laplace(
     lam: float,
     q: QParam,
     kernel: KernelKind,
-    ctrl: SeriesControl = DEFAULT_CTRL,
 ) -> float:
     """Transform sum_i w_i K(lambda, t_i) under the chosen kernel.
 
@@ -196,7 +193,7 @@ def q_laplace(
         raise DomainError(f"transform parameter must be nonnegative, got {lam}")
     acc = CompensatedSum()
     for t, w in mu.pairs():
-        acc.add(w * _kernel_value(lam, t, q, kernel, ctrl))
+        acc.add(w * _kernel_value(lam, t, q, kernel))
     return acc.value
 
 
@@ -215,7 +212,6 @@ def semigroup_transform(
     t: float,
     lam: float,
     q: QParam,
-    ctrl: SeriesControl = DEFAULT_CTRL,
 ) -> float:
     """E_q(1)^(-t f(lambda)): the transform value of a convolution-semigroup
     member.  As an ordinary power it factorizes exactly over t."""
@@ -224,7 +220,7 @@ def semigroup_transform(
     fl = f(lam)
     if not (isinstance(fl, (int, float)) and math.isfinite(fl)):
         raise EvaluationError(f"exponent function not finite at lambda = {lam!r}: got {fl!r}")
-    return eq_power(-t * fl, q, ctrl)
+    return eq_power(-t * fl, q)
 
 
 @dataclass(frozen=True)
@@ -280,7 +276,6 @@ def semigroup_check(
     q: QParam,
     kernel: KernelKind,
     tol: float,
-    ctrl: SeriesControl = DEFAULT_CTRL,
 ) -> SemigroupReport:
     """Check pi_t * pi_s = pi_{t+s} on the transform side.
 
@@ -309,8 +304,8 @@ def semigroup_check(
             conv = q_convolve(member(t), member(s))
             target = member(t + s)
             for lam in lams:
-                lhs = q_laplace(conv, lam, q, kernel, ctrl)
-                rhs = q_laplace(target, lam, q, kernel, ctrl)
+                lhs = q_laplace(conv, lam, q, kernel)
+                rhs = q_laplace(target, lam, q, kernel)
                 entries.append(SemigroupEntry(t, s, lam, lhs, rhs, abs(lhs - rhs)))
     if not entries:
         raise InputError("semigroup check needs at least one (t, s) pair")

@@ -16,6 +16,7 @@ from .qcore import (
     DEFAULT_CTRL,
     CompensatedSum,
     ConvergenceError,
+    PRODUCT_TAIL_TOL,
     DomainError,
     EvaluationError,
     QParam,
@@ -111,7 +112,7 @@ class RatioParams:
         return True
 
 
-def log_q_gamma(x: float, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
+def log_q_gamma(x: float, q: QParam) -> float:
     """log Gamma_q(x) for x > 0 via the infinite-product form.
 
     0 < q < 1:  Gamma_q(x) = (q;q)_inf / (q^x;q)_inf * (1-q)^(1-x).
@@ -123,26 +124,26 @@ def log_q_gamma(x: float, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> floa
     qq = q.q
     if q.is_sub_one:
         return (
-            _log_qpoch_inf(qq, q, ctrl)
-            - _log_qpoch_inf(qq**x, q, ctrl)
+            _log_qpoch_inf(qq, q)
+            - _log_qpoch_inf(qq**x, q)
             + (1.0 - x) * math.log1p(-qq)
         )
     qh = QParam(1.0 / qq)
     return (
-        _log_qpoch_inf(qh.q, qh, ctrl)
-        - _log_qpoch_inf(qh.q**x, qh, ctrl)
+        _log_qpoch_inf(qh.q, qh)
+        - _log_qpoch_inf(qh.q**x, qh)
         + (1.0 - x) * math.log(qq - 1.0)
         + 0.5 * x * (x - 1.0) * math.log(qq)
     )
 
 
-def q_gamma(x: float, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
+def q_gamma(x: float, q: QParam) -> float:
     """q-analogue of the gamma function; satisfies Gamma_q(x+1) = [x] Gamma_q(x)
     and Gamma_q(n+1) = [n]!."""
-    return math.exp(log_q_gamma(x, q, ctrl))
+    return math.exp(log_q_gamma(x, q))
 
 
-def _big_e_neg_log(t: float, q: QParam, ctrl: SeriesControl) -> tuple[float, float]:
+def _big_e_neg_log(t: float, q: QParam) -> tuple[float, float]:
     """E_q(-q t) for t >= 0 as (sign, log magnitude) via its factor product
     prod_j (1 - (1-q) q^(j+1) t).
 
@@ -153,7 +154,7 @@ def _big_e_neg_log(t: float, q: QParam, ctrl: SeriesControl) -> tuple[float, flo
     v = (1.0 - q.q) * q.q * t
     sign = 1.0
     logmag = 0.0
-    while v >= ctrl.product_tail_tol:
+    while v >= PRODUCT_TAIL_TOL:
         factor = 1.0 - v
         if factor == 0.0:
             return 0.0, -math.inf
@@ -173,7 +174,6 @@ def q_gamma_jackson_info(
     q: QParam,
     n_lo: int = 200,
     n_hi: int = 40,
-    ctrl: SeriesControl = DEFAULT_CTRL,
 ) -> JacksonIntegralResult:
     """Jackson-sum form of the q-gamma: (1-q) sum q^n t^(x-1) E_q(-q t) at
     t = q^n over the window n in [-n_hi, n_lo], with end-term magnitudes.
@@ -188,7 +188,7 @@ def q_gamma_jackson_info(
         raise DomainError(f"q-gamma needs x > 0, got {x!r}")
 
     def integrand(t: float) -> float:
-        sign, logmag = _big_e_neg_log(t, q, ctrl)
+        sign, logmag = _big_e_neg_log(t, q)
         if sign == 0.0:
             return 0.0
         logterm = (x - 1.0) * math.log(t) + logmag
@@ -208,10 +208,9 @@ def q_gamma_jackson(
     q: QParam,
     n_lo: int = 200,
     n_hi: int = 40,
-    ctrl: SeriesControl = DEFAULT_CTRL,
 ) -> float:
     """Value of the Jackson-sum q-gamma; see q_gamma_jackson_info."""
-    return q_gamma_jackson_info(x, q, n_lo, n_hi, ctrl).value
+    return q_gamma_jackson_info(x, q, n_lo, n_hi).value
 
 
 def _digamma_series(x: float, lr: float, k: int, ctrl: SeriesControl) -> float:
@@ -319,7 +318,7 @@ def log_f_abq(x: float, p: GammaParams, ctrl: SeriesControl = DEFAULT_CTRL) -> f
     return (
         x * math.log1p(-q.q)
         + h_aux(x, q, ctrl)
-        + log_q_gamma(x + p.beta, q, ctrl)
+        + log_q_gamma(x + p.beta, q)
         - (x + p.beta - p.alpha) * math.log(bracket)
     )
 
@@ -352,7 +351,7 @@ def g_ab(t: float, alpha: float, beta: float) -> float:
     return t + ((beta - alpha) * t - 1.0) * math.exp((beta - 1.0) * t) * math.expm1(t)
 
 
-def g_ratio(x: float, rp: RatioParams, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
+def g_ratio(x: float, rp: RatioParams, q: QParam) -> float:
     """Gamma-ratio product prod_i Gamma_q(x+a_i) / Gamma_q(x+b_i) in log space;
     the empty product is 1."""
     if not x > 0.0:
@@ -361,6 +360,6 @@ def g_ratio(x: float, rp: RatioParams, q: QParam, ctrl: SeriesControl = DEFAULT_
         raise DomainError("the gamma-ratio product is defined for 0 < q < 1")
     acc = CompensatedSum()
     for ai, bi in zip(rp.a, rp.b):
-        acc.add(log_q_gamma(x + ai, q, ctrl))
-        acc.add(-log_q_gamma(x + bi, q, ctrl))
+        acc.add(log_q_gamma(x + ai, q))
+        acc.add(-log_q_gamma(x + bi, q))
     return math.exp(acc.value)

@@ -161,8 +161,7 @@ def test_05_psi_coherence():
                     assert rel_ok(q_psi_k(x, q, k, DEEP), fd5(below, x), 1e-5)
 
         rep = certify(
-            lambda x: q_psi_k(x, Q5, 1, DEEP), Q5, CertSpec(CertProperty.QCM, max_order=6),
-            ctrl=DEEP,
+            lambda x: q_psi_k(x, Q5, 1, DEEP), Q5, CertSpec(CertProperty.QCM, max_order=6)
         )
         assert rep.verdict is Verdict.CONSISTENT
         assert len(rep.counterexamples) == 0

@@ -16,7 +16,6 @@ from qmono import (
     CertReport,
     CertSpec,
     Counterexample,
-    DEFAULT_CTRL,
     DomainError,
     ExpKind,
     GammaParams,
@@ -247,7 +246,7 @@ def _reference_fold(f, q, spec):
         pattern = [(n, (-1.0) ** n) for n in range(1, n_max + 1)]
     else:
         pattern = [(0, 1.0)] + [(n, (-1.0) ** (n - 1)) for n in range(1, n_max + 1)]
-    g = _certification_target(f, q, spec.property, DEFAULT_CTRL)
+    g = _certification_target(f, q, spec.property)
     checks_run, min_margin, ces = 0, math.inf, []
     for x in spec.grid.points:
         table = QDiffTable.build(g, x, q, n_max)
@@ -510,6 +509,6 @@ class TestPsiPrimeCertification:
     def test_psi_prime_is_qcm_to_order_six(self):
         ctrl = SeriesControl(rel_term_tol=1e-16, max_terms=400_000)
         f = lambda x: q_psi_k(x, Q5, 1, ctrl)
-        rep = certify(f, Q5, CertSpec(QCM, max_order=6), ctrl=ctrl)
+        rep = certify(f, Q5, CertSpec(QCM, max_order=6))
         assert rep.verdict is Verdict.CONSISTENT
         assert len(rep.counterexamples) == 0

@@ -1,14 +1,27 @@
 """Command-line front end: exit codes, file formats, determinism."""
 
 import json
+import math
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from qmono import QParam, q_factorial, q_gamma
-from qmono.cli import build_parser, main, run
+from qmono import (
+    DEFAULT_CTRL,
+    ConvergenceError,
+    GammaParams,
+    QParam,
+    f_abq,
+    h_aux,
+    polylog,
+    q_factorial,
+    q_gamma,
+    q_psi,
+    q_psi_k,
+)
+from qmono.cli import _MAX_CONV_TIME, build_function, build_parser, main, run
 
 Q5 = QParam(0.5)
 ROOT = Path(__file__).resolve().parent.parent
@@ -204,6 +217,12 @@ class TestLaplace:
     def test_bad_atoms_usage_error(self):
         assert run_cli("laplace", "--atoms", "nonsense") == 2
 
+    @pytest.mark.parametrize("atoms", ["a:1", "1:x", "0:0.5,1:x"])
+    def test_unparsable_atom_is_named(self, capsys, atoms):
+        assert run_cli("laplace", "--atoms", atoms) == 2
+        bad = atoms.split(",")[-1]
+        assert f"error: unparsable number in atom {bad!r}" in capsys.readouterr().err
+
     def test_log_grid_from_zero_is_usage_error(self, capsys):
         code = run_cli(
             "laplace", "--atoms", "1:1", "--grid-spacing", "log",
@@ -245,6 +264,27 @@ class TestSemigroup:
         assert "tolerance must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "ts, message",
+        [
+            ("", "semigroup check needs at least one (t, s) pair"),
+            ("1e300", f"pairwise sums <= {_MAX_CONV_TIME}, got 1e+300"),
+            ("inf", f"pairwise sums <= {_MAX_CONV_TIME}, got inf"),
+            # each time is in range, but the sum 1200 is a needed time too
+            ("600", f"pairwise sums <= {_MAX_CONV_TIME}, got 1200.0"),
+        ],
+    )
+    def test_conv_bad_times_are_usage_errors(self, tmp_path, capsys, ts, message, fmt):
+        out = tmp_path / f"out.{fmt}"
+        code = run_cli(
+            "semigroup", "--family", "conv", "--measure", str(MEASURE), "--ts", ts,
+            "--format", fmt, "--out", str(out),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_conv_needs_integer_times(self, tmp_path):
         mfile = tmp_path / "p.txt"
         mfile.write_text("0 1\n", encoding="utf-8")
@@ -252,6 +292,29 @@ class TestSemigroup:
             "semigroup", "--family", "conv", "--measure", str(mfile), "--ts", "1.5",
         )
         assert code == 2
+
+
+class TestSeriesBuiltins:
+    """The six series builtins sum with the deep cap `HARNESS_CTRL`: at
+    x = 1e-2, q = 0.9 each returns a value, while its primitive at the
+    default cap does not settle."""
+
+    Q9 = QParam(0.9)
+    X = 1e-2
+    PRIMITIVES = {
+        "q_psi": lambda x, q: q_psi(x, q, DEFAULT_CTRL),
+        "q_psi_prime": lambda x, q: q_psi_k(x, q, 1, DEFAULT_CTRL),
+        "q_psi_k": lambda x, q: q_psi_k(x, q, 1, DEFAULT_CTRL),
+        "polylog_qx": lambda x, q: polylog(2.0, math.exp(x * math.log(q.q)), DEFAULT_CTRL),
+        "h_aux": lambda x, q: h_aux(x, q, DEFAULT_CTRL),
+        "f_abq": lambda x, q: f_abq(x, GammaParams(0.5, 1.0, q), DEFAULT_CTRL),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PRIMITIVES))
+    def test_builtin_reaches_below_the_default_cap(self, name):
+        assert math.isfinite(build_function(name, self.Q9, {})(self.X))
+        with pytest.raises(ConvergenceError):
+            self.PRIMITIVES[name](self.X, self.Q9)
 
 
 class TestTable:
@@ -297,6 +360,20 @@ class TestPlumbing:
 
     def test_missing_command_is_usage_error(self):
         assert run_cli() == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "identity"),
+            ("table", "identity"),
+            ("certify", "identity"),
+            ("laplace", "--atoms", "1:1"),
+            ("semigroup",),
+        ],
+    )
+    def test_negative_control_is_theorem_only(self, capsys, argv):
+        assert run_cli(*argv, "--negative-control") == 2
+        assert "unrecognized arguments: --negative-control" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         assert run_cli("--version") == 0

@@ -25,6 +25,7 @@ from qmono import (
     q_pochhammer,
     qpoch_inf,
 )
+from qmono.qcore import PRODUCT_TAIL_TOL
 
 Q5 = QParam(0.5)
 
@@ -47,12 +48,9 @@ class TestSeriesControl:
         ctrl = SeriesControl()
         assert ctrl.rel_term_tol == 1e-16
         assert ctrl.max_terms == 10_000
-        assert ctrl.product_tail_tol == 1e-18
+        assert PRODUCT_TAIL_TOL == 1e-18
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"rel_term_tol": 0.0}, {"max_terms": 0}, {"product_tail_tol": -1.0}],
-    )
+    @pytest.mark.parametrize("kwargs", [{"rel_term_tol": 0.0}, {"max_terms": 0}])
     def test_rejects_bad_policy(self, kwargs):
         with pytest.raises(DomainError):
             SeriesControl(**kwargs)
@@ -253,6 +251,21 @@ class TestQExpReference:
 
 
 class TestEqPowerLogQ:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        qv=st.one_of(st.floats(1e-3, 1.0 - 1e-9), st.floats(1.0 + 1e-9, 5.0)),
+        x=st.floats(-50.0, 50.0),
+        y=st.floats(1e-300, 1e300),
+    )
+    def test_base_ignores_the_series_cap(self, qv, x, y):
+        # E_q(1) settles in a few hundred terms, so the default cap behind
+        # eq_power/log_q gives the same bits as a 40x deeper one
+        q = QParam(qv)
+        deep = SeriesControl(max_terms=400_000)
+        log_e1 = math.log(q_exp(1.0, q, ExpKind.BIG_E, deep))
+        assert eq_power(x, q) == math.exp(x * log_e1)
+        assert log_q(y, q) == math.log(y) / log_e1
+
     def test_anchors(self):
         assert eq_power(0.0, Q5) == 1.0
         assert eq_power(1.0, Q5) == pytest.approx(q_exp(1.0, Q5, ExpKind.BIG_E), rel=1e-14)

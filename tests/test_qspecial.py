@@ -402,7 +402,7 @@ class TestGRatio:
         rp = RatioParams((1.0, 1.0), (1.0, 2.0))
         q7 = QParam(0.7)
         expected = 1.0 / q_number(3.0, q7)
-        assert g_ratio(2.0, rp, q7, DEEP) == pytest.approx(expected, rel=1e-10)
+        assert g_ratio(2.0, rp, q7) == pytest.approx(expected, rel=1e-10)
 
     def test_matches_reciprocal_bracket_on_grid(self):
         # ((1),(2)): G(x) = 1/[x+1]
