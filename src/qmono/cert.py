@@ -551,10 +551,12 @@ def _compose(g: RealFunction, f: RealFunction) -> RealFunction:
     return composed
 
 
-#: Series policy for the functions certified down to x ~ 1e-3, where the
-#: dilogarithm and Lambert-type series need tens of thousands of terms: the
-#: six series builtins of `cli` (q_psi, q_psi_prime, q_psi_k, polylog_qx,
-#: h_aux, f_abq) and thm31_harness.  The primitive default stays at 10_000.
+#: Series policy for the four series builtins of `cli` that can outrun the
+#: primitive default of 10_000 terms.  polylog_qx sums Li_s(q^x) at ratio
+#: q^x, so it needs tens of thousands of terms once x ~ 1e-3.  The q-digamma
+#: builtins (q_psi, q_psi_prime, q_psi_k) need about 37/|log q| terms for
+#: any x, so the default binds only for q within about 0.5% of 1.  h_aux,
+#: f_abq and thm31_harness sum Li_2 at arguments <= 1/2 and take no policy.
 HARNESS_CTRL = SeriesControl(rel_term_tol=1e-16, max_terms=400_000)
 
 #: Witness sweep for the gamma-based composite: 200 log-spaced points on (0, 50].
@@ -580,7 +582,7 @@ def thm31_harness(
         )
 
     def f(x: float) -> float:
-        return f_abq(x, p, HARNESS_CTRL)
+        return f_abq(x, p)
 
     report = certify(f, p.q, replace(spec, property=CertProperty.QLOGCM))
     notes = list(report.notes)

@@ -80,6 +80,12 @@ _VIOLATION_EXIT = 1
 #: with the power.
 _MAX_CONV_TIME = 1024
 
+#: Largest convolution `semigroup --family conv` performs, counted in atom
+#: pairs (atoms of the power so far times atoms of the measure).  The time
+#: cap alone does not bound the work: with incommensurate atoms the m-fold
+#: power has ~m^2/2 atoms.  The two-atom golden measure needs at most 2048.
+_MAX_CONV_PAIRS = 8192
+
 
 # --------------------------------------------------------------------------
 # builtin function registry
@@ -162,12 +168,12 @@ def _b_polylog_qx(q, p):
 
 
 def _b_h_aux(q, p):
-    return lambda x: h_aux(x, q, HARNESS_CTRL)
+    return lambda x: h_aux(x, q)
 
 
 def _b_f_abq(q, p):
     gp = GammaParams(p["alpha"], p["beta"], q)
-    return lambda x: f_abq(x, gp, HARNESS_CTRL)
+    return lambda x: f_abq(x, gp)
 
 
 def _b_g_ab(q, p):
@@ -633,6 +639,12 @@ def _run_semigroup(ns: argparse.Namespace) -> tuple[object, bool]:
         powers = [base]  # powers[m - 1] is the m-fold convolution power
         # with no times the family stays empty and semigroup_check rejects it
         while len(powers) < round(max(needed, default=1)):
+            pairs = len(powers[-1]) * len(base)
+            if pairs > _MAX_CONV_PAIRS:
+                raise InputError(
+                    f"conv family needs at most {_MAX_CONV_PAIRS} atom pairs per convolution, "
+                    f"got {pairs} for power {len(powers) + 1}"
+                )
             powers.append(q_convolve(powers[-1], base))
         family = {float(t): powers[round(t) - 1] for t in needed}
     elif ns.family == "delta":

@@ -9,6 +9,7 @@ quickly while the logs stay small and the ratios cancel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,8 @@ from .qcore import (
     q_number,
 )
 from .qmeasure import JacksonIntegralResult, jackson_integral_info
+
+_PI2_6 = math.pi**2 / 6.0  # Li_2(1)
 
 __all__ = [
     "GammaParams",
@@ -213,16 +216,57 @@ def q_gamma_jackson(
     return q_gamma_jackson_info(x, q, n_lo, n_hi).value
 
 
+@functools.lru_cache(maxsize=32)
+def _eulerian(k: int) -> tuple[float, ...]:
+    """Coefficients of the Eulerian polynomial A_k, so that
+    Li_{-k}(z) = z A_k(z) / (1-z)^(k+1); A_0 = A_1 = 1.  The recurrence is
+    A(m, i) = (i+1) A(m-1, i) + (m-i) A(m-1, i-1); A_k is palindromic, so the
+    order suits Horner's rule either way."""
+    if k > 170:
+        # A_k(1) = k! > 1.8e308; so is |psi_q^(k)(x)| ~ k!/x^(k+1) for x < 1
+        raise OverflowError(f"Eulerian polynomial of order {k} overflows a float")
+    row = [1]
+    for m in range(2, k + 1):
+        prev = [0, *row, 0]  # prev[i + 1] = A(m-1, i)
+        row = [(i + 1) * prev[i + 1] + (m - i) * prev[i] for i in range(m)]
+    return tuple(float(c) for c in row)
+
+
 def _digamma_series(x: float, lr: float, k: int, ctrl: SeriesControl) -> float:
-    """sum_{n>=1} n^k r^(nx) / (1 - r^n) with log r = lr < 0, summed until a
-    term falls below rel_term_tol times the partial sum."""
+    """sum_{n>=1} n^k r^(nx) / (1 - r^n) with log r = lr < 0.
+
+    The series is the double sum sum_{n>=1} sum_{j>=0} n^k r^(n(x+j)), summed
+    over whichever index decays faster.  For x >= 1 the loop runs over n (ratio
+    r^x <= r) until a term falls below rel_term_tol times the partial sum.  For
+    x < 1 it runs over j instead, sum_{j>=0} Li_{-k}(r^(x+j)) with Li_{-k} in
+    closed form: each term is at most r times the one before, so the loop
+    stops once the geometric tail bound term * r / (1-r) falls below
+    rel_term_tol times the partial sum, after about 37 / |lr| terms whatever x.
+    """
     acc = CompensatedSum()
-    for n in range(1, ctrl.max_terms + 1):
-        term = float(n) ** k * math.exp(n * x * lr) / -math.expm1(n * lr)
-        acc.add(term)
-        if term <= ctrl.rel_term_tol * acc.value:
-            return acc.value
     what = "q-digamma series" if k == 0 else "q-digamma derivative series"
+    if x >= 1.0:
+        for n in range(1, ctrl.max_terms + 1):
+            term = float(n) ** k * math.exp(n * x * lr) / -math.expm1(n * lr)
+            acc.add(term)
+            if term <= ctrl.rel_term_tol * acc.value:
+                return acc.value
+        raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
+    coeffs = _eulerian(k)
+    tail = math.exp(lr) / -math.expm1(lr)  # r / (1 - r)
+    for j in range(ctrl.max_terms):
+        t = (x + j) * lr
+        z = math.exp(t)
+        poly = 0.0
+        for c in coeffs:
+            poly = poly * z + c
+        den = (-math.expm1(t)) ** (k + 1)  # 0.0 only where the term overflows
+        term = z * poly / den if den > 0.0 else math.inf
+        if term == math.inf:
+            raise OverflowError(f"{what} overflows at x = {x!r}")
+        acc.add(term)
+        if term * tail <= ctrl.rel_term_tol * acc.value:
+            return acc.value
     raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
 
 
@@ -232,7 +276,8 @@ def q_psi(x: float, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
     0 < q < 1:  -log(1-q) + log(q) sum_{n>=1} q^(nx) / (1 - q^n).
     q > 1:      -log(q-1) + log(q) (x - 1/2 - sum_{n>=1} q^(-nx)/(1 - q^(-n))).
 
-    Both series converge geometrically in n with ratio q^x (or q^-x).
+    For x < 1 the series is resummed over the shifts x + j (see
+    _digamma_series), so it needs about 37 / |log q| terms for any x > 0.
     """
     if not x > 0.0:
         raise DomainError(f"q-digamma needs x > 0, got {x!r}")
@@ -251,6 +296,9 @@ def q_psi_k(x: float, q: QParam, k: int, ctrl: SeriesControl = DEFAULT_CTRL) -> 
                 fixed sign of log(q)^(k+1).
     q > 1:      (-1)^(k+1) log(q)^(k+1) sum n^k q^(-nx) / (1 - q^(-n)), plus
                 the constant log(q) surviving from the linear term when k = 1.
+
+    For x < 1 the series is summed as sum_{j>=0} Li_{-k}(q^(x+j)) (or with
+    base 1/q), about 37 / |log q| terms for any x > 0.
     """
     if not x > 0.0:
         raise DomainError(f"q-digamma derivatives need x > 0, got {x!r}")
@@ -269,7 +317,7 @@ def polylog(s: float, z: float, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
     """Polylogarithm Li_s(z) = sum_{k>=1} z^k / k^s on |z| < 1.
 
     Arguments on or outside the unit circle are rejected; the package only
-    ever needs z = q^x in (0, 1).
+    ever needs z in (0, 1).  The series has ratio z, so it is slow as z -> 1.
     """
     if not abs(z) < 1.0:
         raise DomainError(f"polylogarithm series needs |z| < 1, got z={z!r}")
@@ -286,11 +334,14 @@ def polylog(s: float, z: float, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
     raise ConvergenceError(f"polylogarithm series did not settle within {ctrl.max_terms} terms")
 
 
-def h_aux(x: float, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
+def h_aux(x: float, q: QParam) -> float:
     """Dilogarithm correction -(Li_2(q^x) + x log(q) log(1-q^x)) / log(q).
 
     Decays to 0 as x grows (both numerator terms vanish with q^x); its
-    classical derivative is x q^x log(q) / (1 - q^x).
+    classical derivative is x q^x log(q) / (1 - q^x).  For z = q^x > 1/2,
+    Euler's reflection Li_2(z) + log(z) log(1-z) = pi^2/6 - Li_2(1-z), with
+    log z = x log(q), turns it into -(pi^2/6 - Li_2(1-z)) / log(q).  Either
+    way Li_2 is summed at an argument <= 1/2, in at most about 55 terms.
     """
     if not q.is_sub_one:
         raise DomainError("h is defined for 0 < q < 1")
@@ -298,11 +349,12 @@ def h_aux(x: float, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
         raise DomainError(f"h needs x > 0, got {x!r}")
     lq = math.log(q.q)
     z = math.exp(x * lq)
-    one_minus_z = -math.expm1(x * lq)
-    return -(polylog(2.0, z, ctrl) + x * lq * math.log(one_minus_z)) / lq
+    if z > 0.5:
+        return -(_PI2_6 - polylog(2.0, -math.expm1(x * lq))) / lq
+    return -(polylog(2.0, z) + x * lq * math.log1p(-z)) / lq
 
 
-def log_f_abq(x: float, p: GammaParams, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
+def log_f_abq(x: float, p: GammaParams) -> float:
     """Log-space pipeline for the gamma-based composite
 
         f(x) = (1-q)^x e^(h(x)) Gamma_q(x+beta) / [x]^(x+beta-alpha),
@@ -317,16 +369,16 @@ def log_f_abq(x: float, p: GammaParams, ctrl: SeriesControl = DEFAULT_CTRL) -> f
     bracket = q_number(x, q)
     return (
         x * math.log1p(-q.q)
-        + h_aux(x, q, ctrl)
+        + h_aux(x, q)
         + log_q_gamma(x + p.beta, q)
         - (x + p.beta - p.alpha) * math.log(bracket)
     )
 
 
-def f_abq(x: float, p: GammaParams, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
+def f_abq(x: float, p: GammaParams) -> float:
     """The gamma-based composite itself (always positive); overflow in the
     final exponentiation is reported rather than returned as inf."""
-    lf = log_f_abq(x, p, ctrl)
+    lf = log_f_abq(x, p)
     try:
         return math.exp(lf)
     except OverflowError as exc:

@@ -1,15 +1,19 @@
 """Independent oracles shared by the test modules.
 
 Everything here deliberately avoids the library code paths it is used to
-check: brute-force recursions, closed forms proved by hand, and classical
-finite differences.
+check: brute-force recursions, closed forms proved by hand, classical
+finite differences, and 50-digit mpmath evaluations of the defining series.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath as mp
+
 from qmono import QParam, q_derive, q_number
+
+UNIT_ROUNDOFF = 2.0**-53
 
 
 def naive_q_derive_n(f, x: float, q: QParam, n: int) -> float:
@@ -71,3 +75,69 @@ def outcome(fn, *args):
         return "value", repr(fn(*args))
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         return type(exc), str(exc)
+
+
+def mp_q_psi(x: float, q: QParam, k: int = 0) -> tuple[float, float]:
+    """q_psi (k = 0) or q_psi_k at 50 digits, as (value, sum of the |terms|
+    it is assembled from).
+
+    The Lambert series S(x) = sum_{n>=1} n^k r^(nx) / (1 - r^n), r = q or
+    1/q, is summed as Li_{-k}(r^x) + S(x+1) (telescoping), so the direct sum
+    runs at ratio r^(x+1) whatever x is.
+    """
+    with mp.workdps(50):
+        xx, qq = mp.mpf(x), mp.mpf(q.q)
+        lq = mp.log(qq)
+        lr = lq if qq < 1 else -lq
+        series = mp.polylog(-k, mp.exp(xx * lr))
+        n = 1
+        while True:
+            term = mp.mpf(n) ** k * mp.exp(n * (xx + 1) * lr) / -mp.expm1(n * lr)
+            series += term
+            # the terms fall once n (x+1) |log r| > k
+            if n * (x + 1.0) * abs(float(lr)) > k and term <= mp.mpf("1e-25") * series:
+                break
+            n += 1
+        if qq < 1:
+            terms = [-mp.log1p(-qq), lq * series] if k == 0 else [lq ** (k + 1) * series]
+        elif k == 0:
+            terms = [-mp.log(qq - 1), lq * (xx - mp.mpf(1) / 2), -lq * series]
+        else:
+            terms = [(-1) ** (k + 1) * lq ** (k + 1) * series] + ([lq] if k == 1 else [])
+        return float(mp.fsum(terms)), float(mp.fsum(abs(t) for t in terms))
+
+
+def _mp_h_terms(xx, lq) -> list:
+    z = mp.exp(xx * lq)
+    return [-mp.polylog(2, z) / lq, -xx * mp.log1p(-z)]
+
+
+def mp_h_aux(x: float, q: QParam) -> tuple[float, float]:
+    """h_aux = -(Li_2(q^x) + x log(q) log(1-q^x)) / log(q) at 50 digits, as
+    (value, sum of the |terms|)."""
+    with mp.workdps(50):
+        terms = _mp_h_terms(mp.mpf(x), mp.log(mp.mpf(q.q)))
+        return float(mp.fsum(terms)), float(mp.fsum(abs(t) for t in terms))
+
+
+def mp_f_abq(x: float, alpha: float, beta: float, q: QParam) -> float:
+    """f_abq at 50 digits from mpmath's q-gamma and polylogarithm."""
+    with mp.workdps(50):
+        xx, qq = mp.mpf(x), mp.mpf(q.q)
+        lq = mp.log(qq)
+        bracket = -mp.expm1(xx * lq) / (1 - qq)
+        return float(
+            mp.exp(
+                xx * mp.log1p(-qq)
+                + mp.fsum(_mp_h_terms(xx, lq))
+                + mp.log(mp.qgamma(xx + beta, qq))
+                - (xx + beta - alpha) * mp.log(bracket)
+            )
+        )
+
+
+def series_tolerance(x: float, q: QParam, magnitude: float) -> float:
+    """Error allowed to a float evaluation of a q^x series: 1e-14 of the sum
+    of its |terms|, plus the conditioning of q^(nx) = exp(n x log q) in the
+    rounded exponent (relative error about |x log q| u in the leading term)."""
+    return (1e-14 + 4.0 * UNIT_ROUNDOFF * abs(x * math.log(q.q))) * magnitude

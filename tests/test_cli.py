@@ -4,24 +4,21 @@ import json
 import math
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
+from _oracles import mp_f_abq, mp_h_aux, mp_q_psi
 from qmono import (
     DEFAULT_CTRL,
     ConvergenceError,
-    GammaParams,
     QParam,
-    f_abq,
-    h_aux,
     polylog,
     q_factorial,
     q_gamma,
-    q_psi,
-    q_psi_k,
 )
-from qmono.cli import _MAX_CONV_TIME, build_function, build_parser, main, run
+from qmono.cli import _MAX_CONV_PAIRS, _MAX_CONV_TIME, build_function, build_parser, main, run
 
 Q5 = QParam(0.5)
 ROOT = Path(__file__).resolve().parent.parent
@@ -285,6 +282,30 @@ class TestSemigroup:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_conv_pair_limit_stops_incommensurate_atoms(self, tmp_path, capsys, fmt):
+        # atoms {0, 1, sqrt 2}: the m-fold power has (m+1)(m+2)/2 atoms
+        mfile = tmp_path / "three.txt"
+        mfile.write_text("0 0.3\n1 0.3\n1.4142135623730951 0.4\n", encoding="utf-8")
+        out = tmp_path / f"out.{fmt}"
+        start = time.perf_counter()
+        code = run_cli(
+            "semigroup", "--family", "conv", "--measure", str(mfile), "--ts", "64",
+            "--format", fmt, "--out", str(out),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert f"at most {_MAX_CONV_PAIRS} atom pairs per convolution" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_conv_two_atom_measure_runs_at_the_time_cap(self):
+        # --ts 512 needs the 1024-fold power: 1024 atoms times 2 per step
+        code = run_cli(
+            "semigroup", "--family", "conv", "--measure", str(MEASURE), "--ts", "512",
+            "--grid-count", "1", "--format", "json",
+        )
+        assert code == 0
+
     def test_conv_needs_integer_times(self, tmp_path):
         mfile = tmp_path / "p.txt"
         mfile.write_text("0 1\n", encoding="utf-8")
@@ -295,26 +316,34 @@ class TestSemigroup:
 
 
 class TestSeriesBuiltins:
-    """The six series builtins sum with the deep cap `HARNESS_CTRL`: at
-    x = 1e-2, q = 0.9 each returns a value, while its primitive at the
-    default cap does not settle."""
+    """Only `polylog_qx` still needs the deep cap `HARNESS_CTRL`: at x = 1e-2,
+    q = 0.9 the builtin returns a value while its primitive at the default cap
+    does not settle.  The other five series builtins agree with 50-digit
+    mpmath down to x = 1e-8."""
 
     Q9 = QParam(0.9)
     X = 1e-2
-    PRIMITIVES = {
-        "q_psi": lambda x, q: q_psi(x, q, DEFAULT_CTRL),
-        "q_psi_prime": lambda x, q: q_psi_k(x, q, 1, DEFAULT_CTRL),
-        "q_psi_k": lambda x, q: q_psi_k(x, q, 1, DEFAULT_CTRL),
-        "polylog_qx": lambda x, q: polylog(2.0, math.exp(x * math.log(q.q)), DEFAULT_CTRL),
-        "h_aux": lambda x, q: h_aux(x, q, DEFAULT_CTRL),
-        "f_abq": lambda x, q: f_abq(x, GammaParams(0.5, 1.0, q), DEFAULT_CTRL),
-    }
 
-    @pytest.mark.parametrize("name", sorted(PRIMITIVES))
+    @pytest.mark.parametrize("name", ["polylog_qx"])
     def test_builtin_reaches_below_the_default_cap(self, name):
         assert math.isfinite(build_function(name, self.Q9, {})(self.X))
         with pytest.raises(ConvergenceError):
-            self.PRIMITIVES[name](self.X, self.Q9)
+            polylog(2.0, math.exp(self.X * math.log(self.Q9.q)), DEFAULT_CTRL)
+
+    ORACLES = {  # name: (builtin parameters, 50-digit value at (x, q))
+        "q_psi": ({}, lambda x, q: mp_q_psi(x, q)[0]),
+        "q_psi_prime": ({}, lambda x, q: mp_q_psi(x, q, 1)[0]),
+        "q_psi_k": ({"k": 3}, lambda x, q: mp_q_psi(x, q, 3)[0]),
+        "h_aux": ({}, lambda x, q: mp_h_aux(x, q)[0]),
+        "f_abq": ({"alpha": 0.5, "beta": 1.0}, lambda x, q: mp_f_abq(x, 0.5, 1.0, q)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_builtin_matches_mpmath_near_zero(self, name):
+        params, oracle = self.ORACLES[name]
+        f = build_function(name, self.Q9, params)
+        for x in (1e-2, 1e-8):
+            assert f(x) == pytest.approx(oracle(x, self.Q9), rel=1e-13)
 
 
 class TestTable:

@@ -3,11 +3,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import central_diff, outcome
+from _oracles import central_diff, mp_h_aux, mp_q_psi, outcome, series_tolerance
 from qmono import (
+    DEFAULT_CTRL,
     CompensatedSum,
     ConvergenceError,
     DomainError,
@@ -174,6 +175,15 @@ class TestQPsiK:
         with pytest.raises(DomainError):
             q_psi_k(1.0, Q5, 0)
 
+    @pytest.mark.parametrize(
+        "x, qv, k",
+        [(0.5, 0.5, 170), (0.5, 0.5, 171), (0.5, 0.5, 10**6), (1e-8, 0.99, 60), (1.5, 0.5, 10**6)],
+    )
+    def test_overflow_is_reported(self, x, qv, k):
+        # |psi_q^(k)(x)| ~ k!/x^(k+1) leaves the float range; no inf, no long loop
+        with pytest.raises(OverflowError):
+            q_psi_k(x, QParam(qv), k, DEEP)
+
 
 def _reference_q_psi(x, q, ctrl):
     """q_psi as written before its series loops were shared with q_psi_k."""
@@ -229,13 +239,15 @@ def _reference_q_psi_k(x, q, k, ctrl):
 
 
 class TestQPsiReference:
-    """q_psi and q_psi_k share one series loop; every value and every error
-    must stay bit-identical to the four loops they replaced."""
+    """For x >= 1, and for the x <= 0 domain errors, q_psi and q_psi_k run
+    one shared loop over n; every value and every error must stay
+    bit-identical to the four loops it replaced.  x < 1 is resummed and
+    checked against mpmath in TestSeriesOracle."""
 
     @settings(deadline=None, max_examples=400)
     @given(
         qv=st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 4.0)),
-        x=st.one_of(st.floats(1e-3, 60.0), st.floats(-1.0, 0.0)),
+        x=st.one_of(st.floats(1.0, 60.0), st.floats(-1.0, 0.0)),
         k=st.integers(0, 4),
         max_terms=st.one_of(st.integers(1, 40), st.sampled_from([100, 10_000])),
         tol=st.sampled_from([1e-16, 1e-12, 1e-6]),
@@ -247,6 +259,68 @@ class TestQPsiReference:
             assert outcome(q_psi, x, q, ctrl) == outcome(_reference_q_psi, x, q, ctrl)
         else:
             assert outcome(q_psi_k, x, q, k, ctrl) == outcome(_reference_q_psi_k, x, q, k, ctrl)
+
+
+_LOG_X = st.floats(-8.0, math.log10(50.0)).map(lambda e: 10.0**e)
+_ORACLE_X = st.one_of(st.floats(1e-8, 50.0), _LOG_X)
+
+
+class TestSeriesOracle:
+    """q_psi, q_psi_k and h_aux against 50-digit mpmath over x in [1e-8, 50],
+    both regimes.  psi_q has a zero, so the bound scales with the sum of the
+    |terms| the value is assembled from (see _oracles.series_tolerance)."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        x=_ORACLE_X,
+        qv=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 20.0)),
+        k=st.integers(0, 6),
+    )
+    def test_q_psi_family_matches_mpmath(self, x, qv, k):
+        q = QParam(qv)
+        got = q_psi(x, q) if k == 0 else q_psi_k(x, q, k)
+        want, magnitude = mp_q_psi(x, q, k)
+        assert abs(got - want) <= series_tolerance(x, q, magnitude)
+
+    @settings(deadline=None, max_examples=80)
+    @given(x=_ORACLE_X, qv=st.floats(0.05, 0.95))
+    def test_h_aux_matches_mpmath(self, x, qv):
+        q = QParam(qv)
+        want, magnitude = mp_h_aux(x, q)
+        assert abs(h_aux(x, q) - want) <= series_tolerance(x, q, magnitude)
+
+    @settings(deadline=None, max_examples=40)
+    @given(qv=st.floats(0.05, 0.95), steps=st.integers(-4, 4))
+    def test_h_aux_on_both_sides_of_the_reflection_point(self, qv, steps):
+        # z = q^x crosses 1/2 at x0; the two branches meet there
+        q = QParam(qv)
+        x = math.log(0.5) / math.log(qv)
+        for _ in range(abs(steps)):
+            x = math.nextafter(x, math.inf if steps > 0 else 0.0)
+        for y in (x, x * (1.0 + 1e-9), x * (1.0 - 1e-9)):
+            want, magnitude = mp_h_aux(y, q)
+            assert abs(h_aux(y, q) - want) <= series_tolerance(y, q, magnitude)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        x=_ORACLE_X,
+        qv=st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 20.0)),
+        k=st.integers(0, 6),
+    )
+    @example(x=1e-8, qv=0.99, k=6)
+    @example(x=0.999, qv=0.99, k=6)
+    @example(x=1.0, qv=0.99, k=6)
+    @example(x=1.0, qv=1.01, k=6)
+    def test_no_convergence_error_at_the_default_cap(self, x, qv, k):
+        q = QParam(qv)
+        value = q_psi(x, q, DEFAULT_CTRL) if k == 0 else q_psi_k(x, q, k, DEFAULT_CTRL)
+        assert math.isfinite(value)
+        if q.is_sub_one:
+            assert math.isfinite(h_aux(x, q))
+
+    def test_resummed_series_honours_the_cap(self):
+        with pytest.raises(ConvergenceError, match="within 5 terms"):
+            q_psi_k(0.5, Q9, 2, SeriesControl(max_terms=5))
 
 
 class TestPolylog:
