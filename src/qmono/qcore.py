@@ -5,11 +5,17 @@ Everything else in the package is built from the functions here: q-numbers
 the two q-exponentials e_q and E_q, powers of the constant E_q(1), and the
 infinite q-Pochhammer product (a;q)_inf.
 
-All functions are pure.  The one piece of shared state is the lru_cache of
-log E_q(1) behind eq_power and log_q; it is keyed by q alone and holds what
-a fresh computation would return.  The base q = 1 is rejected at
-construction; classical q -> 1 behaviour is exercised only by tests with q
-close to 1, which keeps every formula single-cased.
+All functions are pure.  The only shared state is two lru_caches, each
+keyed by q alone, holding at most 128 entries and what a fresh computation
+would return:
+
+- `_log_eq_base`: log E_q(1), behind eq_power and log_q;
+- `_log_qq_inf`: log (q;q)_inf, the x-free factor of log Gamma_q
+  (qspecial.log_q_gamma).
+
+The base q = 1 is rejected at construction; classical q -> 1 behaviour is
+exercised only by tests with q close to 1, which keeps every formula
+single-cased.
 """
 
 from __future__ import annotations
@@ -121,8 +127,8 @@ class CompensatedSum:
 
     The alternating E_q(-x) series cancels heavily; plain summation would
     dominate the error budget long before the stopping rule fires.  `q_exp`
-    inlines `add` and `value` for speed; a change here must be made there
-    too, in the same operations and order.
+    and `qspecial.polylog` inline `add` and `value` for speed; a change here
+    must be made there too, in the same operations and order.
     """
 
     __slots__ = ("_s", "_c")
@@ -184,34 +190,49 @@ class ExpKind(Enum):
     BIG_E = "E"    # E_q(x) = sum q^C(n,2) x^n/[n]! (entire for q < 1)
 
 
+#: The entire q-exponential (E_q for q < 1, e_q for q > 1) alternates for
+#: x < 0, and its summed series carries an absolute rounding error of about
+#: u times the sum of its |terms|, E(|x|) <= e^|x|.  Past this |x| (where
+#: e^|x| = 2^20) q_exp evaluates the factor product instead, which keeps
+#: its relative accuracy.
+_ALTERNATING_LIMIT = 20.0 * math.log(2.0)
+
+
 def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
-    """Truncated q-exponential series of either kind.
+    """q-exponential of either kind from its truncated series (far out on
+    the negative axis, the entire kind from its factor product).
 
     e_q carries the term ratio x/[n]; E_q carries an extra factor q^(n-1) so
     its n-th term is q^(n(n-1)/2) x^n/[n]!.  Since E_q(x) = e_{1/q}(x), the
     finite convergence radius 1/(1-q) belongs to e_q when q < 1 and to E_q
-    (as q/(q-1)) when q > 1; arguments outside it are rejected.
+    (as q/(q-1)) when q > 1; arguments outside it are rejected.  The other
+    kind is entire: E_p(x) = prod_{j>=0} (1 + (1-p) p^j x) with p = q or
+    1/q below 1.  For x < -`_ALTERNATING_LIMIT` q_exp returns that product
+    (see `_entire_exp_neg`), where the alternating series would lose every
+    digit; it raises OverflowError when the product leaves the float range.
     """
     if not math.isfinite(x):
         raise DomainError(f"q-exponential argument must be finite, got {x!r}")
     qq = q.q
-    if kind is ExpKind.SMALL_E and qq < 1.0:
+    big = kind is ExpKind.BIG_E
+    if not big and qq < 1.0:
         radius = 1.0 / (1.0 - qq)
         if not abs(x) < radius:
             raise DomainError(
                 f"e_q series diverges for |x| >= 1/(1-q) = {radius}, got x={x}"
             )
-    if kind is ExpKind.BIG_E and qq > 1.0:
+    if big and qq > 1.0:
         radius = qq / (qq - 1.0)
         if not abs(x) < radius:
             raise DomainError(
                 f"E_q series (q > 1) diverges for |x| >= q/(q-1) = {radius}, got x={x}"
             )
+    if x < -_ALTERNATING_LIMIT and big == (qq < 1.0):
+        return _entire_exp_neg(-x, qq if big else 1.0 / qq, ctrl)
     # q_number(n, q) and CompensatedSum.add are inlined below, with the same
     # float operations in the same order, so results stay bit-identical.
     lq = math.log(qq)
     omq = 1.0 - qq
-    big = kind is ExpKind.BIG_E
     tol = ctrl.rel_term_tol
     expm1 = math.expm1
     s, c = 1.0, 0.0  # the Neumaier pair after adding the n = 0 term
@@ -233,6 +254,52 @@ def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL
             return total
     raise ConvergenceError(
         f"q-exponential series did not settle within {ctrl.max_terms} terms"
+    )
+
+
+def _entire_exp_neg(t: float, p: float, ctrl: SeriesControl) -> float:
+    """E_p(-t) = prod_{j>=0} (1 - v_j), v_j = (1-p) p^j t, for t > 0 and
+    0 < p < 1.
+
+    The factors with v_j > 1/2 (there may be none) are taken one by one in
+    log space; they carry the sign and the lattice zeros.  The rest sum in
+    closed form: with w <= 1/2 the first v_j left, sum_{j>=0} log(1 - w p^j)
+    = -sum_{m>=1} w^m / (m (1 - p^m)), whose terms fall at least by the
+    factor w.  So the cost is about log(2 v_0)/|log p| factors plus at most
+    ~60 tail terms, whatever p; ConvergenceError when the factors alone
+    would exceed ctrl.max_terms.
+    """
+    v = (1.0 - p) * t
+    lp = math.log(p)
+    if v > 0.5 and math.log(2.0 * v) > ctrl.max_terms * -lp:
+        raise ConvergenceError(
+            f"q-exponential product needs more than {ctrl.max_terms} factors at x = {-t!r}"
+        )
+    sign = 1.0
+    logmag = 0.0
+    while v > 0.5:
+        factor = 1.0 - v
+        if factor == 0.0:
+            return 0.0
+        if factor < 0.0:
+            sign = -sign
+            logmag += math.log(-factor)
+        else:
+            logmag += math.log(factor)
+        v *= p
+    tail = CompensatedSum()
+    vm = 1.0
+    for m in range(1, ctrl.max_terms + 1):
+        vm *= v
+        term = vm / (m * -math.expm1(m * lp))
+        tail.add(term)
+        if term <= ctrl.rel_term_tol * tail.value:
+            try:
+                return sign * math.exp(logmag - tail.value)
+            except OverflowError as exc:
+                raise OverflowError(f"q-exponential overflows a float at x = {-t!r}") from exc
+    raise ConvergenceError(
+        f"q-exponential product tail did not settle within {ctrl.max_terms} terms"
     )
 
 
@@ -297,3 +364,10 @@ def _log_qpoch_inf(a: float, q: QParam) -> float:
         acc.add(math.log1p(-aj))
         aj *= q.q
     return acc.value
+
+
+@lru_cache(maxsize=128)
+def _log_qq_inf(qval: float) -> float:
+    """log (q;q)_inf for 0 < q < 1: the factor of log Gamma_q that does not
+    depend on x, cached per q because every q-gamma evaluation needs it."""
+    return _log_qpoch_inf(qval, QParam(qval))

@@ -23,6 +23,7 @@ from .qcore import (
     QParam,
     SeriesControl,
     _log_qpoch_inf,
+    _log_qq_inf,
     q_number,
 )
 from .qmeasure import JacksonIntegralResult, jackson_integral_info
@@ -121,19 +122,21 @@ def log_q_gamma(x: float, q: QParam) -> float:
     0 < q < 1:  Gamma_q(x) = (q;q)_inf / (q^x;q)_inf * (1-q)^(1-x).
     q > 1:      the base-1/q product with the extra factors (q-1)^(1-x) and
                 q^(x(x-1)/2).
+
+    log (q;q)_inf (base 1/q for q > 1) depends on q alone and is cached.
     """
     if not x > 0.0:
         raise DomainError(f"q-gamma needs x > 0, got {x!r}")
     qq = q.q
     if q.is_sub_one:
         return (
-            _log_qpoch_inf(qq, q)
+            _log_qq_inf(qq)
             - _log_qpoch_inf(qq**x, q)
             + (1.0 - x) * math.log1p(-qq)
         )
     qh = QParam(1.0 / qq)
     return (
-        _log_qpoch_inf(qh.q, qh)
+        _log_qq_inf(qh.q)
         - _log_qpoch_inf(qh.q**x, qh)
         + (1.0 - x) * math.log(qq - 1.0)
         + 0.5 * x * (x - 1.0) * math.log(qq)
@@ -323,14 +326,22 @@ def polylog(s: float, z: float, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
         raise DomainError(f"polylogarithm series needs |z| < 1, got z={z!r}")
     if z == 0.0:
         return 0.0
-    acc = CompensatedSum()
+    # CompensatedSum inlined: (acc, c) is its Neumaier pair
+    tol = ctrl.rel_term_tol
+    acc = c = 0.0
     zk = 1.0
     for k in range(1, ctrl.max_terms + 1):
         zk *= z
         term = zk / float(k) ** s
-        acc.add(term)
-        if abs(term) <= ctrl.rel_term_tol * abs(acc.value):
-            return acc.value
+        t = acc + term
+        if abs(acc) >= abs(term):
+            c += (acc - t) + term
+        else:
+            c += (term - t) + acc
+        acc = t
+        total = acc + c
+        if abs(term) <= tol * abs(total):
+            return total
     raise ConvergenceError(f"polylogarithm series did not settle within {ctrl.max_terms} terms")
 
 

@@ -69,12 +69,14 @@ def classical_logcm_screen(f, xs, n_max: int = 3, h: float = 1e-2, tol: float = 
 
 
 def outcome(fn, *args):
-    """("value", repr of the result) or (exception type, message): equal
-    outcomes mean bit-identical values or identical errors."""
+    """("value", float.hex of a float result, else its repr) or (exception
+    type, message): equal outcomes mean bit-identical values or identical
+    errors."""
     try:
-        return "value", repr(fn(*args))
+        value = fn(*args)
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         return type(exc), str(exc)
+    return "value", value.hex() if isinstance(value, float) else repr(value)
 
 
 def mp_q_psi(x: float, q: QParam, k: int = 0) -> tuple[float, float]:
@@ -110,6 +112,43 @@ def mp_q_psi(x: float, q: QParam, k: int = 0) -> tuple[float, float]:
 def _mp_h_terms(xx, lq) -> list:
     z = mp.exp(xx * lq)
     return [-mp.polylog(2, z) / lq, -xx * mp.log1p(-z)]
+
+
+def mp_entire_exp(x: float, p: float) -> tuple[float, float, float]:
+    """E_p(x) = prod_{j>=0} (1 + (1-p) p^j x) for 0 < p < 1 at 50 digits, as
+    (value, E_p(|x|), c).
+
+    E_p(|x|) is the sum of the |terms| of the power series at x.  With
+    v_j = (1-p) p^j |x|, c = sum_j (j+2) v_j / |1 - v_j| bounds the relative
+    error the product picks up from its factors when v_j is formed by j
+    roundings from a rounded v_0.
+    """
+    with mp.workdps(50):
+        pp = mp.mpf(p)
+        v = (1 - pp) * abs(mp.mpf(x))
+        sign = 1 if x >= 0 else -1
+        value = abs_value = mp.mpf(1)
+        c = mp.mpf(0)
+        j = 0
+        while v >= mp.mpf("1e-55"):  # the rest moves no kept digit
+            value *= 1 + sign * v
+            abs_value *= 1 + v
+            c += (j + 2) * v / abs(1 - v)
+            v *= pp
+            j += 1
+        return float(value), float(abs_value), float(c)
+
+
+def mp_entire_exp_near_one(x: float, p: float) -> float:
+    """E_p(x) for x < 0 and p close to 1, where the factor product is too
+    long to multiply out, at 50 digits:
+    log E_p(-t) = -sum_{m>=1} v^m / (m (1 - p^m)), v = (1-p) t, the power
+    series of sum_j log(1 - v p^j); it needs v < 1."""
+    with mp.workdps(50):
+        pp = mp.mpf(p)
+        v = (1 - pp) * -mp.mpf(x)
+        assert v < 1
+        return float(mp.exp(-mp.nsum(lambda m: v**m / (m * (1 - pp**m)), [1, mp.inf])))
 
 
 def mp_h_aux(x: float, q: QParam) -> tuple[float, float]:

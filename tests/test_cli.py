@@ -211,6 +211,18 @@ class TestLaplace:
         )
         assert code == 0
 
+    def test_jackson_kernel_far_out(self, tmp_path):
+        # E_0.9(-60): the alternating series returned 2.1e-4
+        out = tmp_path / "lap.json"
+        code = run_cli(
+            "laplace", "--kernel", "jackson", "--q", "0.9", "--atoms", "1:1",
+            "--grid-min", "60", "--grid-max", "60", "--grid-count", "1",
+            "--format", "json", "--out", str(out),
+        )
+        assert code == 0
+        [row] = json.loads(out.read_text(encoding="utf-8"))["rows"]
+        assert row["value"] == pytest.approx(5.0484082037937963e-8, rel=1e-12)
+
     def test_bad_atoms_usage_error(self):
         assert run_cli("laplace", "--atoms", "nonsense") == 2
 

@@ -1,12 +1,18 @@
 """Primitive layer: q-numbers, factorials, binomials, exponentials, products."""
 
 import math
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import outcome
+from _oracles import (
+    UNIT_ROUNDOFF,
+    mp_entire_exp,
+    mp_entire_exp_near_one,
+    outcome,
+)
 from qmono import (
     CompensatedSum,
     ConvergenceError,
@@ -18,6 +24,7 @@ from qmono import (
     SeriesControl,
     eq_power,
     log_q,
+    log_q_gamma,
     q_binomial,
     q_exp,
     q_factorial,
@@ -25,7 +32,13 @@ from qmono import (
     q_pochhammer,
     qpoch_inf,
 )
-from qmono.qcore import PRODUCT_TAIL_TOL
+from qmono.qcore import (
+    _ALTERNATING_LIMIT,
+    PRODUCT_TAIL_TOL,
+    _log_eq_base,
+    _log_qpoch_inf,
+    _log_qq_inf,
+)
 
 Q5 = QParam(0.5)
 
@@ -220,9 +233,18 @@ def _reference_q_exp(x, q, kind, ctrl):
     )
 
 
+def _sums_series(x, qv, kind):
+    """False where q_exp returns the product of the entire q-exponential
+    (E_q for q < 1, e_q for q > 1) instead of summing its series."""
+    entire = (kind is ExpKind.BIG_E) == (qv < 1.0)
+    return not (entire and -math.inf < x < -_ALTERNATING_LIMIT)
+
+
 class TestQExpReference:
-    """q_exp inlines q_number and the Neumaier update; every value and every
-    error must stay bit-identical to the loop that called them."""
+    """q_exp inlines q_number and the Neumaier update; wherever it sums the
+    series, every value and every error must stay bit-identical to the loop
+    that called them.  The entire kind at x < -20 log 2 is a product,
+    checked against mpmath in TestQExpOracle."""
 
     @settings(deadline=None, max_examples=400)
     @given(
@@ -237,17 +259,116 @@ class TestQExpReference:
         # x runs a little past the finite radius of whichever kind has one
         radius = 1.0 / (1.0 - qv) if qv < 1.0 else qv / (qv - 1.0)
         x = u * radius
+        assume(_sums_series(x, qv, kind))
         ctrl = SeriesControl(rel_term_tol=tol, max_terms=max_terms)
         assert outcome(q_exp, x, q, kind, ctrl) == outcome(_reference_q_exp, x, q, kind, ctrl)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        qv=st.floats(1e4, 1e7),
+        kind=st.sampled_from(list(ExpKind)),
+        x=st.one_of(st.floats(-0.999, 0.999), st.sampled_from([0.5, -0.5, 1e-3])),
+    )
+    def test_large_q_matches_reference(self, qv, kind, x):
+        # n log q passes the expm1 overflow point (~709) by n ~ 45 here, so
+        # q_exp must not form divisors its series never reaches
+        q = QParam(qv)
+        assert outcome(q_exp, x, q, kind, DEFAULT_CTRL) == outcome(
+            _reference_q_exp, x, q, kind, DEFAULT_CTRL
+        )
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1e300, -1e300])
     @pytest.mark.parametrize("kind", list(ExpKind))
     @pytest.mark.parametrize("qv", [0.5, 3.0])
     def test_extreme_arguments_match_reference(self, qv, kind, x):
         q = QParam(qv)
+        if not _sums_series(x, qv, kind):
+            with pytest.raises(OverflowError, match="overflows a float"):
+                q_exp(x, q, kind)
+            return
         assert outcome(q_exp, x, q, kind, DEFAULT_CTRL) == outcome(
             _reference_q_exp, x, q, kind, DEFAULT_CTRL
         )
+
+
+class TestQExpOracle:
+    """The entire q-exponential E_p(x), p = q < 1 (E_q) or p = 1/q < 1 (e_q),
+    against 50-digit mpmath for x down to -200.
+
+    On the series (x >= -20 log 2) the error is that of a compensated sum,
+    a few u times the sum of the |terms|, E_p(|x|) <= e^|x| <= 2^20.  On the
+    product it is relative, a few u times the factor conditioning c of
+    _oracles.mp_entire_exp.  The summed series at x = -30, q = 0.9 returned
+    +5.2e-10 against the true -7.6e-10."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        pv=st.floats(0.05, 0.99),
+        x=st.one_of(st.floats(-200.0, 0.0), st.floats(-20.0, -10.0)),
+        kind=st.sampled_from(list(ExpKind)),
+    )
+    @example(pv=0.9, x=-30.0, kind=ExpKind.BIG_E)
+    @example(pv=0.95, x=-20.0, kind=ExpKind.BIG_E)
+    @example(pv=0.9, x=-60.0, kind=ExpKind.BIG_E)
+    @example(pv=0.5, x=-_ALTERNATING_LIMIT, kind=ExpKind.BIG_E)
+    @example(pv=0.5, x=math.nextafter(-_ALTERNATING_LIMIT, -math.inf), kind=ExpKind.BIG_E)
+    def test_matches_mpmath(self, pv, x, kind):
+        q = QParam(pv if kind is ExpKind.BIG_E else 1.0 / pv)
+        p = q.q if kind is ExpKind.BIG_E else 1.0 / q.q  # the float base of the product
+        want, abs_sum, cond = mp_entire_exp(x, p)
+        got = q_exp(x, q, kind)
+        if x < -_ALTERNATING_LIMIT:
+            assert abs(got - want) <= 8.0 * UNIT_ROUNDOFF * (1.0 + cond) * abs(want)
+        else:
+            assert abs(got - want) <= 8.0 * UNIT_ROUNDOFF * abs_sum
+
+    @pytest.mark.parametrize("pv", [0.9999, 0.999999, 1.0 - 1e-9])
+    @pytest.mark.parametrize("kind", list(ExpKind))
+    def test_near_one_is_fast_and_accurate(self, pv, kind):
+        # the factor product alone would take ~41/(1-p) factors (hours at
+        # p = 1 - 1e-9); q_exp sums the factors below 1/2 as a log series
+        q = QParam(pv if kind is ExpKind.BIG_E else 1.0 / pv)
+        p = q.q if kind is ExpKind.BIG_E else 1.0 / q.q
+        start = time.perf_counter()
+        got = q_exp(-20.0, q, kind)
+        assert time.perf_counter() - start < 1.0
+        assert got == pytest.approx(mp_entire_exp_near_one(-20.0, p), rel=1e-12)
+
+    def test_too_many_factors_is_a_convergence_error(self):
+        # v_0 = 1 at p = 1 - 1e-6: ~6.9e5 factors exceed 1/2, past the cap
+        with pytest.raises(ConvergenceError, match="more than 10000 factors"):
+            q_exp(-1e6, QParam(1.0 - 1e-6), ExpKind.BIG_E)
+        with pytest.raises(ConvergenceError, match="more than 50 factors"):
+            q_exp(-2000.0, QParam(0.9), ExpKind.BIG_E, SeriesControl(max_terms=50))
+        assert q_exp(-2000.0, QParam(0.9), ExpKind.BIG_E, SeriesControl(max_terms=70)) != 0.0
+
+    def test_laplace_kernel_far_out(self):
+        # the CLI example: E_0.9(-60), the Jackson kernel at lambda t = 60
+        got = q_exp(-60.0, QParam(0.9), ExpKind.BIG_E)
+        assert got == pytest.approx(5.0484082037937963e-8, rel=1e-12)
+
+
+class TestPerQCaches:
+    """Every per-q cache is an lru_cache of 128 entries, so nothing grows
+    with the number of distinct q a process sees."""
+
+    CACHES = (_log_eq_base, _log_qq_inf)
+
+    def test_caches_stay_at_their_size(self):
+        for qv in (0.05 + 0.9 * i / 1000 for i in range(1000)):
+            for q in (QParam(qv), QParam(1.0 / qv)):
+                log_q_gamma(1.5, q)
+                q_exp(-0.5, q, ExpKind.SMALL_E if qv < 0.5 else ExpKind.BIG_E)
+            eq_power(0.5, QParam(qv))
+        for cache in self.CACHES:
+            info = cache.cache_info()
+            assert info.maxsize == 128
+            assert info.currsize == 128
+
+    def test_cached_values_are_fresh_computations(self):
+        q = QParam(0.37)
+        assert _log_qq_inf(0.37).hex() == _log_qpoch_inf(0.37, q).hex()
+        assert _log_eq_base(0.37).hex() == math.log(q_exp(1.0, q, ExpKind.BIG_E)).hex()
 
 
 class TestEqPowerLogQ:

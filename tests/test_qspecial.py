@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import central_diff, mp_h_aux, mp_q_psi, outcome, series_tolerance
+from _oracles import (
+    central_diff,
+    mp_h_aux,
+    mp_q_psi,
+    outcome,
+    series_tolerance,
+)
 from qmono import (
     DEFAULT_CTRL,
     CompensatedSum,
@@ -31,6 +37,7 @@ from qmono import (
     q_psi,
     q_psi_k,
 )
+from qmono.qcore import _log_qpoch_inf
 
 Q5 = QParam(0.5)
 Q9 = QParam(0.9)
@@ -263,6 +270,74 @@ class TestQPsiReference:
 
 _LOG_X = st.floats(-8.0, math.log10(50.0)).map(lambda e: 10.0**e)
 _ORACLE_X = st.one_of(st.floats(1e-8, 50.0), _LOG_X)
+
+
+def _reference_log_q_gamma(x, q):
+    """log_q_gamma as written before log (q;q)_inf was cached per q."""
+    if not x > 0.0:
+        raise DomainError(f"q-gamma needs x > 0, got {x!r}")
+    qq = q.q
+    if q.is_sub_one:
+        return (
+            _log_qpoch_inf(qq, q)
+            - _log_qpoch_inf(qq**x, q)
+            + (1.0 - x) * math.log1p(-qq)
+        )
+    qh = QParam(1.0 / qq)
+    return (
+        _log_qpoch_inf(qh.q, qh)
+        - _log_qpoch_inf(qh.q**x, qh)
+        + (1.0 - x) * math.log(qq - 1.0)
+        + 0.5 * x * (x - 1.0) * math.log(qq)
+    )
+
+
+def _reference_polylog(s, z, ctrl):
+    """polylog as written before the Neumaier steps were inlined."""
+    if not abs(z) < 1.0:
+        raise DomainError(f"polylogarithm series needs |z| < 1, got z={z!r}")
+    if z == 0.0:
+        return 0.0
+    acc = CompensatedSum()
+    zk = 1.0
+    for k in range(1, ctrl.max_terms + 1):
+        zk *= z
+        term = zk / float(k) ** s
+        acc.add(term)
+        if abs(term) <= ctrl.rel_term_tol * abs(acc.value):
+            return acc.value
+    raise ConvergenceError(f"polylogarithm series did not settle within {ctrl.max_terms} terms")
+
+
+_CAPS = st.one_of(st.integers(1, 40), st.sampled_from([100, 10_000]))
+_TOLS = st.sampled_from([1e-16, 1e-12, 1e-6])
+
+
+class TestInlinedLoopsReference:
+    """log_q_gamma caches log (q;q)_inf per q, and polylog inlines the
+    Neumaier steps of CompensatedSum: every value (to the bit, by
+    float.hex) and every error, ConvergenceError at the same max_terms
+    included, must match the loops they replaced."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        qv=st.one_of(st.floats(0.02, 0.99), st.floats(1.01, 20.0)),
+        x=st.one_of(st.floats(1e-8, 60.0), st.floats(-1.0, 0.0)),
+    )
+    def test_log_q_gamma(self, qv, x):
+        q = QParam(qv)
+        assert outcome(log_q_gamma, x, q) == outcome(_reference_log_q_gamma, x, q)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        s=st.floats(1.0, 3.0),
+        z=st.one_of(st.floats(1e-300, 0.999), st.floats(0.9, 0.999)),
+        max_terms=_CAPS,
+        tol=_TOLS,
+    )
+    def test_polylog(self, s, z, max_terms, tol):
+        ctrl = SeriesControl(rel_term_tol=tol, max_terms=max_terms)
+        assert outcome(polylog, s, z, ctrl) == outcome(_reference_polylog, s, z, ctrl)
 
 
 class TestSeriesOracle:
