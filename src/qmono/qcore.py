@@ -10,8 +10,8 @@ keyed by q alone, holding at most 128 entries and what a fresh computation
 would return:
 
 - `_log_eq_base`: log E_q(1), behind eq_power and log_q;
-- `_log_qq_inf`: log (q;q)_inf, the x-free factor of log Gamma_q
-  (qspecial.log_q_gamma).
+- `_log_qq_inf`: log (r;r)_inf with r = q or 1/q, the x-free factor of
+  log Gamma_q (qspecial.log_q_gamma).
 
 The base q = 1 is rejected at construction; classical q -> 1 behaviour is
 exercised only by tests with q close to 1, which keeps every formula
@@ -117,18 +117,23 @@ class SeriesControl:
 
 DEFAULT_CTRL = SeriesControl()
 
-#: Infinite products drop their factors 1 - a q^j once |a q^j| falls below
-#: this cut-off.
+#: qpoch_inf drops its factors 1 - a q^j once |a q^j| falls below this
+#: cut-off.
 PRODUCT_TAIL_TOL = 1e-18
+
+_LN2 = math.log(2.0)
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class CompensatedSum:
     """Neumaier-compensated accumulator.
 
     The alternating E_q(-x) series cancels heavily; plain summation would
-    dominate the error budget long before the stopping rule fires.  `q_exp`
-    and `qspecial.polylog` inline `add` and `value` for speed; a change here
-    must be made there too, in the same operations and order.
+    dominate the error budget long before the stopping rule fires.  Three
+    loops inline `add` and `value` for speed, and a change here must be
+    made there too: `q_exp` and `qspecial.polylog` in the same operations
+    and order, and `_log_tail` in its |s| >= |term| branch (its terms have
+    one sign and fall).
     """
 
     __slots__ = ("_s", "_c")
@@ -195,7 +200,7 @@ class ExpKind(Enum):
 #: u times the sum of its |terms|, E(|x|) <= e^|x|.  Past this |x| (where
 #: e^|x| = 2^20) q_exp evaluates the factor product instead, which keeps
 #: its relative accuracy.
-_ALTERNATING_LIMIT = 20.0 * math.log(2.0)
+_ALTERNATING_LIMIT = 20.0 * _LN2
 
 
 def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
@@ -228,7 +233,11 @@ def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL
                 f"E_q series (q > 1) diverges for |x| >= q/(q-1) = {radius}, got x={x}"
             )
     if x < -_ALTERNATING_LIMIT and big == (qq < 1.0):
-        return _entire_exp_neg(-x, qq if big else 1.0 / qq, ctrl)
+        sign, logmag = _entire_exp_neg(-x, qq if big else 1.0 / qq, ctrl)
+        try:
+            return sign * math.exp(logmag)
+        except OverflowError as exc:
+            raise OverflowError(f"q-exponential overflows a float at x = {x!r}") from exc
     # q_number(n, q) and CompensatedSum.add are inlined below, with the same
     # float operations in the same order, so results stay bit-identical.
     lq = math.log(qq)
@@ -257,17 +266,44 @@ def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL
     )
 
 
-def _entire_exp_neg(t: float, p: float, ctrl: SeriesControl) -> float:
-    """E_p(-t) = prod_{j>=0} (1 - v_j), v_j = (1-p) p^j t, for t > 0 and
-    0 < p < 1.
+def _log_tail(w: float, lp: float) -> float:
+    """sum_{j>=0} log(1 - w p^j) = -sum_{m>=1} w^m / (m (1 - p^m)) for
+    0 <= w <= 1/2 and log p = lp < 0: the log of an infinite product from
+    its first factor >= 1/2 on.
+
+    Each term is at most w times the one before, so the rest of the series
+    after a term is at most term * w / (1 - w); the loop stops once that
+    bound falls below the unit roundoff times the partial sum, within about
+    55 terms at w = 1/2.  The terms have one sign and fall, so the Neumaier
+    step of `CompensatedSum.add` is inlined in its |s| >= |term| branch.
+    """
+    ratio = w / (1.0 - w)
+    tol = _UNIT_ROUNDOFF
+    expm1 = math.expm1
+    s = c = 0.0
+    wm = w
+    m = 1.0
+    while True:
+        term = wm / (m * expm1(m * lp))  # -w^m / (m (1 - p^m))
+        t = s + term
+        c += (s - t) + term
+        s = t
+        if term * ratio >= tol * s:  # both sides <= 0
+            return s + c
+        wm *= w
+        m += 1.0
+
+
+def _entire_exp_neg(t: float, p: float, ctrl: SeriesControl) -> tuple[float, float]:
+    """E_p(-t) = prod_{j>=0} (1 - v_j), v_j = (1-p) p^j t, for t >= 0 and
+    0 < p < 1, as (sign, log magnitude); sign 0.0 (log magnitude -inf)
+    flags an exact zero factor, a lattice zero of the kernel.
 
     The factors with v_j > 1/2 (there may be none) are taken one by one in
-    log space; they carry the sign and the lattice zeros.  The rest sum in
-    closed form: with w <= 1/2 the first v_j left, sum_{j>=0} log(1 - w p^j)
-    = -sum_{m>=1} w^m / (m (1 - p^m)), whose terms fall at least by the
-    factor w.  So the cost is about log(2 v_0)/|log p| factors plus at most
-    ~60 tail terms, whatever p; ConvergenceError when the factors alone
-    would exceed ctrl.max_terms.
+    log space; they carry the sign and the lattice zeros.  The rest are the
+    log tail series of `_log_tail`.  So the cost is about log(2 v_0)/|log p|
+    factors plus at most ~55 tail terms, whatever p; ConvergenceError when
+    the factors alone would exceed ctrl.max_terms.
     """
     v = (1.0 - p) * t
     lp = math.log(p)
@@ -280,27 +316,31 @@ def _entire_exp_neg(t: float, p: float, ctrl: SeriesControl) -> float:
     while v > 0.5:
         factor = 1.0 - v
         if factor == 0.0:
-            return 0.0
+            return 0.0, -math.inf
         if factor < 0.0:
             sign = -sign
             logmag += math.log(-factor)
         else:
             logmag += math.log(factor)
         v *= p
-    tail = CompensatedSum()
-    vm = 1.0
-    for m in range(1, ctrl.max_terms + 1):
-        vm *= v
-        term = vm / (m * -math.expm1(m * lp))
-        tail.add(term)
-        if term <= ctrl.rel_term_tol * tail.value:
-            try:
-                return sign * math.exp(logmag - tail.value)
-            except OverflowError as exc:
-                raise OverflowError(f"q-exponential overflows a float at x = {-t!r}") from exc
-    raise ConvergenceError(
-        f"q-exponential product tail did not settle within {ctrl.max_terms} terms"
-    )
+    return sign, logmag + _log_tail(v, lp)
+
+
+def _log_qpow_poch(x: float, lq: float) -> tuple[float, float]:
+    """log (q^x; q)_inf = sum_{j>=0} log(1 - q^(x+j)) for x > 0 and
+    log q = lq < 0, as the pair (head, tail) whose sum it is.
+
+    The head is the factors with q^(x+j) above 1/2 (about log 2 / |lq| - x
+    of them), or above q when q < 1/2, where the tail's ratio w would
+    otherwise exceed the product's ratio q.  They are summed by math.fsum,
+    each as log(-expm1((x+j) lq)) so that none loses digits as x -> 0.  The
+    tail is the rest, from w = q^(x+J) <= min(1/2, q) on, by the series of
+    `_log_tail`.  The pair stays unsummed so that log_q_gamma can add all
+    its parts in one correctly rounded sum.
+    """
+    n = max(0, math.ceil(max(1.0, -_LN2 / lq) - x))
+    head = math.fsum(math.log(-math.expm1((x + j) * lq)) for j in range(n)) if n else 0.0
+    return head, _log_tail(math.exp((x + n) * lq), lq)
 
 
 @lru_cache(maxsize=128)
@@ -308,10 +348,19 @@ def _log_eq_base(qval: float) -> float:
     """log E_q(1), the logarithm base behind eq_power and log_q.
 
     Cached per q: certification sweeps call eq_power millions of times with
-    the same base.  The E_q(1) series settles within a few hundred terms for
-    every q, far inside the default cap, so no caller needs another policy.
+    the same base.  The E_q(1) series settles within a few hundred terms
+    wherever it is summed, far inside the default cap, so no caller needs
+    another policy.  Past q ~ 9.59 its divisors q^n - 1 overflow before it
+    settles, and past q ~ 2^53 the rounded radius q/(q-1) is 1; there
+    E_q(1) = e_p(1) = 1/(1-p; p)_inf with p = 1/q, whose first factor is p,
+    so log E_q(1) = log q - `_log_tail`((1-p) p, log p).
     """
-    return math.log(q_exp(1.0, QParam(qval), ExpKind.BIG_E))
+    try:
+        return math.log(q_exp(1.0, QParam(qval), ExpKind.BIG_E))
+    except (OverflowError, DomainError):
+        lq = math.log(qval)
+        p = 1.0 / qval
+        return lq - _log_tail((1.0 - p) * p, -lq)
 
 
 def eq_power(x: float, q: QParam) -> float:
@@ -348,26 +397,11 @@ def qpoch_inf(a: float, q: QParam) -> float:
     return p
 
 
-def _log_qpoch_inf(a: float, q: QParam) -> float:
-    """log (a;q)_inf for 0 <= a < 1, where every factor is positive.
-
-    This is the log-space workhorse behind the q-gamma ratios; the same
-    tail rule as qpoch_inf applies.
-    """
-    if not 0.0 <= a < 1.0:
-        raise DomainError(f"log (a;q)_inf needs 0 <= a < 1, got {a!r}")
-    if not q.is_sub_one:
-        raise DomainError("log (a;q)_inf needs 0 < q < 1")
-    acc = CompensatedSum()
-    aj = float(a)
-    while aj >= PRODUCT_TAIL_TOL:
-        acc.add(math.log1p(-aj))
-        aj *= q.q
-    return acc.value
-
-
 @lru_cache(maxsize=128)
-def _log_qq_inf(qval: float) -> float:
-    """log (q;q)_inf for 0 < q < 1: the factor of log Gamma_q that does not
-    depend on x, cached per q because every q-gamma evaluation needs it."""
-    return _log_qpoch_inf(qval, QParam(qval))
+def _log_qq_inf(qval: float) -> tuple[float, float]:
+    """log (r;r)_inf with r = q for q < 1 and r = 1/q for q > 1, as the
+    (head, tail) pair of `_log_qpow_poch`: the factor of log Gamma_q that
+    does not depend on x, cached per q because every q-gamma evaluation
+    needs it.  It is `_log_qpow_poch` at x = 1 with log r = -|log q|, the
+    same call log_q_gamma makes, so log Gamma_q(1) = 0 exactly."""
+    return _log_qpow_poch(1.0, -abs(math.log(qval)))

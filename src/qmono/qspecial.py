@@ -17,12 +17,12 @@ from .qcore import (
     DEFAULT_CTRL,
     CompensatedSum,
     ConvergenceError,
-    PRODUCT_TAIL_TOL,
     DomainError,
     EvaluationError,
     QParam,
     SeriesControl,
-    _log_qpoch_inf,
+    _entire_exp_neg,
+    _log_qpow_poch,
     _log_qq_inf,
     q_number,
 )
@@ -123,56 +123,35 @@ def log_q_gamma(x: float, q: QParam) -> float:
     q > 1:      the base-1/q product with the extra factors (q-1)^(1-x) and
                 q^(x(x-1)/2).
 
-    log (q;q)_inf (base 1/q for q > 1) depends on q alone and is cached.
+    log (q^x;q)_inf (base 1/q for q > 1) is its factors above 1/2 in
+    exponent form plus the log tail series (qcore._log_qpow_poch), about
+    log 2 / |log q| + 55 terms, with no digits lost as x -> 0.  The x-free
+    product log (q;q)_inf (likewise) depends on q alone and is cached.  All
+    the parts are added by one math.fsum.
     """
     if not x > 0.0:
         raise DomainError(f"q-gamma needs x > 0, got {x!r}")
     qq = q.q
+    lq = math.log(qq)
+    c_head, c_tail = _log_qq_inf(qq)
     if q.is_sub_one:
-        return (
-            _log_qq_inf(qq)
-            - _log_qpoch_inf(qq**x, q)
-            + (1.0 - x) * math.log1p(-qq)
-        )
-    qh = QParam(1.0 / qq)
-    return (
-        _log_qq_inf(qh.q)
-        - _log_qpoch_inf(qh.q**x, qh)
-        + (1.0 - x) * math.log(qq - 1.0)
-        + 0.5 * x * (x - 1.0) * math.log(qq)
-    )
+        p_head, p_tail = _log_qpow_poch(x, lq)
+        return math.fsum((c_head, c_tail, -p_head, -p_tail, (1.0 - x) * math.log1p(-qq)))
+    p_head, p_tail = _log_qpow_poch(x, -lq)
+    return math.fsum((
+        c_head,
+        c_tail,
+        -p_head,
+        -p_tail,
+        (1.0 - x) * math.log(qq - 1.0),
+        0.5 * x * (x - 1.0) * lq,
+    ))
 
 
 def q_gamma(x: float, q: QParam) -> float:
     """q-analogue of the gamma function; satisfies Gamma_q(x+1) = [x] Gamma_q(x)
     and Gamma_q(n+1) = [n]!."""
     return math.exp(log_q_gamma(x, q))
-
-
-def _big_e_neg_log(t: float, q: QParam) -> tuple[float, float]:
-    """E_q(-q t) for t >= 0 as (sign, log magnitude) via its factor product
-    prod_j (1 - (1-q) q^(j+1) t).
-
-    Sign 0.0 flags an exact zero factor (the kernel's lattice zeros).  The
-    power-series route overflows long before these arguments do, so the
-    Jackson-sum gamma uses this form internally.
-    """
-    v = (1.0 - q.q) * q.q * t
-    sign = 1.0
-    logmag = 0.0
-    while v >= PRODUCT_TAIL_TOL:
-        factor = 1.0 - v
-        if factor == 0.0:
-            return 0.0, -math.inf
-        if factor < 0.0:
-            sign = -sign
-            logmag += math.log(-factor)
-        elif v > 0.5:
-            logmag += math.log(factor)
-        else:
-            logmag += math.log1p(-v)
-        v *= q.q
-    return sign, logmag
 
 
 def q_gamma_jackson_info(
@@ -187,14 +166,18 @@ def q_gamma_jackson_info(
     Only 0 < q < 1 has this form.  Agreement with the product-form q_gamma
     depends on where the kernel's zeros fall relative to the lattice (exact
     for q = 1/2); the reported end terms say how trustworthy a window is.
+    The kernel is the entire q-exponential's product (qcore._entire_exp_neg):
+    its factors above 1/2 one by one, the rest as the log tail series, so
+    its cost stays bounded as q -> 1.
     """
     if not q.is_sub_one:
         raise DomainError("the Jackson-sum gamma exists only for 0 < q < 1")
     if not x > 0.0:
         raise DomainError(f"q-gamma needs x > 0, got {x!r}")
+    qq = q.q
 
     def integrand(t: float) -> float:
-        sign, logmag = _big_e_neg_log(t, q)
+        sign, logmag = _entire_exp_neg(qq * t, qq, DEFAULT_CTRL)  # E_q(-q t)
         if sign == 0.0:
             return 0.0
         logterm = (x - 1.0) * math.log(t) + logmag

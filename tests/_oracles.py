@@ -151,6 +151,53 @@ def mp_entire_exp_near_one(x: float, p: float) -> float:
         return float(mp.exp(-mp.nsum(lambda m: v**m / (m * (1 - pp**m)), [1, mp.inf])))
 
 
+def _mp_log_qpoch(a, r):
+    """log (a;r)_inf for 0 <= a < 1 at the working precision: the factors
+    above 1/100 one by one, then log (w;r)_inf = -sum_{m>=1} w^m / (m (1 - r^m)).
+    The split point differs from the library's (1/2) on purpose."""
+    total = mp.mpf(0)
+    w = a
+    while w > mp.mpf(1) / 100:
+        total += mp.log1p(-w)
+        w *= r
+    wm = w
+    m = 1
+    while True:
+        term = wm / (m * (1 - r**m))
+        total -= term
+        if term < mp.mpf("1e-60"):
+            return total
+        m += 1
+        wm *= w
+
+
+def mp_log_eq_one(q: float) -> float:
+    """log E_q(1) for q > 1 at 50 digits, by mpmath's q-Pochhammer:
+    E_q(1) = e_{1/q}(1) = 1 / ((1 - 1/q); 1/q)_inf."""
+    with mp.workdps(50):
+        p = 1 / mp.mpf(q)
+        return float(-mp.log(mp.qp(1 - p, p)))
+
+
+def mp_log_q_gamma(x: float, q: QParam) -> tuple[float, float]:
+    """log Gamma_q(x) at 50 digits from the product form, as (value, sum of
+    the |parts| it is assembled from).
+
+    With r = q or 1/q below 1 the parts are log (r;r)_inf, -log (r^x;r)_inf,
+    (1-x) log|1-q| and, for q > 1, x (x-1)/2 log q.  For q near 1 the two
+    products are about pi^2/(6 |log q|) each and cancel, so a float
+    evaluation that forms them apart carries an error of a few u times their
+    size.
+    """
+    with mp.workdps(50):
+        xx, qq = mp.mpf(x), mp.mpf(q.q)
+        r = qq if qq < 1 else 1 / qq
+        parts = [_mp_log_qpoch(r, r), -_mp_log_qpoch(r**xx, r), (1 - xx) * mp.log(abs(1 - qq))]
+        if qq > 1:
+            parts.append(xx * (xx - 1) / 2 * mp.log(qq))
+        return float(mp.fsum(parts)), float(mp.fsum(abs(t) for t in parts))
+
+
 def mp_h_aux(x: float, q: QParam) -> tuple[float, float]:
     """h_aux = -(Li_2(q^x) + x log(q) log(1-q^x)) / log(q) at 50 digits, as
     (value, sum of the |terms|)."""

@@ -11,6 +11,7 @@ from _oracles import (
     UNIT_ROUNDOFF,
     mp_entire_exp,
     mp_entire_exp_near_one,
+    mp_log_eq_one,
     outcome,
 )
 from qmono import (
@@ -36,7 +37,7 @@ from qmono.qcore import (
     _ALTERNATING_LIMIT,
     PRODUCT_TAIL_TOL,
     _log_eq_base,
-    _log_qpoch_inf,
+    _log_qpow_poch,
     _log_qq_inf,
 )
 
@@ -367,7 +368,8 @@ class TestPerQCaches:
 
     def test_cached_values_are_fresh_computations(self):
         q = QParam(0.37)
-        assert _log_qq_inf(0.37).hex() == _log_qpoch_inf(0.37, q).hex()
+        assert _log_qq_inf(0.37) == _log_qpow_poch(1.0, math.log(0.37))
+        assert _log_qq_inf(1.0 / 0.37) == _log_qpow_poch(1.0, -math.log(1.0 / 0.37))
         assert _log_eq_base(0.37).hex() == math.log(q_exp(1.0, q, ExpKind.BIG_E)).hex()
 
 
@@ -386,6 +388,21 @@ class TestEqPowerLogQ:
         log_e1 = math.log(q_exp(1.0, q, ExpKind.BIG_E, deep))
         assert eq_power(x, q) == math.exp(x * log_e1)
         assert log_q(y, q) == math.log(y) / log_e1
+
+    @settings(deadline=None, max_examples=100)
+    @given(qv=st.floats(10.0, 1e3), x=st.floats(-50.0, 50.0))
+    @example(qv=10.0, x=0.5)
+    @example(qv=12.0, x=-1.0)
+    @example(qv=1e17, x=0.5)
+    def test_large_q_base_matches_mpmath(self, qv, x):
+        # past q ~ 9.59 the E_q(1) series overflows its divisors q^n - 1
+        # (and past q ~ 2^53 its rounded radius is 1), so the base comes
+        # from the product 1 / ((1 - 1/q); 1/q)_inf
+        q = QParam(qv)
+        want = mp_log_eq_one(qv)
+        assert _log_eq_base(qv) == pytest.approx(want, rel=4.0 * UNIT_ROUNDOFF)
+        assert eq_power(x, q) == pytest.approx(math.exp(x * want), rel=1e-13)
+        assert log_q(eq_power(x, q), q) == pytest.approx(x, rel=1e-13, abs=1e-13)
 
     def test_anchors(self):
         assert eq_power(0.0, Q5) == 1.0

@@ -1,14 +1,17 @@
 """q-gamma, q-digamma, polylogarithm and the composite functions."""
 
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    UNIT_ROUNDOFF,
     central_diff,
     mp_h_aux,
+    mp_log_q_gamma,
     mp_q_psi,
     outcome,
     series_tolerance,
@@ -37,7 +40,6 @@ from qmono import (
     q_psi,
     q_psi_k,
 )
-from qmono.qcore import _log_qpoch_inf
 
 Q5 = QParam(0.5)
 Q9 = QParam(0.9)
@@ -116,6 +118,35 @@ class TestQGammaJackson:
     def test_super_one_rejected(self):
         with pytest.raises(DomainError):
             q_gamma_jackson(1.0, QParam(2.0))
+
+    @pytest.mark.parametrize(
+        "x, qv, n_lo, n_hi, want",
+        [
+            (1.0, 0.5, 200, 40, 1.0000000000000002),
+            (2.5, 0.5, 200, 40, 1.1905936250275277),
+            (3.0, 0.5, 200, 40, 1.5000000000000004),
+            (3.0, 0.9, 200, 22, 1.9000016019567798),
+            (2.5, 0.9, 200, 22, 1.3039400933203087),
+            (1.5, 0.9, 200, 40, 0.8920505487937633),
+            (1.5, 0.3, 60, 3, 302.2257167864649),
+            (0.7, 0.7, 120, 8, 1.2685076345987856),
+            (4.0, 0.1, 30, 2, -64864583.95435183),
+            (2.0, 0.8, 150, 12, 1.0007626246913575),
+            (0.5, 0.6, 150, 6, 1.7545859525001328),
+        ],
+    )
+    def test_matches_the_multiplied_out_kernel(self, x, qv, n_lo, n_hi, want):
+        # reference values from the kernel E_q(-q t) with every factor down
+        # to 1e-18 multiplied out, not summed as the log tail series
+        assert q_gamma_jackson(x, QParam(qv), n_lo, n_hi) == pytest.approx(want, rel=1e-13)
+
+    def test_cost_is_bounded_near_one(self):
+        # 241 kernel values at q = 0.999, each a short log tail series; the
+        # multiplied-out kernel took ~41/(1-q) factors each
+        start = time.perf_counter()
+        value = q_gamma_jackson(1.5, QParam(0.999))
+        assert time.perf_counter() - start < 1.0
+        assert math.isfinite(value)
 
 
 class TestQPsi:
@@ -272,26 +303,6 @@ _LOG_X = st.floats(-8.0, math.log10(50.0)).map(lambda e: 10.0**e)
 _ORACLE_X = st.one_of(st.floats(1e-8, 50.0), _LOG_X)
 
 
-def _reference_log_q_gamma(x, q):
-    """log_q_gamma as written before log (q;q)_inf was cached per q."""
-    if not x > 0.0:
-        raise DomainError(f"q-gamma needs x > 0, got {x!r}")
-    qq = q.q
-    if q.is_sub_one:
-        return (
-            _log_qpoch_inf(qq, q)
-            - _log_qpoch_inf(qq**x, q)
-            + (1.0 - x) * math.log1p(-qq)
-        )
-    qh = QParam(1.0 / qq)
-    return (
-        _log_qpoch_inf(qh.q, qh)
-        - _log_qpoch_inf(qh.q**x, qh)
-        + (1.0 - x) * math.log(qq - 1.0)
-        + 0.5 * x * (x - 1.0) * math.log(qq)
-    )
-
-
 def _reference_polylog(s, z, ctrl):
     """polylog as written before the Neumaier steps were inlined."""
     if not abs(z) < 1.0:
@@ -314,19 +325,9 @@ _TOLS = st.sampled_from([1e-16, 1e-12, 1e-6])
 
 
 class TestInlinedLoopsReference:
-    """log_q_gamma caches log (q;q)_inf per q, and polylog inlines the
-    Neumaier steps of CompensatedSum: every value (to the bit, by
-    float.hex) and every error, ConvergenceError at the same max_terms
-    included, must match the loops they replaced."""
-
-    @settings(deadline=None, max_examples=300)
-    @given(
-        qv=st.one_of(st.floats(0.02, 0.99), st.floats(1.01, 20.0)),
-        x=st.one_of(st.floats(1e-8, 60.0), st.floats(-1.0, 0.0)),
-    )
-    def test_log_q_gamma(self, qv, x):
-        q = QParam(qv)
-        assert outcome(log_q_gamma, x, q) == outcome(_reference_log_q_gamma, x, q)
+    """polylog inlines the Neumaier steps of CompensatedSum: every value (to
+    the bit, by float.hex) and every error, ConvergenceError at the same
+    max_terms included, must match the loop it replaced."""
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -338,6 +339,44 @@ class TestInlinedLoopsReference:
     def test_polylog(self, s, z, max_terms, tol):
         ctrl = SeriesControl(rel_term_tol=tol, max_terms=max_terms)
         assert outcome(polylog, s, z, ctrl) == outcome(_reference_polylog, s, z, ctrl)
+
+
+_LOG_X60 = st.floats(-8.0, math.log10(60.0)).map(lambda e: 10.0**e)
+
+
+class TestLogQGammaOracle:
+    """log_q_gamma against 50-digit mpmath, both regimes, x log-uniform in
+    [1e-8, 60].
+
+    The bound is 6 u (1 + the sum of the |parts| the value is assembled
+    from; see _oracles.mp_log_q_gamma): the two q-Pochhammer products are
+    about pi^2/(6 |log q|) each and are rounded apart before they cancel.
+    Sweeps of 3,800 random inputs (a quarter of them at q in {0.02, 0.99,
+    0.998, 0.999, 1.001, 1.002, 1.01, 20}) reached 2.0 u (1 + parts); the
+    form that took 1 - q^x from a rounded q**x lost up to 5e-8 at x ~ 1e-8
+    and fails the bound at the first three examples below."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        qv=st.one_of(st.floats(0.02, 0.999), st.floats(1.001, 20.0)),
+        x=_LOG_X60,
+    )
+    @example(qv=0.5, x=1e-6)
+    @example(qv=0.9, x=3e-7)
+    @example(qv=1.001, x=4.6e-8)
+    @example(qv=0.999, x=2.0)
+    @example(qv=20.0, x=60.0)
+    def test_matches_mpmath(self, qv, x):
+        q = QParam(qv)
+        want, parts = mp_log_q_gamma(x, q)
+        assert abs(log_q_gamma(x, q) - want) <= 6.0 * UNIT_ROUNDOFF * (1.0 + parts)
+
+    def test_cost_is_bounded_near_one(self):
+        # about log 2 / |log q| factors plus the tail series, not 41 / |log q|
+        start = time.perf_counter()
+        value = log_q_gamma(1.5, QParam(0.9999))
+        assert time.perf_counter() - start < 0.05
+        assert math.isfinite(value)
 
 
 class TestSeriesOracle:
