@@ -5,13 +5,14 @@ Everything else in the package is built from the functions here: q-numbers
 the two q-exponentials e_q and E_q, powers of the constant E_q(1), and the
 infinite q-Pochhammer product (a;q)_inf.
 
-All functions are pure.  The only shared state is two lru_caches, each
-keyed by q alone, holding at most 128 entries and what a fresh computation
-would return:
+All functions are pure.  The only shared state is three lru_caches, each
+keyed by q alone (or by log p, p = q or 1/q), holding at most 128 entries
+and what a fresh computation would return:
 
 - `_log_eq_base`: log E_q(1), behind eq_power and log_q;
 - `_log_qq_inf`: log (r;r)_inf with r = q or 1/q, the x-free factor of
-  log Gamma_q (qspecial.log_q_gamma).
+  log Gamma_q (qspecial.log_q_gamma);
+- `_log_tail_divisors`: the divisors m (p^m - 1) of the log tail series.
 
 The base q = 1 is rejected at construction; classical q -> 1 behaviour is
 exercised only by tests with q close to 1, which keeps every formula
@@ -129,11 +130,12 @@ class CompensatedSum:
     """Neumaier-compensated accumulator.
 
     The alternating E_q(-x) series cancels heavily; plain summation would
-    dominate the error budget long before the stopping rule fires.  Three
+    dominate the error budget long before the stopping rule fires.  Four
     loops inline `add` and `value` for speed, and a change here must be
-    made there too: `q_exp` and `qspecial.polylog` in the same operations
-    and order, and `_log_tail` in its |s| >= |term| branch (its terms have
-    one sign and fall).
+    made there too: `q_exp`, `qspecial.polylog` and the x < 1 loop of
+    `qspecial._digamma_series` in the same operations and order, and
+    `_log_tail` in its |s| >= |term| branch (its terms fall, with one sign
+    or alternating).
     """
 
     __slots__ = ("_s", "_c")
@@ -195,11 +197,14 @@ class ExpKind(Enum):
     BIG_E = "E"    # E_q(x) = sum q^C(n,2) x^n/[n]! (entire for q < 1)
 
 
-#: The entire q-exponential (E_q for q < 1, e_q for q > 1) alternates for
-#: x < 0, and its summed series carries an absolute rounding error of about
-#: u times the sum of its |terms|, E(|x|) <= e^|x|.  Past this |x| (where
-#: e^|x| = 2^20) q_exp evaluates the factor product instead, which keeps
-#: its relative accuracy.
+#: Both q-exponentials alternate for x < 0, and a summed series carries an
+#: absolute rounding error of about u times the sum of its |terms|, e(|x|).
+#: For the entire kind (E_q for q < 1, e_q for q > 1) that is at most
+#: e^|x|; past this |x| (where e^|x| = 2^20) q_exp evaluates the factor
+#: product instead, which keeps its relative accuracy.  The kind with a
+#: finite radius has no zeros, and its relative error u e(|x|) / e(x) is at
+#: most u exp(2|x| / (1 - v)), v = |x| / radius; q_exp takes its reciprocal
+#: product where that bound exceeds 2^20 u.
 _ALTERNATING_LIMIT = 20.0 * _LN2
 
 
@@ -215,6 +220,10 @@ def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL
     1/q below 1.  For x < -`_ALTERNATING_LIMIT` q_exp returns that product
     (see `_entire_exp_neg`), where the alternating series would lose every
     digit; it raises OverflowError when the product leaves the float range.
+    The kind with a finite radius is e_p(x) = 1 / prod_{j>=0} (1 - (1-p) p^j x);
+    for x < 0 q_exp returns that reciprocal product (`_finite_exp_neg`)
+    wherever the series' relative error could exceed 2^20 u, which it
+    approaches as x -> -radius (see `_ALTERNATING_LIMIT`).
     """
     if not math.isfinite(x):
         raise DomainError(f"q-exponential argument must be finite, got {x!r}")
@@ -238,6 +247,8 @@ def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL
             return sign * math.exp(logmag)
         except OverflowError as exc:
             raise OverflowError(f"q-exponential overflows a float at x = {x!r}") from exc
+    if x < 0.0 and big != (qq < 1.0) and -2.0 * x > _ALTERNATING_LIMIT * (1.0 + x / radius):
+        return _finite_exp_neg(-x, qq if qq < 1.0 else 1.0 / qq, ctrl)
     # q_number(n, q) and CompensatedSum.add are inlined below, with the same
     # float operations in the same order, so results stay bit-identical.
     lq = math.log(qq)
@@ -266,32 +277,46 @@ def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL
     )
 
 
+#: Length of the divisor table of `_log_tail`: |w| <= 1/2 stops within 55
+#: terms.
+_LOG_TAIL_TERMS = 60
+
+
+@lru_cache(maxsize=128)
+def _log_tail_divisors(lp: float) -> tuple[float, ...]:
+    """The divisors m (p^m - 1) = m expm1(m lp), m = 1.._LOG_TAIL_TERMS, of
+    the log tail series; they depend on p alone, so they are cached per
+    log p."""
+    expm1 = math.expm1
+    return tuple(m * expm1(m * lp) for m in map(float, range(1, _LOG_TAIL_TERMS + 1)))
+
+
 def _log_tail(w: float, lp: float) -> float:
     """sum_{j>=0} log(1 - w p^j) = -sum_{m>=1} w^m / (m (1 - p^m)) for
-    0 <= w <= 1/2 and log p = lp < 0: the log of an infinite product from
-    its first factor >= 1/2 on.
+    |w| <= 1/2 and log p = lp < 0: the log of an infinite product from its
+    first factor >= 1/2 on (w >= 0), or of prod_j (1 + |w| p^j) (w < 0).
 
-    Each term is at most w times the one before, so the rest of the series
-    after a term is at most term * w / (1 - w); the loop stops once that
-    bound falls below the unit roundoff times the partial sum, within about
-    55 terms at w = 1/2.  The terms have one sign and fall, so the Neumaier
+    Each term is at most |w| times the one before, so the rest of the
+    series after a term is at most |term| |w| / (1 - |w|); the loop stops
+    once that bound falls below the unit roundoff times the partial sum,
+    within 55 terms at |w| = 1/2, and takes its divisors from the per-p
+    table `_log_tail_divisors`.  The terms fall and either have one sign or
+    alternate, so every partial sum outweighs the next term and the Neumaier
     step of `CompensatedSum.add` is inlined in its |s| >= |term| branch.
     """
-    ratio = w / (1.0 - w)
+    ratio = abs(w) / (1.0 - abs(w))
     tol = _UNIT_ROUNDOFF
-    expm1 = math.expm1
     s = c = 0.0
     wm = w
-    m = 1.0
-    while True:
-        term = wm / (m * expm1(m * lp))  # -w^m / (m (1 - p^m))
+    for div in _log_tail_divisors(lp):
+        term = wm / div  # -w^m / (m (1 - p^m))
         t = s + term
         c += (s - t) + term
         s = t
-        if term * ratio >= tol * s:  # both sides <= 0
+        if abs(term) * ratio <= tol * abs(s):
             return s + c
         wm *= w
-        m += 1.0
+    raise ConvergenceError(f"log tail series needs |w| <= 1/2, got w = {w!r}")
 
 
 def _entire_exp_neg(t: float, p: float, ctrl: SeriesControl) -> tuple[float, float]:
@@ -324,6 +349,30 @@ def _entire_exp_neg(t: float, p: float, ctrl: SeriesControl) -> tuple[float, flo
             logmag += math.log(factor)
         v *= p
     return sign, logmag + _log_tail(v, lp)
+
+
+def _finite_exp_neg(t: float, p: float, ctrl: SeriesControl) -> float:
+    """e_p(-t) = 1 / prod_{j>=0} (1 + v_j), v_j = (1-p) p^j t, for
+    0 <= t < 1/(1-p) and 0 < p < 1: the q-exponential with a finite radius
+    on its negative half-line, where it is positive and at most 1.
+
+    The factors with v_j > 1/2 (there may be none) are taken one by one as
+    log1p(v_j); the rest are the log tail series of `_log_tail` at -v.  So
+    the cost is about log(2 v_0)/|log p| factors plus at most ~55 tail
+    terms; ConvergenceError when the factors alone would exceed
+    ctrl.max_terms.
+    """
+    v = (1.0 - p) * t
+    lp = math.log(p)
+    if v > 0.5 and math.log(2.0 * v) > ctrl.max_terms * -lp:
+        raise ConvergenceError(
+            f"q-exponential product needs more than {ctrl.max_terms} factors at x = {-t!r}"
+        )
+    log_prod = 0.0
+    while v > 0.5:
+        log_prod += math.log1p(v)
+        v *= p
+    return math.exp(-log_prod - _log_tail(-v, lp))
 
 
 def _log_qpow_poch(x: float, lq: float) -> tuple[float, float]:

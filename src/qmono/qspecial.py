@@ -21,6 +21,7 @@ from .qcore import (
     EvaluationError,
     QParam,
     SeriesControl,
+    _UNIT_ROUNDOFF,
     _entire_exp_neg,
     _log_qpow_poch,
     _log_qq_inf,
@@ -175,6 +176,11 @@ def q_gamma_jackson_info(
     if not x > 0.0:
         raise DomainError(f"q-gamma needs x > 0, got {x!r}")
     qq = q.q
+    if n_lo > 0 and qq**n_lo == 0.0:
+        raise DomainError(
+            f"the Jackson window's small end t = q^n_lo underflows to 0 at n_lo = {n_lo} "
+            f"(q = {qq}); lower n_lo"
+        )
 
     def integrand(t: float) -> float:
         sign, logmag = _entire_exp_neg(qq * t, qq, DEFAULT_CTRL)  # E_q(-q t)
@@ -218,41 +224,116 @@ def _eulerian(k: int) -> tuple[float, ...]:
     return tuple(float(c) for c in row)
 
 
+def _eulerian_at(k: int, z: float) -> float:
+    """A_k(z) by Horner's rule."""
+    poly = 0.0
+    for a in _eulerian(k):
+        poly = poly * z + a
+    return poly
+
+
+#: B_2m / (2m)! for m = 1..12, the Euler-Maclaurin coefficients.  At y >= 10
+#: the m-th correction is at most about 2 (k+2m-1)! / ((k-1)! (2 pi y)^(2m))
+#: of the tail ((2m-1)! / (2 pi y)^(2m) for k = 0), and the tail is at most
+#: about 1 / (k 10^k) of the total, so 12 reach below u for every k.
+_EM_COEFFS = (
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+)
+#: The resummed series is summed directly up to x + j = _EM_HEAD and by its
+#: Euler-Maclaurin tail from there on.
+_EM_HEAD = 10.0
+
+
 def _digamma_series(x: float, lr: float, k: int, ctrl: SeriesControl) -> float:
     """sum_{n>=1} n^k r^(nx) / (1 - r^n) with log r = lr < 0.
 
     The series is the double sum sum_{n>=1} sum_{j>=0} n^k r^(n(x+j)), summed
     over whichever index decays faster.  For x >= 1 the loop runs over n (ratio
     r^x <= r) until a term falls below rel_term_tol times the partial sum.  For
-    x < 1 it runs over j instead, sum_{j>=0} Li_{-k}(r^(x+j)) with Li_{-k} in
-    closed form: each term is at most r times the one before, so the loop
-    stops once the geometric tail bound term * r / (1-r) falls below
-    rel_term_tol times the partial sum, after about 37 / |lr| terms whatever x.
+    x < 1 it runs over j instead, S = sum_{j>=0} g(x+j) with
+    g(t) = Li_{-k}(e^(lr t)) in closed form, whose terms fall by the factor r.
+
+    Where that direct loop would be long (log(rel_term_tol) / lr above
+    2 * _EM_HEAD terms), the head g(x) + ... + g(x+J-1) is summed up to
+    y = x + J >= _EM_HEAD and the rest is its Euler-Maclaurin tail
+
+        int_y^inf g + g(y)/2 - sum_{m>=1} B_2m/(2m)! g^(2m-1)(y),
+
+    with int_y^inf g = -Li_{1-k}(e^(lr y)) / lr and
+    g^(p)(y) = lr^p Li_{-k-p}(e^(lr y)), all in closed form.  The corrections
+    stop once one falls below rel_term_tol (at least u) times the total, so
+    the cost is about 10 terms plus at most 12 corrections whatever q.
+    Otherwise the loop runs until the geometric tail bound term * r / (1-r)
+    falls below rel_term_tol times the partial sum, after about
+    log(rel_term_tol) / lr terms.  max_terms caps the terms plus the
+    corrections.
     """
-    acc = CompensatedSum()
     what = "q-digamma series" if k == 0 else "q-digamma derivative series"
     if x >= 1.0:
+        acc = CompensatedSum()
         for n in range(1, ctrl.max_terms + 1):
             term = float(n) ** k * math.exp(n * x * lr) / -math.expm1(n * lr)
             acc.add(term)
             if term <= ctrl.rel_term_tol * acc.value:
                 return acc.value
         raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
+    tol = ctrl.rel_term_tol
+    # the corrections need A_(k+2m-1), m <= 12, which a float holds up to
+    # order 170, and converge fastest for |lr| well below 2 pi
+    em = lr > -2.0 and 2.0 * _EM_HEAD * lr > math.log(tol) and k + 2 * len(_EM_COEFFS) <= 170
+    n_head = math.ceil(_EM_HEAD - x) if em else ctrl.max_terms
+    if n_head > ctrl.max_terms:
+        raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
     coeffs = _eulerian(k)
     tail = math.exp(lr) / -math.expm1(lr)  # r / (1 - r)
-    for j in range(ctrl.max_terms):
+    # CompensatedSum inlined: (s, c) is its Neumaier pair
+    s = c = 0.0
+    for j in range(n_head):
         t = (x + j) * lr
         z = math.exp(t)
         poly = 0.0
-        for c in coeffs:
-            poly = poly * z + c
+        for a in coeffs:
+            poly = poly * z + a
         den = (-math.expm1(t)) ** (k + 1)  # 0.0 only where the term overflows
         term = z * poly / den if den > 0.0 else math.inf
         if term == math.inf:
             raise OverflowError(f"{what} overflows at x = {x!r}")
-        acc.add(term)
-        if term * tail <= ctrl.rel_term_tol * acc.value:
-            return acc.value
+        s_new = s + term
+        if abs(s) >= abs(term):
+            c += (s - s_new) + term
+        else:
+            c += (term - s_new) + s
+        s = s_new
+        if not em and term * tail <= tol * (s + c):
+            return s + c
+    if not em:
+        raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
+    # the tail at y = x + n_head as integral + scale * (A_k(z)/2 - sum_m b_m
+    # rho^(2m-1) A_(k+2m-1)(z)), with g^(p)(y) = scale rho^p A_(k+p)(z)
+    t = (x + n_head) * lr
+    z = math.exp(t)
+    omz = -math.expm1(t)  # 1 - z
+    rho = lr / omz
+    scale = z / omz ** (k + 1)
+    if k == 0:
+        integral = math.log(omz) / lr
+    else:
+        integral = -scale * _eulerian_at(k - 1, z) / rho
+    bracket = 0.5 * _eulerian_at(k, z)
+    # a correction below this (in units of scale) no longer moves the total;
+    # one below u times the total cannot move the float result either
+    bound = max(tol, _UNIT_ROUNDOFF) * (s + c + integral + scale * bracket) / scale
+    rho2 = rho * rho
+    rho_m = rho  # rho^(2m-1)
+    for m, b in enumerate(_EM_COEFFS[: ctrl.max_terms - n_head]):
+        corr = b * rho_m * _eulerian_at(k + 2 * m + 1, z)
+        bracket -= corr
+        if abs(corr) <= bound:
+            return math.fsum((s, c, integral, scale * bracket))
+        rho_m *= rho2
     raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
 
 
@@ -262,8 +343,10 @@ def q_psi(x: float, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
     0 < q < 1:  -log(1-q) + log(q) sum_{n>=1} q^(nx) / (1 - q^n).
     q > 1:      -log(q-1) + log(q) (x - 1/2 - sum_{n>=1} q^(-nx)/(1 - q^(-n))).
 
-    For x < 1 the series is resummed over the shifts x + j (see
-    _digamma_series), so it needs about 37 / |log q| terms for any x > 0.
+    For x < 1 the series is resummed over the shifts x + j and, where
+    that would be long, cut at x + j ~ 10 with an Euler-Maclaurin tail (see
+    _digamma_series): about 10 terms plus at most 12 corrections, bounded
+    in q.  For x >= 1 it takes about 37 / (x |log q|) terms.
     """
     if not x > 0.0:
         raise DomainError(f"q-digamma needs x > 0, got {x!r}")
@@ -284,7 +367,9 @@ def q_psi_k(x: float, q: QParam, k: int, ctrl: SeriesControl = DEFAULT_CTRL) -> 
                 the constant log(q) surviving from the linear term when k = 1.
 
     For x < 1 the series is summed as sum_{j>=0} Li_{-k}(q^(x+j)) (or with
-    base 1/q), about 37 / |log q| terms for any x > 0.
+    base 1/q), its terms up to x + j ~ 10 and an Euler-Maclaurin tail for
+    the rest: about 10 terms plus at most 12 corrections, bounded in q.
+    For x >= 1 it takes about 37 / (x |log q|) terms.
     """
     if not x > 0.0:
         raise DomainError(f"q-digamma derivatives need x > 0, got {x!r}")

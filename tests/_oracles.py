@@ -139,6 +139,43 @@ def mp_entire_exp(x: float, p: float) -> tuple[float, float, float]:
         return float(value), float(abs_value), float(c)
 
 
+def mp_finite_exp(x: float, p: float) -> tuple[float, float, float]:
+    """e_p(x) = 1 / prod_{j>=0} (1 - (1-p) p^j x) for 0 < p < 1 and x < 0,
+    inside the radius 1/(1-p), at 50 digits, as (value, e_p(|x|), c).
+
+    e_p(|x|) is the sum of the |terms| of the power series at x.  With
+    v_j = (1-p) p^j |x|, c = sum_j (j+2) v_j + |log e_p(x)| bounds the
+    relative error the reciprocal product picks up from its factors when
+    v_j is formed by j roundings from a rounded v_0, plus that of
+    exponentiating its log.  The factors above 1/100 are taken one by one,
+    the rest as log prod_j (1 + w p^j) = -sum_{m>=1} (-w)^m / (m (1 - p^m))
+    (and with w for 1 - w p^j); the split point differs from the library's
+    (1/2) on purpose.
+    """
+    with mp.workdps(50):
+        pp = mp.mpf(p)
+        v = (1 - pp) * abs(mp.mpf(x))
+        assert v < 1
+        log_value = log_abs = c = mp.mpf(0)
+        j = 0
+        while v > mp.mpf(1) / 100:
+            log_value -= mp.log1p(v)
+            log_abs -= mp.log1p(-v)
+            c += (j + 2) * v
+            v *= pp
+            j += 1
+        c += v * ((j + 2) / (1 - pp) + pp / (1 - pp) ** 2)  # sum_i (j+i+2) v p^i
+        m = 1
+        while True:
+            term = v**m / (m * (1 - pp**m))
+            log_value += (-1) ** m * term
+            log_abs += term
+            if term < mp.mpf("1e-60"):
+                break
+            m += 1
+        return float(mp.exp(log_value)), float(mp.exp(log_abs)), float(c - log_value)
+
+
 def mp_entire_exp_near_one(x: float, p: float) -> float:
     """E_p(x) for x < 0 and p close to 1, where the factor product is too
     long to multiply out, at 50 digits:

@@ -88,6 +88,15 @@ class TestEval:
         assert run_cli("eval", "no_such_fn") == 2
         assert "unknown function" in capsys.readouterr().err
 
+    def test_jackson_window_underflow_is_named(self, capsys):
+        # t = 0.05^300 underflows to 0.0; the error names the window, not log(0)
+        code = run_cli("eval", "q_gamma_jackson", "--q", "0.05", "--n-lo", "300",
+                       "--grid-count", "2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "n_lo = 300" in err and "underflows" in err
+        assert "math domain error" not in err
+
 
 class TestCertify:
     def test_reciprocal_qcm_exit_zero(self, tmp_path):

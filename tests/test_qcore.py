@@ -11,6 +11,7 @@ from _oracles import (
     UNIT_ROUNDOFF,
     mp_entire_exp,
     mp_entire_exp_near_one,
+    mp_finite_exp,
     mp_log_eq_one,
     outcome,
 )
@@ -39,6 +40,7 @@ from qmono.qcore import (
     _log_eq_base,
     _log_qpow_poch,
     _log_qq_inf,
+    _log_tail_divisors,
 )
 
 Q5 = QParam(0.5)
@@ -235,10 +237,15 @@ def _reference_q_exp(x, q, kind, ctrl):
 
 
 def _sums_series(x, qv, kind):
-    """False where q_exp returns the product of the entire q-exponential
-    (E_q for q < 1, e_q for q > 1) instead of summing its series."""
-    entire = (kind is ExpKind.BIG_E) == (qv < 1.0)
-    return not (entire and -math.inf < x < -_ALTERNATING_LIMIT)
+    """False where q_exp returns a factor product instead of summing its
+    series: the entire q-exponential (E_q for q < 1, e_q for q > 1) below
+    x = -20 log 2, and the kind with a finite radius at x < 0 wherever the
+    series' relative error bound u exp(2|x| / (1 - |x|/radius)) exceeds
+    2^20 u."""
+    if (kind is ExpKind.BIG_E) == (qv < 1.0):
+        return not -math.inf < x < -_ALTERNATING_LIMIT
+    radius = 1.0 / (1.0 - qv) if qv < 1.0 else qv / (qv - 1.0)
+    return not (-radius < x < 0.0 and -2.0 * x > _ALTERNATING_LIMIT * (1.0 + x / radius))
 
 
 class TestQExpReference:
@@ -273,6 +280,7 @@ class TestQExpReference:
     def test_large_q_matches_reference(self, qv, kind, x):
         # n log q passes the expm1 overflow point (~709) by n ~ 45 here, so
         # q_exp must not form divisors its series never reaches
+        assume(_sums_series(x, qv, kind))
         q = QParam(qv)
         assert outcome(q_exp, x, q, kind, DEFAULT_CTRL) == outcome(
             _reference_q_exp, x, q, kind, DEFAULT_CTRL
@@ -349,11 +357,52 @@ class TestQExpOracle:
         assert got == pytest.approx(5.0484082037937963e-8, rel=1e-12)
 
 
+class TestFiniteExpOracle:
+    """The q-exponential with a finite radius, e_p(x), p = q < 1 (e_q) or
+    p = 1/q < 1 (E_q), against 50-digit mpmath over x in (-radius, 0).
+
+    Its series alternates there with a relative rounding error of about u
+    e_p(|x|) / e_p(x), which grows without bound as x -> -radius; where
+    that could pass 2^20 u, q_exp takes the reciprocal product, a few u
+    times the factor conditioning c of _oracles.mp_finite_exp.  The summed
+    series returned 4.74e-5 for e_0.95(-19) (true 1.534e-7) and was off by
+    5e-7 relative at E_1.1(-10.5)."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        pv=st.one_of(st.floats(0.05, 0.99), st.floats(0.99, 0.999)),
+        frac=st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.9, 0.999999)),
+        kind=st.sampled_from(list(ExpKind)),
+    )
+    @example(pv=0.95, frac=19.0 * 0.05, kind=ExpKind.SMALL_E)
+    @example(pv=1.0 / 1.1, frac=10.5 / 11.0, kind=ExpKind.BIG_E)
+    @example(pv=0.5, frac=0.999999, kind=ExpKind.SMALL_E)
+    @example(pv=0.999, frac=0.5, kind=ExpKind.BIG_E)
+    def test_matches_mpmath(self, pv, frac, kind):
+        q = QParam(pv if kind is ExpKind.SMALL_E else 1.0 / pv)
+        p = q.q if kind is ExpKind.SMALL_E else 1.0 / q.q  # the float base of the product
+        radius = 1.0 / (1.0 - q.q) if q.q < 1.0 else q.q / (q.q - 1.0)
+        x = -frac * radius
+        assume(-radius < x)
+        want, abs_sum, cond = mp_finite_exp(x, p)
+        got = q_exp(x, q, kind)
+        if _sums_series(x, q.q, kind):
+            assert abs(got - want) <= 8.0 * UNIT_ROUNDOFF * abs_sum
+            assert abs_sum <= 2.0**20 * want
+        else:  # plus the spacing of subnormals, where e_p(x) underflows
+            assert abs(got - want) <= 8.0 * UNIT_ROUNDOFF * (1.0 + cond) * want + 2.0 * math.ulp(0.0)
+
+    def test_too_many_factors_is_a_convergence_error(self):
+        # v_0 = 0.9 at p = 1 - 1e-6: ~5.9e5 factors exceed 1/2, past the cap
+        with pytest.raises(ConvergenceError, match="more than 10000 factors"):
+            q_exp(-9e5, QParam(1.0 - 1e-6), ExpKind.SMALL_E)
+
+
 class TestPerQCaches:
     """Every per-q cache is an lru_cache of 128 entries, so nothing grows
     with the number of distinct q a process sees."""
 
-    CACHES = (_log_eq_base, _log_qq_inf)
+    CACHES = (_log_eq_base, _log_qq_inf, _log_tail_divisors)
 
     def test_caches_stay_at_their_size(self):
         for qv in (0.05 + 0.9 * i / 1000 for i in range(1000)):
@@ -371,6 +420,9 @@ class TestPerQCaches:
         assert _log_qq_inf(0.37) == _log_qpow_poch(1.0, math.log(0.37))
         assert _log_qq_inf(1.0 / 0.37) == _log_qpow_poch(1.0, -math.log(1.0 / 0.37))
         assert _log_eq_base(0.37).hex() == math.log(q_exp(1.0, q, ExpKind.BIG_E)).hex()
+        for lp in (math.log(0.37), -math.log(1.0 / 0.37), math.log(1.0 - 1e-9), -700.0):
+            fresh = [m * math.expm1(m * lp) for m in map(float, range(1, 61))]
+            assert [d.hex() for d in _log_tail_divisors(lp)] == [d.hex() for d in fresh]
 
 
 class TestEqPowerLogQ:

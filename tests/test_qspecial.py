@@ -432,6 +432,59 @@ class TestSeriesOracle:
         if q.is_sub_one:
             assert math.isfinite(h_aux(x, q))
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        x=st.one_of(st.floats(1e-8, 1.0, exclude_max=True), _LOG_X.filter(lambda x: x < 1.0)),
+        qv=st.one_of(
+            st.floats(0.05, 0.999999), st.floats(0.99, 0.999999),
+            st.floats(1.000001, 1.01), st.floats(1.000001, 20.0),
+        ),
+        k=st.integers(0, 6),
+    )
+    @example(x=1e-8, qv=0.999999, k=6)
+    @example(x=0.999, qv=0.999999, k=0)
+    @example(x=1e-8, qv=1.000001, k=6)
+    @example(x=0.5, qv=0.05, k=6)
+    @example(x=0.5, qv=20.0, k=0)
+    def test_no_convergence_error_below_one_for_any_q(self, x, qv, k):
+        # for x < 1 the Euler-Maclaurin tail bounds the cost whatever q
+        q = QParam(qv)
+        value = q_psi(x, q, DEFAULT_CTRL) if k == 0 else q_psi_k(x, q, k, DEFAULT_CTRL)
+        assert math.isfinite(value)
+
+    def test_cost_is_bounded_near_one(self):
+        # the direct loop needs ~37 / |log q| = 3.7e6 terms here
+        q_psi_k(1e-3, QParam(0.99999), 1)  # fills the Eulerian cache
+        start = time.perf_counter()
+        value = q_psi_k(1e-3, QParam(0.99999), 1)
+        assert time.perf_counter() - start < 5e-3
+        assert math.isfinite(value)
+
+    @pytest.mark.parametrize("qv", [0.99, 0.999, 1.001, 1.01])
+    def test_recurrence_across_the_branches(self, qv):
+        # psi_q(x+1) - psi_q(x) = -log(q) q^x / (1 - q^x); x < 1 takes the
+        # Euler-Maclaurin path, x + 1 >= 1 the loop over n
+        q = QParam(qv)
+        lq = math.log(qv)
+        for x in (1e-6, 0.01, 0.25, 0.5, 0.999):
+            lhs = q_psi(x + 1.0, q, DEEP) - q_psi(x, q, DEEP)
+            rhs = -lq * math.exp(x * lq) / -math.expm1(x * lq)
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        x=st.one_of(st.floats(1e-8, 1.0, exclude_max=True), _LOG_X.filter(lambda x: x < 1.0)),
+        qv=st.floats(0.95, 0.995),
+        k=st.integers(0, 6),
+    )
+    @example(x=0.999, qv=0.995, k=0)
+    @example(x=1e-8, qv=0.95, k=6)
+    def test_euler_maclaurin_path_matches_mpmath(self, x, qv, k):
+        q = QParam(qv)
+        got = q_psi(x, q) if k == 0 else q_psi_k(x, q, k)
+        want, magnitude = mp_q_psi(x, q, k)
+        assert abs(got - want) <= series_tolerance(x, q, magnitude)
+
     def test_resummed_series_honours_the_cap(self):
         with pytest.raises(ConvergenceError, match="within 5 terms"):
             q_psi_k(0.5, Q9, 2, SeriesControl(max_terms=5))
