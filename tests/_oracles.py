@@ -141,9 +141,13 @@ def mp_entire_exp(x: float, p: float) -> tuple[float, float, float]:
 
 def mp_finite_exp(x: float, p: float) -> tuple[float, float, float]:
     """e_p(x) = 1 / prod_{j>=0} (1 - (1-p) p^j x) for 0 < p < 1 and x < 0,
-    inside the radius 1/(1-p), at 50 digits, as (value, e_p(|x|), c).
+    at 50 digits, as (value, e_p(|x|), c).
 
-    e_p(|x|) is the sum of the |terms| of the power series at x.  With
+    e_p(|x|) is the sum of the |terms| of the power series at x, inf at or
+    past the radius 1/(1-p), where the series diverges but the product does
+    not.  A float x inside the library's rounded radius of q can lie there
+    when the base p = 1/q is itself rounded (q = 128/127: p = 127/128, radius
+    128, but fl(q/(q-1)) = 128.00000000000023).  With
     v_j = (1-p) p^j |x|, c = sum_j (j+2) v_j + |log e_p(x)| bounds the
     relative error the reciprocal product picks up from its factors when
     v_j is formed by j roundings from a rounded v_0, plus that of
@@ -155,12 +159,13 @@ def mp_finite_exp(x: float, p: float) -> tuple[float, float, float]:
     with mp.workdps(50):
         pp = mp.mpf(p)
         v = (1 - pp) * abs(mp.mpf(x))
-        assert v < 1
+        inside = v < 1
         log_value = log_abs = c = mp.mpf(0)
         j = 0
         while v > mp.mpf(1) / 100:
             log_value -= mp.log1p(v)
-            log_abs -= mp.log1p(-v)
+            if inside:
+                log_abs -= mp.log1p(-v)
             c += (j + 2) * v
             v *= pp
             j += 1
@@ -173,7 +178,8 @@ def mp_finite_exp(x: float, p: float) -> tuple[float, float, float]:
             if term < mp.mpf("1e-60"):
                 break
             m += 1
-        return float(mp.exp(log_value)), float(mp.exp(log_abs)), float(c - log_value)
+        abs_value = float(mp.exp(log_abs)) if inside else math.inf
+        return float(mp.exp(log_value)), abs_value, float(c - log_value)
 
 
 def mp_entire_exp_near_one(x: float, p: float) -> float:

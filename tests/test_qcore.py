@@ -378,6 +378,7 @@ class TestFiniteExpOracle:
     @example(pv=1.0 / 1.1, frac=10.5 / 11.0, kind=ExpKind.BIG_E)
     @example(pv=0.5, frac=0.999999, kind=ExpKind.SMALL_E)
     @example(pv=0.999, frac=0.5, kind=ExpKind.BIG_E)
+    @example(pv=0.9921875, frac=0.9999999999999998, kind=ExpKind.BIG_E)  # past 1/(1-p)
     def test_matches_mpmath(self, pv, frac, kind):
         q = QParam(pv if kind is ExpKind.SMALL_E else 1.0 / pv)
         p = q.q if kind is ExpKind.SMALL_E else 1.0 / q.q  # the float base of the product
