@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .qcore import (
     DEFAULT_CTRL,
-    CompensatedSum,
     ConvergenceError,
     DomainError,
     EvaluationError,
@@ -94,9 +93,9 @@ __all__ = [
     "__version__",
     # qcore
     "DomainError", "ConvergenceError", "EvaluationError", "InputError",
-    "Regime", "QParam", "SeriesControl", "DEFAULT_CTRL", "CompensatedSum",
-    "ExpKind", "q_number", "q_pochhammer", "q_factorial", "q_binomial",
-    "q_exp", "eq_power", "log_q", "qpoch_inf",
+    "Regime", "QParam", "SeriesControl", "DEFAULT_CTRL", "ExpKind",
+    "q_number", "q_pochhammer", "q_factorial", "q_binomial", "q_exp",
+    "eq_power", "log_q", "qpoch_inf",
     # qdiff
     "RealFunction", "MAX_TABLE_ORDER", "QDiffTable", "q_derive", "q_derive_n",
     "q_bell", "q_faa_di_bruno", "q_faa_di_bruno_gap",

@@ -72,23 +72,17 @@ class Verdict(Enum):
     VIOLATED = "Violated"
 
 
-def _log_spaced(lo: float, hi: float, count: int) -> tuple[float, ...]:
+def _spaced(lo: float, hi: float, count: int, log: bool) -> tuple[float, ...]:
+    """count points from lo to hi, evenly spaced in log x (log=True) or in x,
+    with the ends pinned to lo and hi."""
     if count < 1:
         raise DomainError(f"grid needs at least one point, got count={count}")
     if count < 2:
         return (lo,)
-    llo, lhi = math.log(lo), math.log(hi)
-    pts = [math.exp(llo + i * (lhi - llo) / (count - 1)) for i in range(count)]
-    pts[0], pts[-1] = lo, hi
-    return tuple(pts)
-
-
-def _linear(lo: float, hi: float, count: int) -> tuple[float, ...]:
-    if count < 1:
-        raise DomainError(f"grid needs at least one point, got count={count}")
-    if count < 2:
-        return (lo,)
-    pts = [lo + i * (hi - lo) / (count - 1) for i in range(count)]
+    a, b = (math.log(lo), math.log(hi)) if log else (lo, hi)
+    pts = [a + i * (b - a) / (count - 1) for i in range(count)]
+    if log:
+        pts = [math.exp(p) for p in pts]
     pts[0], pts[-1] = lo, hi
     return tuple(pts)
 
@@ -99,7 +93,7 @@ def _increasing(pts: tuple[float, ...]) -> tuple[float, ...]:
     return pts
 
 
-_DEFAULT_POINTS = _log_spaced(0.1, 5.0, 64)
+_DEFAULT_POINTS = _spaced(0.1, 5.0, 64, log=True)
 
 
 @dataclass(frozen=True)
@@ -123,11 +117,11 @@ class Grid:
 
     @classmethod
     def log_spaced(cls, lo: float, hi: float, count: int) -> "Grid":
-        return cls(_log_spaced(lo, hi, count))
+        return cls(_spaced(lo, hi, count, log=True))
 
     @classmethod
     def linear(cls, lo: float, hi: float, count: int) -> "Grid":
-        return cls(_linear(lo, hi, count))
+        return cls(_spaced(lo, hi, count, log=False))
 
 
 DEFAULT_GRID = Grid()
@@ -559,10 +553,10 @@ def _compose(g: RealFunction, f: RealFunction) -> RealFunction:
 #: 37/(x |log q|) terms for x >= 1, so the default binds only for x >= 1
 #: and q within about 0.4% of 1.  h_aux, f_abq and thm31_harness sum Li_2
 #: at arguments <= 1/2 and take no policy.
-HARNESS_CTRL = SeriesControl(rel_term_tol=1e-16, max_terms=400_000)
+HARNESS_CTRL = SeriesControl(max_terms=400_000)
 
 #: Witness sweep for the gamma-based composite: 200 log-spaced points on (0, 50].
-_WITNESS_POINTS = _log_spaced(1e-6, 50.0, 200)
+_WITNESS_POINTS = _spaced(1e-6, 50.0, 200, log=True)
 
 
 def thm31_harness(

@@ -40,7 +40,7 @@ from .cert import (
     Grid,
     Verdict,
     _increasing,
-    _linear,
+    _spaced,
     bernstein_iff_check,
     certify,
     closure_checks,
@@ -312,7 +312,7 @@ def _lambda_points(ns: argparse.Namespace) -> tuple[float, ...]:
     # transform grids may start at 0: keep the order check, not positivity
     if ns.grid_spacing == "log":
         return _grid(ns).points
-    return _increasing(_linear(ns.grid_min, ns.grid_max, ns.grid_count))
+    return _increasing(_spaced(ns.grid_min, ns.grid_max, ns.grid_count, log=False))
 
 
 def _provenance(ns: argparse.Namespace) -> dict:

@@ -14,6 +14,10 @@ and what a fresh computation would return:
   log Gamma_q (qspecial.log_q_gamma);
 - `_log_tail_divisors`: the divisors m (p^m - 1) of the log tail series.
 
+Every summed series is one math.fsum of its terms; a series that can run
+to SeriesControl.max_terms feeds it from a generator, so memory stays flat,
+and stops on a plain running sum (see REL_TERM_TOL).
+
 The base q = 1 is rejected at construction; classical q -> 1 behaviour is
 exercised only by tests with q close to 1, which keeps every formula
 single-cased.
@@ -36,7 +40,7 @@ __all__ = [
     "SeriesControl",
     "DEFAULT_CTRL",
     "PRODUCT_TAIL_TOL",
-    "CompensatedSum",
+    "REL_TERM_TOL",
     "ExpKind",
     "q_number",
     "q_pochhammer",
@@ -99,24 +103,26 @@ class QParam:
 @dataclass(frozen=True)
 class SeriesControl:
     """Truncation policy for the summed series (q_exp, the q-digamma family
-    and the polylogarithm).
+    and the polylogarithm): max_terms is a hard cap on the terms summed.
 
-    A series stops once |term| <= rel_term_tol * |partial sum|, with max_terms
-    a hard cap.  All the series in this package are eventually dominated by a
-    geometric ratio, so the relative stopping rule is sound.
+    A series stops once |term| <= REL_TERM_TOL * |partial sum|.  All the
+    series in this package are eventually dominated by a geometric ratio,
+    so the relative stopping rule is sound.
     """
 
-    rel_term_tol: float = 1e-16
     max_terms: int = 10_000
 
     def __post_init__(self) -> None:
-        if not self.rel_term_tol > 0.0:
-            raise DomainError("rel_term_tol must be positive")
         if self.max_terms < 1:
             raise DomainError("max_terms must be at least 1")
 
 
 DEFAULT_CTRL = SeriesControl()
+
+#: A series stops once a term is at most this times its plain running sum
+#: (u = 2^-53 is 1.11e-16).  An inf or nan running sum never stops a
+#: series, so an overflowing one raises rather than returning inf.
+REL_TERM_TOL = 1e-16
 
 #: qpoch_inf drops its factors 1 - a q^j once |a q^j| falls below this
 #: cut-off.
@@ -124,38 +130,6 @@ PRODUCT_TAIL_TOL = 1e-18
 
 _LN2 = math.log(2.0)
 _UNIT_ROUNDOFF = 2.0**-53
-
-
-class CompensatedSum:
-    """Neumaier-compensated accumulator.
-
-    The alternating E_q(-x) series cancels heavily; plain summation would
-    dominate the error budget long before the stopping rule fires.  Four
-    loops inline `add` and `value` for speed, and a change here must be
-    made there too: `q_exp`, `qspecial.polylog` and the x < 1 loop of
-    `qspecial._digamma_series` in the same operations and order, and
-    `_log_tail` in its |s| >= |term| branch (its terms fall, with one sign
-    or alternating).
-    """
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self) -> None:
-        self._s = 0.0
-        self._c = 0.0
-
-    def add(self, term: float) -> None:
-        s = self._s
-        t = s + term
-        if abs(s) >= abs(term):
-            self._c += (s - t) + term
-        else:
-            self._c += (term - t) + s
-        self._s = t
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
 
 
 def q_number(x: float, q: QParam) -> float:
@@ -249,32 +223,29 @@ def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL
             raise OverflowError(f"q-exponential overflows a float at x = {x!r}") from exc
     if x < 0.0 and big != (qq < 1.0) and -2.0 * x > _ALTERNATING_LIMIT * (1.0 + x / radius):
         return _finite_exp_neg(-x, qq if qq < 1.0 else 1.0 / qq, ctrl)
-    # q_number(n, q) and CompensatedSum.add are inlined below, with the same
-    # float operations in the same order, so results stay bit-identical.
+    # q_number(n, q) is inlined below, with the same float operations in the
+    # same order
     lq = math.log(qq)
     omq = 1.0 - qq
-    tol = ctrl.rel_term_tol
     expm1 = math.expm1
-    s, c = 1.0, 0.0  # the Neumaier pair after adding the n = 0 term
-    term = 1.0
-    qpow = 1.0  # q^(n-1) for the E_q weight
-    for n in range(1, ctrl.max_terms + 1):
-        term *= x / (-expm1(n * lq) / omq)
-        if big:
-            term *= qpow
-            qpow *= qq
-        t = s + term
-        if abs(s) >= abs(term):
-            c += (s - t) + term
-        else:
-            c += (term - t) + s
-        s = t
-        total = s + c
-        if abs(term) <= tol * abs(total):
-            return total
-    raise ConvergenceError(
-        f"q-exponential series did not settle within {ctrl.max_terms} terms"
-    )
+
+    def terms():
+        yield 1.0
+        s = term = qpow = 1.0  # qpow is q^(n-1), the E_q weight
+        for n in range(1, ctrl.max_terms + 1):
+            term *= x / (-expm1(n * lq) / omq)
+            if big:
+                term *= qpow
+                qpow *= qq
+            yield term
+            s += term
+            if abs(term) <= REL_TERM_TOL * abs(s) < math.inf:
+                return
+        raise ConvergenceError(
+            f"q-exponential series did not settle within {ctrl.max_terms} terms"
+        )
+
+    return math.fsum(terms())
 
 
 #: Length of the divisor table of `_log_tail`: |w| <= 1/2 stops within 55
@@ -300,21 +271,20 @@ def _log_tail(w: float, lp: float) -> float:
     series after a term is at most |term| |w| / (1 - |w|); the loop stops
     once that bound falls below the unit roundoff times the partial sum,
     within 55 terms at |w| = 1/2, and takes its divisors from the per-p
-    table `_log_tail_divisors`.  The terms fall and either have one sign or
-    alternate, so every partial sum outweighs the next term and the Neumaier
-    step of `CompensatedSum.add` is inlined in its |s| >= |term| branch.
+    table `_log_tail_divisors`.  The terms are added by math.fsum.
     """
-    ratio = abs(w) / (1.0 - abs(w))
-    tol = _UNIT_ROUNDOFF
-    s = c = 0.0
+    # ratio / u: dividing by u = 2^-53 is exact, so the test below is
+    # |term| ratio <= u |s| with one multiplication fewer per term
+    scaled_ratio = abs(w) / (1.0 - abs(w)) / _UNIT_ROUNDOFF
+    terms = []
+    s = 0.0
     wm = w
     for div in _log_tail_divisors(lp):
         term = wm / div  # -w^m / (m (1 - p^m))
-        t = s + term
-        c += (s - t) + term
-        s = t
-        if abs(term) * ratio <= tol * abs(s):
-            return s + c
+        terms.append(term)
+        s += term
+        if abs(term) * scaled_ratio <= abs(s):
+            return math.fsum(terms)
         wm *= w
     raise ConvergenceError(f"log tail series needs |w| <= 1/2, got w = {w!r}")
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .qcore import CompensatedSum, DomainError, EvaluationError, QParam, q_number
+from .qcore import DomainError, EvaluationError, QParam, q_number
 
 __all__ = [
     "RealFunction",
@@ -176,7 +176,7 @@ def q_bell(n: int, k: int, q: QParam, xs: Sequence[float]) -> float:
             f"q-Bell needs at least {n - k + 1} arguments, got {len(xs)}"
         )
     qnum, qfact = _qnum_qfact(n, q)
-    total = CompensatedSum()
+    terms = []
     for comp in _compositions(n, k):
         denom = 1.0
         prefix = 0
@@ -188,8 +188,8 @@ def q_bell(n: int, k: int, q: QParam, xs: Sequence[float]) -> float:
         term = qfact[n] / denom
         for b in comp:
             term *= xs[b - 1]
-        total.add(term)
-    return total.value
+        terms.append(term)
+    return math.fsum(terms)
 
 
 def q_faa_di_bruno(
@@ -224,10 +224,10 @@ def q_faa_di_bruno(
             cache[key] = q_derive_n(h, (q.q**shift) * x, q, order)
         return cache[key]
 
-    total = CompensatedSum()
+    terms = []
     for k in range(1, n + 1):
         gval = gk(k)(hx)
-        inner = CompensatedSum()
+        inner = []
         for comp in _compositions(n, k):
             num = qfact[n]
             denom = 1.0
@@ -238,9 +238,9 @@ def q_faa_di_bruno(
                 denom *= qnum[prefix]
             for b in comp:
                 denom *= qfact[b - 1]
-            inner.add(num / denom)
-        total.add(gval * inner.value)
-    return total.value
+            inner.append(num / denom)
+        terms.append(gval * math.fsum(inner))
+    return math.fsum(terms)
 
 
 def q_faa_di_bruno_gap(

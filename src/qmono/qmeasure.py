@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .qcore import (
-    CompensatedSum,
     DomainError,
     EvaluationError,
     ExpKind,
@@ -105,10 +104,7 @@ class DiscreteMeasure:
 
     @property
     def mass(self) -> float:
-        acc = CompensatedSum()
-        for w in self.weights:
-            acc.add(w)
-        return acc.value
+        return math.fsum(self.weights)
 
     @property
     def is_probability(self) -> bool:
@@ -141,29 +137,34 @@ def jackson_integral_info(
     """Bilateral Jackson sum (1-q) sum_{n=-n_hi}^{n_lo} q^n f(q^n).
 
     n_lo controls the small-t end (t = q^n_lo) and n_hi the large-t end
-    (t = q^-n_hi); terms are accumulated in ascending t.  Non-finite values
-    of f abort the sum.
+    (t = q^-n_hi), which must be a float: a DomainError names a window
+    whose large end overflows.  Non-finite values of f, or of a term, abort
+    the sum; the terms are added by math.fsum.
     """
     if not q.is_sub_one:
         raise DomainError("Jackson sums need 0 < q < 1")
     if n_lo < -n_hi:
         raise DomainError(f"empty Jackson window: n_lo={n_lo}, n_hi={n_hi}")
     qq = q.q
+    try:
+        qq**-n_hi
+    except OverflowError:
+        raise DomainError(
+            f"the Jackson window n in [-n_hi, n_lo] = [{-n_hi}, {n_lo}] reaches "
+            f"t = q^-n_hi, which overflows a float at n_hi = {n_hi} (q = {qq}); lower n_hi"
+        ) from None
     one_minus = 1.0 - qq
-    acc = CompensatedSum()
-    small_end = large_end = 0.0
+    terms = []
     for n in range(n_lo, -n_hi - 1, -1):
         t = qq**n
         ft = f(t)
         if not (isinstance(ft, (int, float)) and math.isfinite(ft)):
             raise EvaluationError(f"integrand not finite at t = q^{n} = {t!r}: got {ft!r}")
         term = one_minus * t * ft
-        acc.add(term)
-        if n == n_lo:
-            small_end = abs(term)
-        if n == -n_hi:
-            large_end = abs(term)
-    return JacksonIntegralResult(acc.value, small_end, large_end)
+        if not math.isfinite(term):
+            raise EvaluationError(f"Jackson sum term (1-q) t f(t) overflows at t = q^{n} = {t!r}")
+        terms.append(term)
+    return JacksonIntegralResult(math.fsum(terms), abs(terms[0]), abs(terms[-1]))
 
 
 def jackson_integral(f: Callable[[float], float], q: QParam, n_lo: int, n_hi: int) -> float:
@@ -191,10 +192,7 @@ def q_laplace(
     """
     if lam < 0.0:
         raise DomainError(f"transform parameter must be nonnegative, got {lam}")
-    acc = CompensatedSum()
-    for t, w in mu.pairs():
-        acc.add(w * _kernel_value(lam, t, q, kernel))
-    return acc.value
+    return math.fsum(w * _kernel_value(lam, t, q, kernel) for t, w in mu.pairs())
 
 
 def q_convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:

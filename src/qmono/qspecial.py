@@ -4,7 +4,9 @@ gamma-based composite functions whose sign patterns the certifier checks.
 
 Products and ratios of q-gammas, and the [x]-power in the composite, are
 assembled in log space and exponentiated once: [x]^(x+beta-alpha) overflows
-quickly while the logs stay small and the ratios cancel.
+quickly while the logs stay small and the ratios cancel.  Every series and
+every sum of logs is one math.fsum of its terms, stopped by the rule of
+qcore.REL_TERM_TOL.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 from .qcore import (
     DEFAULT_CTRL,
-    CompensatedSum,
+    REL_TERM_TOL,
     ConvergenceError,
     DomainError,
     EvaluationError,
@@ -252,11 +254,11 @@ def _digamma_series(x: float, lr: float, k: int, ctrl: SeriesControl) -> float:
 
     The series is the double sum sum_{n>=1} sum_{j>=0} n^k r^(n(x+j)), summed
     over whichever index decays faster.  For x >= 1 the loop runs over n (ratio
-    r^x <= r) until a term falls below rel_term_tol times the partial sum.  For
+    r^x <= r) until a term falls below REL_TERM_TOL times the partial sum.  For
     x < 1 it runs over j instead, S = sum_{j>=0} g(x+j) with
     g(t) = Li_{-k}(e^(lr t)) in closed form, whose terms fall by the factor r.
 
-    Where that direct loop would be long (log(rel_term_tol) / lr above
+    Where that direct loop would be long (log(REL_TERM_TOL) / lr above
     2 * _EM_HEAD terms), the head g(x) + ... + g(x+J-1) is summed up to
     y = x + J >= _EM_HEAD and the rest is its Euler-Maclaurin tail
 
@@ -264,53 +266,58 @@ def _digamma_series(x: float, lr: float, k: int, ctrl: SeriesControl) -> float:
 
     with int_y^inf g = -Li_{1-k}(e^(lr y)) / lr and
     g^(p)(y) = lr^p Li_{-k-p}(e^(lr y)), all in closed form.  The corrections
-    stop once one falls below rel_term_tol (at least u) times the total, so
-    the cost is about 10 terms plus at most 12 corrections whatever q.
-    Otherwise the loop runs until the geometric tail bound term * r / (1-r)
-    falls below rel_term_tol times the partial sum, after about
-    log(rel_term_tol) / lr terms.  max_terms caps the terms plus the
-    corrections.
+    stop once one falls below u times the total, so the cost is about 10
+    terms plus at most 12 corrections whatever q.  Otherwise the loop runs
+    until the geometric tail bound term * r / (1-r) falls below REL_TERM_TOL
+    times the partial sum, after about log(REL_TERM_TOL) / lr terms.
+    max_terms caps the terms plus the corrections.  Every sum is one
+    math.fsum of its terms.
     """
     what = "q-digamma series" if k == 0 else "q-digamma derivative series"
     if x >= 1.0:
-        acc = CompensatedSum()
-        for n in range(1, ctrl.max_terms + 1):
-            term = float(n) ** k * math.exp(n * x * lr) / -math.expm1(n * lr)
-            acc.add(term)
-            if term <= ctrl.rel_term_tol * acc.value:
-                return acc.value
-        raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
-    tol = ctrl.rel_term_tol
+
+        def lambert_terms():
+            s = 0.0
+            for n in range(1, ctrl.max_terms + 1):
+                term = float(n) ** k * math.exp(n * x * lr) / -math.expm1(n * lr)
+                yield term
+                s += term
+                if term <= REL_TERM_TOL * s < math.inf:
+                    return
+            raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
+
+        return math.fsum(lambert_terms())
     # the corrections need A_(k+2m-1), m <= 12, which a float holds up to
     # order 170, and converge fastest for |lr| well below 2 pi
-    em = lr > -2.0 and 2.0 * _EM_HEAD * lr > math.log(tol) and k + 2 * len(_EM_COEFFS) <= 170
+    em = lr > -2.0 and 2.0 * _EM_HEAD * lr > math.log(REL_TERM_TOL) and k + 2 * len(_EM_COEFFS) <= 170
     n_head = math.ceil(_EM_HEAD - x) if em else ctrl.max_terms
     if n_head > ctrl.max_terms:
         raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
     coeffs = _eulerian(k)
     tail = math.exp(lr) / -math.expm1(lr)  # r / (1 - r)
-    # CompensatedSum inlined: (s, c) is its Neumaier pair
-    s = c = 0.0
-    for j in range(n_head):
-        t = (x + j) * lr
-        z = math.exp(t)
-        poly = 0.0
-        for a in coeffs:
-            poly = poly * z + a
-        den = (-math.expm1(t)) ** (k + 1)  # 0.0 only where the term overflows
-        term = z * poly / den if den > 0.0 else math.inf
-        if term == math.inf:
-            raise OverflowError(f"{what} overflows at x = {x!r}")
-        s_new = s + term
-        if abs(s) >= abs(term):
-            c += (s - s_new) + term
-        else:
-            c += (term - s_new) + s
-        s = s_new
-        if not em and term * tail <= tol * (s + c):
-            return s + c
+
+    def shift_terms():
+        s = 0.0
+        for j in range(n_head):
+            t = (x + j) * lr
+            z = math.exp(t)
+            poly = 0.0
+            for a in coeffs:
+                poly = poly * z + a
+            den = (-math.expm1(t)) ** (k + 1)  # 0.0 only where the term overflows
+            term = z * poly / den if den > 0.0 else math.inf
+            if term == math.inf:
+                raise OverflowError(f"{what} overflows at x = {x!r}")
+            yield term
+            s += term
+            if not em and term * tail <= REL_TERM_TOL * s < math.inf:
+                return
+        if not em:
+            raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
+
     if not em:
-        raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
+        return math.fsum(shift_terms())
+    head = list(shift_terms())  # at most _EM_HEAD terms
     # the tail at y = x + n_head as integral + scale * (A_k(z)/2 - sum_m b_m
     # rho^(2m-1) A_(k+2m-1)(z)), with g^(p)(y) = scale rho^p A_(k+p)(z)
     t = (x + n_head) * lr
@@ -323,16 +330,16 @@ def _digamma_series(x: float, lr: float, k: int, ctrl: SeriesControl) -> float:
     else:
         integral = -scale * _eulerian_at(k - 1, z) / rho
     bracket = 0.5 * _eulerian_at(k, z)
-    # a correction below this (in units of scale) no longer moves the total;
-    # one below u times the total cannot move the float result either
-    bound = max(tol, _UNIT_ROUNDOFF) * (s + c + integral + scale * bracket) / scale
+    # a correction below this (in units of scale) no longer moves the total
+    # by u of it, so it cannot move the float result either
+    bound = _UNIT_ROUNDOFF * (sum(head) + integral + scale * bracket) / scale
     rho2 = rho * rho
     rho_m = rho  # rho^(2m-1)
     for m, b in enumerate(_EM_COEFFS[: ctrl.max_terms - n_head]):
         corr = b * rho_m * _eulerian_at(k + 2 * m + 1, z)
         bracket -= corr
         if abs(corr) <= bound:
-            return math.fsum((s, c, integral, scale * bracket))
+            return math.fsum((*head, integral, scale * bracket))
         rho_m *= rho2
     raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
 
@@ -394,23 +401,22 @@ def polylog(s: float, z: float, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
         raise DomainError(f"polylogarithm series needs |z| < 1, got z={z!r}")
     if z == 0.0:
         return 0.0
-    # CompensatedSum inlined: (acc, c) is its Neumaier pair
-    tol = ctrl.rel_term_tol
-    acc = c = 0.0
-    zk = 1.0
-    for k in range(1, ctrl.max_terms + 1):
-        zk *= z
-        term = zk / float(k) ** s
-        t = acc + term
-        if abs(acc) >= abs(term):
-            c += (acc - t) + term
-        else:
-            c += (term - t) + acc
-        acc = t
-        total = acc + c
-        if abs(term) <= tol * abs(total):
-            return total
-    raise ConvergenceError(f"polylogarithm series did not settle within {ctrl.max_terms} terms")
+
+    def terms():
+        acc = 0.0
+        zk = 1.0
+        for k in range(1, ctrl.max_terms + 1):
+            zk *= z
+            term = zk / float(k) ** s
+            yield term
+            acc += term
+            if abs(term) <= REL_TERM_TOL * abs(acc) < math.inf:
+                return
+        raise ConvergenceError(
+            f"polylogarithm series did not settle within {ctrl.max_terms} terms"
+        )
+
+    return math.fsum(terms())
 
 
 def h_aux(x: float, q: QParam) -> float:
@@ -489,8 +495,5 @@ def g_ratio(x: float, rp: RatioParams, q: QParam) -> float:
         raise DomainError(f"gamma-ratio product needs x > 0, got {x!r}")
     if not q.is_sub_one:
         raise DomainError("the gamma-ratio product is defined for 0 < q < 1")
-    acc = CompensatedSum()
-    for ai, bi in zip(rp.a, rp.b):
-        acc.add(log_q_gamma(x + ai, q))
-        acc.add(-log_q_gamma(x + bi, q))
-    return math.exp(acc.value)
+    logs = [log_q_gamma(x + a, q) for a in rp.a] + [-log_q_gamma(x + b, q) for b in rp.b]
+    return math.exp(math.fsum(logs))

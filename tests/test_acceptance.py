@@ -45,7 +45,7 @@ from qmono import (
 )
 
 Q5 = QParam(0.5)
-DEEP = SeriesControl(rel_term_tol=1e-16, max_terms=400_000)
+DEEP = SeriesControl(max_terms=400_000)
 
 
 @contextmanager

@@ -507,7 +507,7 @@ class TestThm32Harness:
 
 class TestPsiPrimeCertification:
     def test_psi_prime_is_qcm_to_order_six(self):
-        ctrl = SeriesControl(rel_term_tol=1e-16, max_terms=400_000)
+        ctrl = SeriesControl(max_terms=400_000)
         f = lambda x: q_psi_k(x, Q5, 1, ctrl)
         rep = certify(f, Q5, CertSpec(QCM, max_order=6))
         assert rep.verdict is Verdict.CONSISTENT

@@ -97,6 +97,15 @@ class TestEval:
         assert "n_lo = 300" in err and "underflows" in err
         assert "math domain error" not in err
 
+    @pytest.mark.parametrize("window", [("--n-hi", "2000"), ("--n-lo", "-1500", "--n-hi", "1600")])
+    def test_jackson_window_overflow_is_named(self, capsys, window):
+        # t = 0.5^-n_hi overflows a float; the error names the window, not ERANGE
+        code = run_cli("eval", "q_gamma_jackson", "--q", "0.5", *window, "--grid-count", "2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"n_hi = {window[-1]}" in err and "overflows" in err
+        assert "Numerical result out of range" not in err
+
 
 class TestCertify:
     def test_reciprocal_qcm_exit_zero(self, tmp_path):

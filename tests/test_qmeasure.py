@@ -72,6 +72,18 @@ class TestJacksonIntegral:
         with pytest.raises(EvaluationError):
             jackson_integral(lambda t: math.inf, Q5, 5, 5)
 
+    def test_overflowing_term_rejected(self):
+        # f is finite but (1-q) t f(t) is not from t = 2^29 on: an error, not
+        # a non-finite sum
+        with pytest.raises(EvaluationError, match="overflows at t = q\\^-29 "):
+            jackson_integral(lambda t: 1e300, Q5, 0, 40)
+
+    @pytest.mark.parametrize("n_lo, n_hi", [(200, 2000), (-1500, 1600)])
+    def test_window_past_the_float_range_rejected(self, n_lo, n_hi):
+        # t = 2^n_hi overflows a float before f is ever called
+        with pytest.raises(DomainError, match=f"n_hi = {n_hi} "):
+            jackson_integral(lambda t: 1.0 / 0.0, Q5, n_lo, n_hi)
+
 
 class TestDiscreteMeasure:
     def test_sorting_and_merging(self):

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,6 @@ from _oracles import (
 )
 from qmono import (
     DEFAULT_CTRL,
-    CompensatedSum,
     ConvergenceError,
     DomainError,
     GammaParams,
@@ -40,10 +40,11 @@ from qmono import (
     q_psi,
     q_psi_k,
 )
+from qmono.qcore import REL_TERM_TOL
 
 Q5 = QParam(0.5)
 Q9 = QParam(0.9)
-DEEP = SeriesControl(rel_term_tol=1e-16, max_terms=400_000)
+DEEP = SeriesControl(max_terms=400_000)
 
 
 def fd5(f, x, h=1e-2):
@@ -223,64 +224,54 @@ class TestQPsiK:
             q_psi_k(x, QParam(qv), k, DEEP)
 
 
+def _reference_lambert(x, lr, k, ctrl):
+    """sum_{n>=1} n^k r^(nx) / (1 - r^n), log r = lr, as math.fsum of a plain
+    list of its terms, stopping where the running sum is finite and
+    outweighs the last term by 1/REL_TERM_TOL."""
+    terms = []
+    s = 0.0
+    for n in range(1, ctrl.max_terms + 1):
+        term = float(n) ** k * math.exp(n * x * lr) / -math.expm1(n * lr)
+        terms.append(term)
+        s += term
+        if math.isfinite(s) and term <= REL_TERM_TOL * s:
+            return math.fsum(terms)
+    what = "q-digamma series" if k == 0 else "q-digamma derivative series"
+    raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
+
+
 def _reference_q_psi(x, q, ctrl):
-    """q_psi as written before its series loops were shared with q_psi_k."""
+    """q_psi at x >= 1 from the Lambert series over n."""
     if not x > 0.0:
         raise DomainError(f"q-digamma needs x > 0, got {x!r}")
     qq = q.q
     lq = math.log(qq)
-    acc = CompensatedSum()
     if q.is_sub_one:
-        for n in range(1, ctrl.max_terms + 1):
-            term = math.exp(n * x * lq) / -math.expm1(n * lq)
-            acc.add(term)
-            if term <= ctrl.rel_term_tol * acc.value:
-                return -math.log1p(-qq) + lq * acc.value
-        raise ConvergenceError(f"q-digamma series did not settle within {ctrl.max_terms} terms")
-    for n in range(1, ctrl.max_terms + 1):
-        term = math.exp(-n * x * lq) / -math.expm1(-n * lq)
-        acc.add(term)
-        if term <= ctrl.rel_term_tol * acc.value:
-            return -math.log(qq - 1.0) + lq * (x - 0.5 - acc.value)
-    raise ConvergenceError(f"q-digamma series did not settle within {ctrl.max_terms} terms")
+        return -math.log1p(-qq) + lq * _reference_lambert(x, lq, 0, ctrl)
+    return -math.log(qq - 1.0) + lq * (x - 0.5 - _reference_lambert(x, -lq, 0, ctrl))
 
 
 def _reference_q_psi_k(x, q, k, ctrl):
-    """q_psi_k as written before its series loops were shared with q_psi."""
+    """q_psi_k at x >= 1 from the Lambert series over n."""
     if not x > 0.0:
         raise DomainError(f"q-digamma derivatives need x > 0, got {x!r}")
     if k < 1:
         raise DomainError(f"derivative order must be >= 1, got {k}")
-    qq = q.q
-    lq = math.log(qq)
-    acc = CompensatedSum()
+    lq = math.log(q.q)
     if q.is_sub_one:
-        for n in range(1, ctrl.max_terms + 1):
-            term = float(n) ** k * math.exp(n * x * lq) / -math.expm1(n * lq)
-            acc.add(term)
-            if term <= ctrl.rel_term_tol * acc.value:
-                return lq ** (k + 1) * acc.value
-        raise ConvergenceError(
-            f"q-digamma derivative series did not settle within {ctrl.max_terms} terms"
-        )
-    for n in range(1, ctrl.max_terms + 1):
-        term = float(n) ** k * math.exp(-n * x * lq) / -math.expm1(-n * lq)
-        acc.add(term)
-        if term <= ctrl.rel_term_tol * acc.value:
-            value = (-1.0) ** (k + 1) * lq ** (k + 1) * acc.value
-            if k == 1:
-                value += lq
-            return value
-    raise ConvergenceError(
-        f"q-digamma derivative series did not settle within {ctrl.max_terms} terms"
-    )
+        return lq ** (k + 1) * _reference_lambert(x, lq, k, ctrl)
+    value = (-1.0) ** (k + 1) * lq ** (k + 1) * _reference_lambert(x, -lq, k, ctrl)
+    if k == 1:
+        value += lq
+    return value
 
 
 class TestQPsiReference:
     """For x >= 1, and for the x <= 0 domain errors, q_psi and q_psi_k run
-    one shared loop over n; every value and every error must stay
-    bit-identical to the four loops it replaced.  x < 1 is resummed and
-    checked against mpmath in TestSeriesOracle."""
+    one shared loop over n that feeds math.fsum from a generator; every
+    value and every error must stay bit-identical to the plain list of
+    terms.  x < 1 is resummed and checked against mpmath in
+    TestSeriesOracle."""
 
     @settings(deadline=None, max_examples=400)
     @given(
@@ -288,11 +279,10 @@ class TestQPsiReference:
         x=st.one_of(st.floats(1.0, 60.0), st.floats(-1.0, 0.0)),
         k=st.integers(0, 4),
         max_terms=st.one_of(st.integers(1, 40), st.sampled_from([100, 10_000])),
-        tol=st.sampled_from([1e-16, 1e-12, 1e-6]),
     )
-    def test_matches_reference_loops(self, qv, x, k, max_terms, tol):
+    def test_matches_reference_loops(self, qv, x, k, max_terms):
         q = QParam(qv)
-        ctrl = SeriesControl(rel_term_tol=tol, max_terms=max_terms)
+        ctrl = SeriesControl(max_terms=max_terms)
         if k == 0:
             assert outcome(q_psi, x, q, ctrl) == outcome(_reference_q_psi, x, q, ctrl)
         else:
@@ -304,41 +294,51 @@ _ORACLE_X = st.one_of(st.floats(1e-8, 50.0), _LOG_X)
 
 
 def _reference_polylog(s, z, ctrl):
-    """polylog as written before the Neumaier steps were inlined."""
+    """polylog as math.fsum of a plain list of its terms, stopping where the
+    running sum is finite and outweighs the last term by 1/REL_TERM_TOL."""
     if not abs(z) < 1.0:
         raise DomainError(f"polylogarithm series needs |z| < 1, got z={z!r}")
     if z == 0.0:
         return 0.0
-    acc = CompensatedSum()
+    terms = []
+    acc = 0.0
     zk = 1.0
     for k in range(1, ctrl.max_terms + 1):
         zk *= z
         term = zk / float(k) ** s
-        acc.add(term)
-        if abs(term) <= ctrl.rel_term_tol * abs(acc.value):
-            return acc.value
+        terms.append(term)
+        acc += term
+        if math.isfinite(acc) and abs(term) <= REL_TERM_TOL * abs(acc):
+            return math.fsum(terms)
     raise ConvergenceError(f"polylogarithm series did not settle within {ctrl.max_terms} terms")
 
 
-_CAPS = st.one_of(st.integers(1, 40), st.sampled_from([100, 10_000]))
-_TOLS = st.sampled_from([1e-16, 1e-12, 1e-6])
-
-
-class TestInlinedLoopsReference:
-    """polylog inlines the Neumaier steps of CompensatedSum: every value (to
-    the bit, by float.hex) and every error, ConvergenceError at the same
-    max_terms included, must match the loop it replaced."""
+class TestPolylogReference:
+    """polylog feeds math.fsum from a generator: every value (to the bit, by
+    float.hex) and every error, ConvergenceError at the same max_terms
+    included, must match the plain list of terms."""
 
     @settings(deadline=None, max_examples=300)
     @given(
         s=st.floats(1.0, 3.0),
         z=st.one_of(st.floats(1e-300, 0.999), st.floats(0.9, 0.999)),
-        max_terms=_CAPS,
-        tol=_TOLS,
+        max_terms=st.one_of(st.integers(1, 40), st.sampled_from([100, 10_000])),
     )
-    def test_polylog(self, s, z, max_terms, tol):
-        ctrl = SeriesControl(rel_term_tol=tol, max_terms=max_terms)
+    def test_polylog(self, s, z, max_terms):
+        ctrl = SeriesControl(max_terms=max_terms)
         assert outcome(polylog, s, z, ctrl) == outcome(_reference_polylog, s, z, ctrl)
+
+    def test_capped_series_keeps_memory_flat(self):
+        # 400k terms are summed before the cap raises; a list of them would
+        # take ~13 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError, match="within 400000 terms"):
+                polylog(1.0, 1.0 - 1e-7, SeriesControl(max_terms=400_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 _LOG_X60 = st.floats(-8.0, math.log10(60.0)).map(lambda e: 10.0**e)
