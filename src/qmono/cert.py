@@ -9,9 +9,11 @@ order N:
 
 A `Consistent` verdict means "no violation found at this order / grid /
 tolerance" and never claims a proof; reports therefore carry the order,
-grid and tolerances that produced them.  A value is sign-checked only when
-|value| > tol_abs + tol_rel * scale, where scale is the q-difference-table
-row magnitude: high-order cancellation must not produce spurious verdicts.
+grid and tolerance that produced them.  A value is sign-checked only when
+|value| > tol_rel * scale, where scale is the propagated magnitude of the
+checked entry itself (condition-table entry (n, 0), see `QDiffTable`): the
+band follows the units of f, reads no sample past q^n x, and keeps
+high-order cancellation from producing spurious verdicts.
 
 Grid points are certified one after another in grid order, one difference
 table each, so identical inputs give byte-identical reports.  Every report
@@ -132,14 +134,13 @@ class CertSpec:
     """What to certify and how hard to look.
 
     max_order N defaults to 6 (hard cap 8): the difference table loses about
-    one decimal digit per order, and the tolerance pair (tol_abs, tol_rel)
-    decides when a table value counts as numerically zero.
+    one decimal digit per order.  A table value counts as numerically zero
+    when it is at most tol_rel times its propagated magnitude.
     """
 
     property: CertProperty
     max_order: int = 6
     grid: Grid = DEFAULT_GRID
-    tol_abs: float = 1e-9
     tol_rel: float = 1e-7
 
     def __post_init__(self) -> None:
@@ -147,15 +148,15 @@ class CertSpec:
             raise DomainError(
                 f"max_order must be in [1, {MAX_TABLE_ORDER}], got {self.max_order}"
             )
-        if not (self.tol_abs > 0.0 and self.tol_rel > 0.0):
-            raise DomainError("tolerances must be positive")
+        if not (0.0 < self.tol_rel < math.inf):
+            raise DomainError(f"tol_rel must be positive and finite, got {self.tol_rel!r}")
 
 
 class Counterexample(NamedTuple):
     x: float
     n: int
     value: float  # the signed quantity that should have been >= 0
-    scale: float  # difference-table row magnitude behind the tolerance test
+    scale: float  # propagated magnitude of the checked entry (the band is tol_rel * scale)
 
 
 @dataclass(frozen=True)
@@ -166,13 +167,12 @@ class CertReport:
     ordered by (grid index, order) regardless of evaluation schedule.
     min_margin is the smallest signed slack seen over all checks (0 for
     checks inside the numerical-zero band).  The spec echo (property, q,
-    order, grid, tolerances) makes the claim reproducible.
+    order, grid, tolerance) makes the claim reproducible.
     """
 
     property: CertProperty
     q: float
     max_order: int
-    tol_abs: float
     tol_rel: float
     grid: tuple[float, ...]
     verdict: Verdict
@@ -187,7 +187,6 @@ class CertReport:
             "property": self.property.value,
             "q": self.q,
             "max_order": self.max_order,
-            "tol_abs": self.tol_abs,
             "tol_rel": self.tol_rel,
             "grid": {"count": len(self.grid), "points": list(self.grid)},
             "verdict": self.verdict.value,
@@ -242,22 +241,23 @@ def certify(f: RealFunction, q: QParam, spec: CertSpec) -> CertReport:
 
     f must be evaluable at every q^j x for x in the grid and j = 0..N (and
     positive there for QLOGCM).  Each grid point costs one difference table
-    over its N+1 samples; only column 0 of each value row and the largest
-    entry of each condition row enter the checks.
+    over its N+1 samples; only column 0 of each value row and of each
+    condition row enters the checks, so the check at order n reads only the
+    samples at q^j x, j <= n, and raising N leaves it unchanged.
     """
     g = _certification_target(f, q, spec.property)
     pts = spec.grid.points
     checks = _signs_and_orders(spec.property, spec.max_order)
-    tol_abs, tol_rel = spec.tol_abs, spec.tol_rel
+    tol_rel = spec.tol_rel
     counterexamples: list[Counterexample] = []
     min_margin = math.inf
     for x in pts:
         table = QDiffTable.build(g, x, q, spec.max_order)
         rows, mag_rows = table.rows, table.mag_rows
         for n, sign in checks:
-            scale = max(mag_rows[n])
+            scale = mag_rows[n][0]
             signed = sign * rows[n][0]
-            if abs(signed) <= tol_abs + tol_rel * scale:
+            if abs(signed) <= tol_rel * scale:
                 margin = 0.0
             else:
                 margin = signed
@@ -269,7 +269,6 @@ def certify(f: RealFunction, q: QParam, spec: CertSpec) -> CertReport:
         property=spec.property,
         q=q.q,
         max_order=spec.max_order,
-        tol_abs=spec.tol_abs,
         tol_rel=spec.tol_rel,
         grid=pts,
         verdict=Verdict.VIOLATED if counterexamples else Verdict.CONSISTENT,

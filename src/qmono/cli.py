@@ -13,7 +13,7 @@ exits 2 on a usage or domain error, a non-finite value included.
 
 Output is deterministic: identical configurations produce byte-identical
 files.  CSV uses comma separators, `.` decimals, LF line endings and UTF-8,
-with a provenance footer (q, order, grid, tolerances, library version) and
+with a provenance footer (q, order, grid, tol_rel, library version) and
 no timestamps.  Relative --out paths resolve against $QMONO_OUT_DIR when set.
 
 `main` builds its argument parser on the first call and reuses it for every
@@ -303,7 +303,6 @@ def _spec(ns: argparse.Namespace, prop: CertProperty) -> CertSpec:
         property=prop,
         max_order=ns.order,
         grid=_grid(ns),
-        tol_abs=ns.tol_abs,
         tol_rel=ns.tol_rel,
     )
 
@@ -320,7 +319,6 @@ def _provenance(ns: argparse.Namespace) -> dict:
         "q": ns.q,
         "order": ns.order,
         "grid": f"{format17(ns.grid_min)}:{format17(ns.grid_max)}:{ns.grid_count}:{ns.grid_spacing}",
-        "tol_abs": ns.tol_abs,
         "tol_rel": ns.tol_rel,
         "version": __version__,
     }
@@ -386,7 +384,6 @@ def _add_common(sub: argparse.ArgumentParser, *, grid_min=0.1, grid_max=5.0,
     sub.add_argument("--grid-count", type=int, default=grid_count)
     sub.add_argument("--grid-spacing", choices=("linear", "log"), default=spacing)
     sub.add_argument("--order", type=int, default=6, help="max q-derivative order N")
-    sub.add_argument("--tol-abs", type=float, default=1e-9)
     sub.add_argument("--tol-rel", type=float, default=1e-7)
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default=None, help="output path (stdout when omitted)")

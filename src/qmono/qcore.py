@@ -39,7 +39,6 @@ __all__ = [
     "QParam",
     "SeriesControl",
     "DEFAULT_CTRL",
-    "PRODUCT_TAIL_TOL",
     "REL_TERM_TOL",
     "ExpKind",
     "q_number",
@@ -124,10 +123,6 @@ DEFAULT_CTRL = SeriesControl()
 #: series, so an overflowing one raises rather than returning inf.
 REL_TERM_TOL = 1e-16
 
-#: qpoch_inf drops its factors 1 - a q^j once |a q^j| falls below this
-#: cut-off.
-PRODUCT_TAIL_TOL = 1e-18
-
 _LN2 = math.log(2.0)
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -197,7 +192,9 @@ def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL
     The kind with a finite radius is e_p(x) = 1 / prod_{j>=0} (1 - (1-p) p^j x);
     for x < 0 q_exp returns that reciprocal product (`_finite_exp_neg`)
     wherever the series' relative error could exceed 2^20 u, which it
-    approaches as x -> -radius (see `_ALTERNATING_LIMIT`).
+    approaches as x -> -radius (see `_ALTERNATING_LIMIT`), and for E_q with
+    q > 1 also where a divisor q^n - 1 of the series overflows first.  A
+    series whose terms sum past the float range raises OverflowError.
     """
     if not math.isfinite(x):
         raise DomainError(f"q-exponential argument must be finite, got {x!r}")
@@ -245,7 +242,18 @@ def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL
             f"q-exponential series did not settle within {ctrl.max_terms} terms"
         )
 
-    return math.fsum(terms())
+    gen = terms()
+    try:
+        return math.fsum(gen)
+    except OverflowError as exc:
+        if gen.gi_frame is not None:
+            # fsum's own overflow: finite terms whose sum leaves the float range
+            raise OverflowError(f"q-exponential overflows a float at x = {x!r}") from exc
+        if x < 0.0 and big and qq > 1.0:
+            # a divisor q^n - 1 left the float range before E_q settled;
+            # its reciprocal product has no divisors
+            return _finite_exp_neg(-x, 1.0 / qq, ctrl)
+        raise
 
 
 #: Length of the divisor table of `_log_tail`: |w| <= 1/2 stops within 55
@@ -289,23 +297,16 @@ def _log_tail(w: float, lp: float) -> float:
     raise ConvergenceError(f"log tail series needs |w| <= 1/2, got w = {w!r}")
 
 
-def _entire_exp_neg(t: float, p: float, ctrl: SeriesControl) -> tuple[float, float]:
-    """E_p(-t) = prod_{j>=0} (1 - v_j), v_j = (1-p) p^j t, for t >= 0 and
-    0 < p < 1, as (sign, log magnitude); sign 0.0 (log magnitude -inf)
-    flags an exact zero factor, a lattice zero of the kernel.
+def _log_prod(v: float, p: float, lp: float) -> tuple[float, float]:
+    """prod_{j>=0} (1 - v p^j) for 0 < p < 1 and log p = lp, as (sign, log
+    magnitude); sign 0.0 (log magnitude -inf) flags an exact zero factor.
 
-    The factors with v_j > 1/2 (there may be none) are taken one by one in
-    log space; they carry the sign and the lattice zeros.  The rest are the
-    log tail series of `_log_tail`.  So the cost is about log(2 v_0)/|log p|
-    factors plus at most ~55 tail terms, whatever p; ConvergenceError when
-    the factors alone would exceed ctrl.max_terms.
+    The factors with |v p^j| > 1/2 (there may be none) are taken one by one
+    in log space: for v > 0 they carry the sign and the zeros, for v < 0
+    each is log1p(|v p^j|).  The rest are the log tail series of
+    `_log_tail`.  So the cost is about log(2 |v|)/|log p| factors plus at
+    most ~55 tail terms, whatever p.
     """
-    v = (1.0 - p) * t
-    lp = math.log(p)
-    if v > 0.5 and math.log(2.0 * v) > ctrl.max_terms * -lp:
-        raise ConvergenceError(
-            f"q-exponential product needs more than {ctrl.max_terms} factors at x = {-t!r}"
-        )
     sign = 1.0
     logmag = 0.0
     while v > 0.5:
@@ -318,18 +319,17 @@ def _entire_exp_neg(t: float, p: float, ctrl: SeriesControl) -> tuple[float, flo
         else:
             logmag += math.log(factor)
         v *= p
+    while v < -0.5:
+        logmag += math.log1p(-v)
+        v *= p
     return sign, logmag + _log_tail(v, lp)
 
 
-def _finite_exp_neg(t: float, p: float, ctrl: SeriesControl) -> float:
-    """e_p(-t) = 1 / prod_{j>=0} (1 + v_j), v_j = (1-p) p^j t, for
-    0 <= t < 1/(1-p) and 0 < p < 1: the q-exponential with a finite radius
-    on its negative half-line, where it is positive and at most 1.
-
-    The factors with v_j > 1/2 (there may be none) are taken one by one as
-    log1p(v_j); the rest are the log tail series of `_log_tail` at -v.  So
-    the cost is about log(2 v_0)/|log p| factors plus at most ~55 tail
-    terms; ConvergenceError when the factors alone would exceed
+def _entire_exp_neg(t: float, p: float, ctrl: SeriesControl) -> tuple[float, float]:
+    """E_p(-t) = prod_{j>=0} (1 - v_j), v_j = (1-p) p^j t, for t >= 0 and
+    0 < p < 1, as (sign, log magnitude) from `_log_prod`; sign 0.0 (log
+    magnitude -inf) flags an exact zero factor, a lattice zero of the
+    kernel.  ConvergenceError when the factors above 1/2 alone would exceed
     ctrl.max_terms.
     """
     v = (1.0 - p) * t
@@ -338,11 +338,24 @@ def _finite_exp_neg(t: float, p: float, ctrl: SeriesControl) -> float:
         raise ConvergenceError(
             f"q-exponential product needs more than {ctrl.max_terms} factors at x = {-t!r}"
         )
-    log_prod = 0.0
-    while v > 0.5:
-        log_prod += math.log1p(v)
-        v *= p
-    return math.exp(-log_prod - _log_tail(-v, lp))
+    return _log_prod(v, p, lp)
+
+
+def _finite_exp_neg(t: float, p: float, ctrl: SeriesControl) -> float:
+    """e_p(-t) = 1 / prod_{j>=0} (1 + v_j), v_j = (1-p) p^j t, for
+    0 <= t < 1/(1-p) and 0 < p < 1: the q-exponential with a finite radius
+    on its negative half-line, where it is positive and at most 1.
+
+    The product is `_log_prod` at -v_0.  ConvergenceError when its factors
+    above 1/2 alone would exceed ctrl.max_terms.
+    """
+    v = (1.0 - p) * t
+    lp = math.log(p)
+    if v > 0.5 and math.log(2.0 * v) > ctrl.max_terms * -lp:
+        raise ConvergenceError(
+            f"q-exponential product needs more than {ctrl.max_terms} factors at x = {-t!r}"
+        )
+    return math.exp(-_log_prod(-v, p, lp)[1])
 
 
 def _log_qpow_poch(x: float, lq: float) -> tuple[float, float]:
@@ -398,7 +411,9 @@ def qpoch_inf(a: float, q: QParam) -> float:
     """Infinite q-Pochhammer product (a;q)_inf = prod_{j>=0} (1 - a q^j).
 
     Converges only for 0 < q < 1; callers in the q > 1 regime must transform
-    to base 1/q first.  The tail is cut once |a q^j| < PRODUCT_TAIL_TOL.
+    to base 1/q first.  It is `_log_prod` at v = a, so it costs about
+    log(2 |a|)/|log q| factors plus at most ~55 tail terms; a value below
+    the float range is 0.0, and one above it raises OverflowError.
     """
     if not q.is_sub_one:
         raise DomainError(
@@ -406,14 +421,13 @@ def qpoch_inf(a: float, q: QParam) -> float:
         )
     if not math.isfinite(a):
         raise DomainError(f"(a;q)_inf needs finite a, got {a!r}")
-    p = 1.0
-    aj = float(a)
-    while abs(aj) >= PRODUCT_TAIL_TOL:
-        p *= 1.0 - aj
-        if p == 0.0:
-            return 0.0
-        aj *= q.q
-    return p
+    sign, logmag = _log_prod(float(a), q.q, math.log(q.q))
+    try:
+        return sign * math.exp(logmag)
+    except OverflowError as exc:
+        raise OverflowError(
+            f"(a;q)_inf overflows a float at a = {a!r}, q = {q.q!r}"
+        ) from exc
 
 
 @lru_cache(maxsize=128)

@@ -51,11 +51,12 @@ class QDiffTable:
     so the table reproduces a naive recursive D_q evaluation bit for bit.
 
     A companion condition table runs the same recurrence with |a| + |b| in
-    place of a - b, seeded with the sample magnitudes: its row m bounds the
-    magnitude that may have cancelled to produce row m, which is what the
-    certifier's numerical-zero test is anchored to.  A value row that is
-    pure correlated rounding noise says nothing about its own error; the
-    propagated magnitude does.
+    place of a - b, seeded with the sample magnitudes: entry (m, j) of
+    mag_rows bounds the magnitude that may have cancelled to produce value
+    (m, j).  The certifier counts value (n, 0) as numerically zero when it
+    is at most tol_rel * mag_rows[n][0]: a value that is pure correlated
+    rounding noise says nothing about its own error; its propagated
+    magnitude does.
     """
 
     x0: float
@@ -105,16 +106,6 @@ class QDiffTable:
     def value(self, m: int, j: int = 0) -> float:
         """(D_q^m f)(q^j x0)."""
         return self.rows[m][j]
-
-    def row_scale(self, m: int) -> float:
-        """Largest entry of condition row m.
-
-        Consumers treat |value| <= tol_abs + tol_rel * scale as numerically
-        zero; eps * scale bounds the rounding noise the value can carry, so
-        the test keeps high-order cancellation from producing spurious sign
-        verdicts.
-        """
-        return max(self.mag_rows[m])
 
 
 def q_derive(f: RealFunction, x: float, q: QParam) -> float:

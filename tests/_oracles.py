@@ -214,6 +214,39 @@ def _mp_log_qpoch(a, r):
         wm *= w
 
 
+def mp_qpoch_inf(a: float, q: float) -> tuple[mp.mpf, float]:
+    """(a;q)_inf for a <= 1 (every factor is >= 0) and 0 < q < 1 at 30
+    digits, as (value, c).
+
+    The value is mpmath's qp for q <= 0.99; closer to 1, where qp multiplies
+    ~70/(1-q) factors, it is the exp of the factors above 1/100 taken one by
+    one plus log (w;q)_inf = -sum_{m>=1} w^m / (m (1 - q^m)) for the rest
+    (signed w).  With v_j = a q^j, c = sum_j (j+2) |v_j| / |1 - v_j| bounds
+    the relative error the product picks up from its factors when v_j is
+    formed by j roundings from a.
+    """
+    with mp.workdps(30):
+        aa, qq = mp.mpf(a), mp.mpf(q)
+        v, c, log_head, j = aa, mp.mpf(0), mp.mpf(0), 0
+        while abs(v) > mp.mpf(1) / 100:
+            if v == 1:
+                return mp.mpf(0), 0.0
+            c += (j + 2) * abs(v) / (1 - v)
+            log_head += mp.log(1 - v)
+            v *= qq
+            j += 1
+        # the rest: sum_i (j+i+2) |v| q^i / (1 - |v| q^i) <= the geometric bound
+        c += abs(v) * ((j + 2) / (1 - qq) + qq / (1 - qq) ** 2) / (1 - abs(v))
+        if q <= 0.99:
+            return mp.qp(aa, qq, maxterms=10**5), float(c)
+        log_tail, wm, m = mp.mpf(0), v, 1
+        while abs(wm) > mp.mpf("1e-40"):
+            log_tail -= wm / (m * (1 - qq**m))
+            wm *= v
+            m += 1
+        return mp.exp(log_head + log_tail), float(c)
+
+
 def mp_log_eq_one(q: float) -> float:
     """log E_q(1) for q > 1 at 50 digits, by mpmath's q-Pochhammer:
     E_q(1) = e_{1/q}(1) = 1 / ((1 - 1/q); 1/q)_inf."""
@@ -247,6 +280,21 @@ def mp_h_aux(x: float, q: QParam) -> tuple[float, float]:
     with mp.workdps(50):
         terms = _mp_h_terms(mp.mpf(x), mp.log(mp.mpf(q.q)))
         return float(mp.fsum(terms)), float(mp.fsum(abs(t) for t in terms))
+
+
+def mp_h_aux_q_derive(x: float, q: QParam, n: int) -> float:
+    """(D_q^n h_aux)(x) at 60 digits: the difference table over the float
+    points x, q x, ..., q^n x (formed by iterated multiplication, as
+    QDiffTable samples them), with h_aux at each point from mpmath."""
+    pts = [x]
+    for _ in range(n):
+        pts.append(q.q * pts[-1])
+    with mp.workdps(60):
+        lq, qq = mp.log(mp.mpf(q.q)), mp.mpf(q.q)
+        row = [mp.fsum(_mp_h_terms(mp.mpf(p), lq)) for p in pts]
+        for _ in range(n):
+            row = [(b - a) / (mp.mpf(p) * (qq - 1)) for a, b, p in zip(row, row[1:], pts)]
+        return float(row[0])
 
 
 def mp_f_abq(x: float, alpha: float, beta: float, q: QParam) -> float:

@@ -3,14 +3,20 @@
 import importlib
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qmono
-from _oracles import classical_logcm_screen, reciprocal_q_derive_sign
+from _oracles import (
+    UNIT_ROUNDOFF,
+    classical_logcm_screen,
+    mp_h_aux_q_derive,
+    reciprocal_q_derive_sign,
+)
 from qmono import (
     CertProperty,
     CertReport,
@@ -32,6 +38,7 @@ from qmono import (
     difference_check,
     eq_power,
     g_ratio,
+    h_aux,
     q_derive_n,
     q_exp,
     q_number,
@@ -44,6 +51,7 @@ from qmono import (
 )
 from qmono._serialize import render_csv, render_json
 from qmono.cert import _certification_target
+from qmono.cli import build_function
 
 Q5 = QParam(0.5)
 QCM = CertProperty.QCM
@@ -82,7 +90,15 @@ class TestCertSpec:
     def test_defaults(self):
         spec = CertSpec(QCM)
         assert spec.max_order == 6
-        assert spec.tol_abs == 1e-9 and spec.tol_rel == 1e-7
+        assert spec.tol_rel == 1e-7
+        # one tolerance: the band is tol_rel times the checked entry's magnitude
+        assert [f.name for f in fields(CertSpec)] == ["property", "max_order", "grid", "tol_rel"]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1e-7])
+    def test_tol_rel_must_be_positive_and_finite(self, bad):
+        # an infinite band would make every check neutral: Consistent by default
+        with pytest.raises(DomainError, match="tol_rel"):
+            certify(lambda x: x, Q5, CertSpec(QCM, 4, Grid.linear(1.0, 2.0, 3), tol_rel=bad))
 
     def test_order_cap(self):
         with pytest.raises(DomainError):
@@ -126,11 +142,11 @@ class TestCertify:
         assert rep.checks_run == 5 * 4  # nonnegativity plus orders 1..3
 
     def test_report_echoes_spec(self):
-        spec = CertSpec(QCM, max_order=2, grid=Grid.linear(1.0, 2.0, 3), tol_abs=1e-8)
+        spec = CertSpec(QCM, max_order=2, grid=Grid.linear(1.0, 2.0, 3), tol_rel=1e-8)
         rep = certify(lambda x: x, Q5, spec)
         assert rep.q == 0.5
         assert rep.max_order == 2
-        assert rep.tol_abs == 1e-8
+        assert rep.tol_rel == 1e-8
         assert rep.grid == spec.grid.points
 
     def test_qlogcm_needs_positive_function(self):
@@ -214,7 +230,7 @@ class TestDeterminism:
             assert rep.counterexamples
             for c in rep.counterexamples:
                 assert c.value < 0.0
-                assert abs(c.value) > rep.tol_abs + rep.tol_rel * c.scale
+                assert abs(c.value) > rep.tol_rel * c.scale
 
 
 class TestGoldenReports:
@@ -238,7 +254,9 @@ class TestGoldenReports:
 
 def _reference_fold(f, q, spec):
     """checks_run, min_margin and counterexamples recomputed one check at a
-    time from QDiffTable.value and QDiffTable.row_scale."""
+    time from QDiffTable.value and the checked entry's propagated magnitude
+    QDiffTable.mag_rows[n][0], plus every decision as (x, n, neutral,
+    margin)."""
     n_max = spec.max_order
     if spec.property is QCM:
         pattern = [(n, (-1.0) ** n) for n in range(0, n_max + 1)]
@@ -247,21 +265,22 @@ def _reference_fold(f, q, spec):
     else:
         pattern = [(0, 1.0)] + [(n, (-1.0) ** (n - 1)) for n in range(1, n_max + 1)]
     g = _certification_target(f, q, spec.property)
-    checks_run, min_margin, ces = 0, math.inf, []
+    checks_run, min_margin, ces, decisions = 0, math.inf, [], []
     for x in spec.grid.points:
         table = QDiffTable.build(g, x, q, n_max)
         for n, sign in pattern:
             v = table.value(n, 0)
-            scale = table.row_scale(n)
+            scale = table.mag_rows[n][0]
             signed = sign * v
-            neutral = abs(v) <= spec.tol_abs + spec.tol_rel * scale
+            neutral = abs(v) <= spec.tol_rel * scale
             margin = 0.0 if neutral else signed
             checks_run += 1
+            decisions.append((x, n, neutral, margin))
             if margin < min_margin:
                 min_margin = margin
             if not neutral and signed < 0.0:
                 ces.append(Counterexample(x, n, signed, scale))
-    return checks_run, min_margin, tuple(ces)
+    return checks_run, min_margin, tuple(ces), decisions
 
 
 _FAMILIES = {
@@ -295,11 +314,123 @@ class TestReferenceFold:
             with pytest.raises(InputError, match=re.escape(str(exc))):
                 _reference_fold(f, q, spec)
             return
-        checks_run, min_margin, ces = _reference_fold(f, q, spec)
+        checks_run, min_margin, ces, _ = _reference_fold(f, q, spec)
         assert rep.checks_run == checks_run
         assert repr(rep.min_margin) == repr(min_margin)
         assert repr(rep.counterexamples) == repr(ces)
         assert rep.verdict is (Verdict.VIOLATED if ces else Verdict.CONSISTENT)
+
+
+#: Closed-form builtins of the CLI, with the parameter each one takes.
+_CLOSED_FORMS = {
+    "identity": None,
+    "constant": "value",
+    "square": None,
+    "reciprocal_shift": "shift",
+    "exp_decay": "rate",
+    "eq_decay": "rate",
+    "one_minus_eq_decay": "rate",
+}
+
+
+def _closed_form(name, q, param):
+    key = _CLOSED_FORMS[name]
+    return build_function(name, q, {} if key is None else {key: param})
+
+
+def _lattice(points, q, order):
+    return [x * q.q**j for x in points for j in range(order + 1)]
+
+
+_BOTH_REGIMES = st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 3.0))
+
+
+class TestNumericalZeroBand:
+    """A check at order n is neutral exactly when |value| <= tol_rel times
+    the propagated magnitude of the entry it checks, mag_rows[n][0]: the
+    band follows the units of f and reads only the samples at q^j x,
+    j <= n."""
+
+    # the benchmark's psi_k operation: psi_q'' < 0, so order 0 is violated
+    PSI_K_Q = QParam(0.35744064825881916)
+    PSI_K_GRID = Grid.log_spaced(0.06442818748230618, 0.20687418940466976, 3)
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_psi_k_first_violation_is_order_zero_for_every_order(self, order):
+        # |f(q^7 x)| = 1.8e13 against f(x) = -7480: the order-0 band must
+        # not read samples below x
+        q = self.PSI_K_Q
+        f = build_function("q_psi_k", q, {"k": 2})
+        rep = certify(f, q, CertSpec(QCM, order, self.PSI_K_GRID))
+        first = rep.counterexamples[0]
+        assert (first.x, first.n) == (self.PSI_K_GRID.points[0], 0)
+        assert first.value == f(first.x) < 0.0
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        name=st.sampled_from(sorted(_CLOSED_FORMS)),
+        param=st.floats(0.1, 3.0),
+        qv=_BOTH_REGIMES,
+        prop=st.sampled_from([QCM, QBERNSTEIN]),
+        order=st.integers(1, 8),
+        points=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=6, unique=True),
+    )
+    def test_verdict_does_not_depend_on_the_units_of_f(
+        self, name, param, qv, prop, order, points
+    ):
+        # QLOGCM is left out: it checks Log_q(c f) = Log_q c + Log_q f, so c
+        # shifts its samples rather than scaling them, and the rounding error
+        # of the shifted samples (and with it the band) grows with |Log_q c|
+        q = QParam(qv)
+        f = _closed_form(name, q, param)
+        spec = CertSpec(prop, max_order=order, grid=Grid(tuple(sorted(points))))
+        # keep every scaled sample a normal float
+        assume(all(v == 0.0 or 1e-290 < abs(v) < 1e290
+                   for v in map(f, _lattice(spec.grid.points, q, order))))
+        outcomes = set()
+        for c in (1e-12, 1.0, 1e12):
+            rep = certify(lambda x, c=c: c * f(x), q, spec)
+            outcomes.add((rep.verdict, tuple((ce.x, ce.n) for ce in rep.counterexamples)))
+        assert len(outcomes) == 1
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        name=st.sampled_from(sorted(_CLOSED_FORMS)),
+        param=st.floats(0.1, 3.0),
+        qv=_BOTH_REGIMES,
+        prop=st.sampled_from(list(CertProperty)),
+        orders=st.lists(st.integers(1, 8), min_size=2, max_size=2, unique=True).map(sorted),
+        points=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=6, unique=True),
+    )
+    def test_raising_the_order_leaves_lower_orders_unchanged(
+        self, name, param, qv, prop, orders, points
+    ):
+        q = QParam(qv)
+        f = _closed_form(name, q, param)
+        lo = orders[0]
+        grid = Grid(tuple(sorted(points)))
+        specs = [CertSpec(prop, max_order=n, grid=grid) for n in orders]
+        try:
+            low, high = (certify(f, q, spec) for spec in specs)
+        except InputError:  # Log_q of an underflowed sample
+            return
+        kept = tuple(c for c in high.counterexamples if c.n <= lo)
+        assert repr(kept) == repr(low.counterexamples)
+        low_decisions = _reference_fold(f, q, specs[0])[3]
+        high_decisions = [d for d in _reference_fold(f, q, specs[1])[3] if d[1] <= lo]
+        assert repr(high_decisions) == repr(low_decisions)
+
+    def test_h_aux_is_not_qcm_at_order_five(self):
+        # -h' = x |log q| q^x / (1 - q^x) is not decreasing near 0, so h is
+        # not q-CM; the violation must show at N = 6 as it does at N = 5
+        q, x = Q5, 3.0
+        rep = certify(lambda t: h_aux(t, q), q, CertSpec(QCM, 6, Grid((x,))))
+        assert [(c.x, c.n) for c in rep.counterexamples] == [(3.0, 5)]
+        ce = rep.counterexamples[0]
+        want = mp_h_aux_q_derive(x, q, 5)  # +5.0526323062726598e-4
+        assert abs(-ce.value - want) <= 8.0 * UNIT_ROUNDOFF * ce.scale
+        # the reference itself lies outside the band: a proved violation
+        assert want > rep.tol_rel * ce.scale
 
 
 class TestSerialization:

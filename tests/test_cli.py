@@ -137,6 +137,16 @@ class TestCertify:
         assert tree["verdict"] == "Consistent"
         assert tree["property"] == "qbernstein"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_tol_rel_is_refused_before_certifying(self, tmp_path, capsys, fmt):
+        out = tmp_path / f"inf.{fmt}"
+        code = run_cli("certify", "identity", "--tol-rel", "inf", "--format", fmt, "--out", str(out))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "tol_rel" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_byte_identical_outputs(self, tmp_path):
         args = ["certify", "identity", "--property", "qcm", "--q", "0.7", "--order", "4"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

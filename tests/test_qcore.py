@@ -1,6 +1,7 @@
 """Primitive layer: q-numbers, factorials, binomials, exponentials, products."""
 
 import math
+import sys
 import time
 
 import pytest
@@ -13,6 +14,7 @@ from _oracles import (
     mp_entire_exp_near_one,
     mp_finite_exp,
     mp_log_eq_one,
+    mp_qpoch_inf,
     outcome,
 )
 from qmono import (
@@ -35,7 +37,6 @@ from qmono import (
 )
 from qmono.qcore import (
     _ALTERNATING_LIMIT,
-    PRODUCT_TAIL_TOL,
     REL_TERM_TOL,
     _log_eq_base,
     _log_qpow_poch,
@@ -63,7 +64,6 @@ class TestSeriesControl:
     def test_defaults(self):
         assert SeriesControl().max_terms == 10_000
         assert REL_TERM_TOL == 1e-16
-        assert PRODUCT_TAIL_TOL == 1e-18
 
     def test_rejects_bad_policy(self):
         with pytest.raises(DomainError):
@@ -240,7 +240,8 @@ def _sums_series(x, qv, kind):
     series: the entire q-exponential (E_q for q < 1, e_q for q > 1) below
     x = -20 log 2, and the kind with a finite radius at x < 0 wherever the
     series' relative error bound u exp(2|x| / (1 - |x|/radius)) exceeds
-    2^20 u."""
+    2^20 u.  (E_q for q > 1 at x < 0 also takes the product when a divisor
+    q^n - 1 of its series overflows; that is decided while summing.)"""
     if (kind is ExpKind.BIG_E) == (qv < 1.0):
         return not -math.inf < x < -_ALTERNATING_LIMIT
     radius = 1.0 / (1.0 - qv) if qv < 1.0 else qv / (qv - 1.0)
@@ -280,9 +281,20 @@ class TestQExpReference:
         # q_exp must not form divisors its series never reaches
         assume(_sums_series(x, qv, kind))
         q = QParam(qv)
-        assert outcome(q_exp, x, q, kind, DEFAULT_CTRL) == outcome(
-            _reference_q_exp, x, q, kind, DEFAULT_CTRL
-        )
+        want = outcome(_reference_q_exp, x, q, kind, DEFAULT_CTRL)
+        if want[0] is OverflowError and x < 0.0 and kind is ExpKind.BIG_E:
+            # a divisor q^n - 1 overflowed before E_q settled: q_exp takes
+            # the reciprocal product instead, checked against mpmath
+            value, _, cond = mp_finite_exp(x, 1.0 / qv)
+            got = q_exp(x, q, kind)
+            assert abs(got - value) <= 8.0 * UNIT_ROUNDOFF * (1.0 + cond) * value
+            return
+        assert outcome(q_exp, x, q, kind, DEFAULT_CTRL) == want
+
+    def test_series_overflow_is_named(self):
+        # every term is finite, but their sum passes the float range
+        with pytest.raises(OverflowError, match=r"q-exponential overflows a float at x = 724\.0"):
+            q_exp(724.0, QParam(1.0001), ExpKind.SMALL_E)
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1e300, -1e300])
     @pytest.mark.parametrize("kind", list(ExpKind))
@@ -377,6 +389,7 @@ class TestFiniteExpOracle:
     @example(pv=0.5, frac=0.999999, kind=ExpKind.SMALL_E)
     @example(pv=0.999, frac=0.5, kind=ExpKind.BIG_E)
     @example(pv=0.9921875, frac=0.9999999999999998, kind=ExpKind.BIG_E)  # past 1/(1-p)
+    @example(pv=0.0546875, frac=0.859375, kind=ExpKind.BIG_E)  # q^n - 1 overflows first
     def test_matches_mpmath(self, pv, frac, kind):
         q = QParam(pv if kind is ExpKind.SMALL_E else 1.0 / pv)
         p = q.q if kind is ExpKind.SMALL_E else 1.0 / q.q  # the float base of the product
@@ -490,7 +503,7 @@ class TestQPochInf:
         assert qpoch_inf(1.0, Q5) == 0.0
 
     def test_reference_value(self):
-        # (1/2; 1/2)_inf, tail tolerance 1e-18
+        # (1/2; 1/2)_inf
         assert qpoch_inf(0.5, Q5) == pytest.approx(0.2887880950866024, rel=1e-12)
 
     def test_super_one_rejected(self):
@@ -503,3 +516,42 @@ class TestQPochInf:
         assert 0.0 < v < 1.0
         # at q = 0.999 the product value genuinely underflows double range
         assert qpoch_inf(0.999, QParam(0.999)) >= 0.0
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        a=st.floats(-3.0, 1.0),
+        qv=st.one_of(st.floats(0.02, 0.9), st.floats(0.9, 0.9999)),
+    )
+    @example(a=0.5, qv=0.5)
+    @example(a=-3.0, qv=0.99)
+    @example(a=0.99, qv=0.99)
+    @example(a=-0.25, qv=0.9999)
+    def test_matches_mpmath(self, a, qv):
+        # the log magnitude is a sum of same-signed logs, so exp() adds
+        # u |log value| to the factor conditioning c of the oracle
+        want, c = mp_qpoch_inf(a, qv)
+        if abs(want) > sys.float_info.max:
+            with pytest.raises(OverflowError, match=r"a = .*, q = "):
+                qpoch_inf(a, QParam(qv))
+            return
+        got = qpoch_inf(a, QParam(qv))
+        want = float(want)
+        log_want = abs(math.log(abs(want))) if want != 0.0 else 0.0
+        assert abs(got - want) <= (
+            8.0 * UNIT_ROUNDOFF * (1.0 + c + log_want) * abs(want) + 2.0 * math.ulp(0.0)
+        )
+
+    @pytest.mark.parametrize("qv", [0.9999, 1.0 - 1e-5, 1.0 - 1e-6])
+    def test_underflow_is_zero(self, qv):
+        # (1/2; q)_inf ~ e^(-1.2e4) at q = 0.9999: far below the subnormals
+        assert qpoch_inf(0.5, QParam(qv)) == 0.0
+
+    def test_near_one_is_fast(self):
+        # no factor exceeds 1/2, so the product is the log tail series alone
+        start = time.perf_counter()
+        qpoch_inf(0.5, QParam(1.0 - 1e-6))
+        assert time.perf_counter() - start < 0.05
+
+    def test_overflow_names_a_and_q(self):
+        with pytest.raises(OverflowError, match=r"a = -3, q = 0\.9999"):
+            qpoch_inf(-3, QParam(0.9999))

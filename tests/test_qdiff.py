@@ -128,8 +128,8 @@ class TestQDeriveN:
                             assert got == pytest.approx(expected, rel=1e-12)
                         else:
                             # exact zero: computed value must sit inside the
-                            # numerical-zero band of the condition estimate
-                            assert abs(got) <= 1e-9 + 1e-7 * table.row_scale(n)
+                            # numerical-zero band of its own propagated magnitude
+                            assert abs(got) <= 1e-7 * table.mag_rows[n][0]
 
     def test_classical_limit_first_order(self):
         # q -> 1: D_q f approaches f', checked against a central difference
@@ -156,11 +156,13 @@ class TestQDiffTable:
         for j in range(3):
             assert t.value(2, j) == pytest.approx(1.5, rel=1e-12)
 
-    def test_row_scale_is_condition_row(self):
+    def test_mag_rows_are_the_condition_table(self):
         t = QDiffTable.build(lambda x: x, 1.0, Q5, 2)
-        assert t.row_scale(0) == 1.0
-        # condition row 1: (|1.0| + |0.5|) / |1.0 * (q-1)| = 3.0
-        assert t.row_scale(1) == pytest.approx(3.0, rel=1e-14)
+        assert t.mag_rows[0] == (1.0, 0.5, 0.25)
+        # condition entry (1, 0): (|1.0| + |0.5|) / |1.0 * (q-1)| = 3.0
+        assert t.mag_rows[1][0] == pytest.approx(3.0, rel=1e-14)
+        # (1, 1): (|0.5| + |0.25|) / |0.5 * (q-1)| = 3.0
+        assert t.mag_rows[1][1] == pytest.approx(3.0, rel=1e-14)
         # the value rows are untouched by the condition table
         assert t.value(1, 0) == pytest.approx(1.0, rel=1e-14)
 
