@@ -148,8 +148,13 @@ class CertSpec:
             raise DomainError(
                 f"max_order must be in [1, {MAX_TABLE_ORDER}], got {self.max_order}"
             )
-        if not (0.0 < self.tol_rel < math.inf):
-            raise DomainError(f"tol_rel must be positive and finite, got {self.tol_rel!r}")
+        _check_tol_rel(self.tol_rel)
+
+
+def _check_tol_rel(tol_rel: float) -> None:
+    """DomainError naming tol_rel unless 0 < tol_rel < inf."""
+    if not (0.0 < tol_rel < math.inf):
+        raise DomainError(f"tol_rel must be positive and finite, got {tol_rel!r}")
 
 
 class Counterexample(NamedTuple):

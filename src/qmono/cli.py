@@ -39,6 +39,7 @@ from .cert import (
     CertSpec,
     Grid,
     Verdict,
+    _check_tol_rel,
     _increasing,
     _spaced,
     bernstein_iff_check,
@@ -670,6 +671,9 @@ _DRIVERS = {
 
 def run(ns: argparse.Namespace) -> int:
     """Run a parsed command line, write its result and return the exit code."""
+    # every subcommand echoes tol_rel in its provenance: refuse a bad one
+    # before any work, as a CertSpec would
+    _check_tol_rel(ns.tol_rel)
     result, ok = _DRIVERS[ns.command](ns)
     _emit(result, ns)
     return 0 if ok else _VIOLATION_EXIT

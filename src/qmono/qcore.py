@@ -5,10 +5,13 @@ Everything else in the package is built from the functions here: q-numbers
 the two q-exponentials e_q and E_q, powers of the constant E_q(1), and the
 infinite q-Pochhammer product (a;q)_inf.
 
-All functions are pure.  The only shared state is three lru_caches, each
+All functions are pure.  The only shared state is four lru_caches, each
 keyed by q alone (or by log p, p = q or 1/q), holding at most 128 entries
 and what a fresh computation would return:
 
+- `_exp_divisors`: the divisors [n] of the q_exp series, grown as far as
+  its calls reach (at most `_EXP_STEPS_CAP` of them) by replacing the
+  tuple in a one-slot list;
 - `_log_eq_base`: log E_q(1), behind eq_power and log_q;
 - `_log_qq_inf`: log (r;r)_inf with r = q or 1/q, the x-free factor of
   log Gamma_q (qspecial.log_q_gamma);
@@ -131,8 +134,10 @@ def q_number(x: float, q: QParam) -> float:
     """The q-analogue [x] = (1 - q^x)/(1 - q); tends to x as q -> 1.
 
     Evaluated through expm1 so the heavy cancellation in 1 - q^x at small
-    x*log(q) costs no relative accuracy.  `q_exp` inlines this expression
-    for speed; a change here must be made there too.
+    x*log(q) costs no relative accuracy.  The q_exp series inlines this
+    expression for speed, in `_exp_terms`, as expm1(n log q)/(q - 1), which
+    is the same float (both roundings are symmetric in sign); a change here
+    must be made there too.
     """
     return -math.expm1(x * math.log(q.q)) / (1.0 - q.q)
 
@@ -176,6 +181,78 @@ class ExpKind(Enum):
 #: product where that bound exceeds 2^20 u.
 _ALTERNATING_LIMIT = 20.0 * _LN2
 
+#: Divisors [1].._EXP_STEPS_CAP that `_exp_divisors` keeps per q; a
+#: series that runs further computes the rest inline.
+_EXP_STEPS_CAP = 64
+
+
+@lru_cache(maxsize=128)
+def _exp_divisors(qval: float) -> list[tuple[float, ...]]:
+    """A one-slot list holding the divisors [n] = -expm1(n log q)/(1-q) of
+    the q_exp series known so far, [n] at index n - 1, as its own loop
+    rounds them; they depend on q alone, so e_q and E_q share them.
+
+    The slot starts empty and `_exp_terms` replaces its tuple by a longer
+    one as a series reaches further, so no divisor is formed that a series
+    does not use.  A tuple is never changed in place, so a series that is
+    running while another call grows the slot keeps reading its own.
+    """
+    return [()]
+
+
+def _exp_terms(x: float, qq: float, big: bool, max_terms: int):
+    """The terms of the q_exp series, for math.fsum: 1, then term n is term
+    n-1 times x/[n] (and then times q^(n-1) for E_q), until the running sum
+    is finite and at least |term| / REL_TERM_TOL; ConvergenceError after
+    max_terms terms.
+
+    The divisors come from the per-q slot of `_exp_divisors`.  Past its end
+    q_number(n, q) is inlined and each new divisor, up to _EXP_STEPS_CAP, is
+    published to the slot when the series ends, unless another call has
+    grown it meanwhile.  A fresh q publishes only [1], so the slot grows
+    from a q's second call on and a q seen once costs the inline loop plus
+    a cache miss.  An overflowing divisor raises OverflowError from expm1,
+    as q_number would.
+    """
+    yield 1.0
+    slot = _exp_divisors(qq)
+    known = slot[0]
+    steps = known if len(known) <= max_terms else known[:max_terms]
+    s = term = qpow = 1.0  # qpow is q^(n-1), the E_q weight
+    tol = REL_TERM_TOL
+    inf = math.inf
+    for d in steps:
+        term *= x / d
+        if big:
+            term *= qpow
+            qpow *= qq
+        yield term
+        s += term
+        if abs(term) <= tol * abs(s) < inf:
+            return
+    lq = math.log(qq)
+    qm1 = qq - 1.0
+    expm1 = math.expm1
+    cap = _EXP_STEPS_CAP if known else 1
+    grown = []
+    try:
+        for n in range(len(steps) + 1, max_terms + 1):
+            d = expm1(n * lq) / qm1
+            if n <= cap:
+                grown.append(d)
+            term *= x / d
+            if big:
+                term *= qpow
+                qpow *= qq
+            yield term
+            s += term
+            if abs(term) <= tol * abs(s) < inf:
+                return
+    finally:
+        if grown and slot[0] is known:
+            slot[0] = known + tuple(grown)
+    raise ConvergenceError(f"q-exponential series did not settle within {max_terms} terms")
+
 
 def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
     """q-exponential of either kind from its truncated series (far out on
@@ -190,11 +267,13 @@ def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL
     (see `_entire_exp_neg`), where the alternating series would lose every
     digit; it raises OverflowError when the product leaves the float range.
     The kind with a finite radius is e_p(x) = 1 / prod_{j>=0} (1 - (1-p) p^j x);
-    for x < 0 q_exp returns that reciprocal product (`_finite_exp_neg`)
+    for x < 0 q_exp returns that reciprocal product (`_finite_exp`)
     wherever the series' relative error could exceed 2^20 u, which it
     approaches as x -> -radius (see `_ALTERNATING_LIMIT`), and for E_q with
-    q > 1 also where a divisor q^n - 1 of the series overflows first.  A
-    series whose terms sum past the float range raises OverflowError.
+    q > 1 also where a divisor q^n - 1 of the series overflows first, on
+    either side of 0.  A series whose terms sum past the float range raises
+    OverflowError.  The series is `_exp_terms`, which reads the divisors
+    [n] from the per-q cache `_exp_divisors`.
     """
     if not math.isfinite(x):
         raise DomainError(f"q-exponential argument must be finite, got {x!r}")
@@ -219,40 +298,18 @@ def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL
         except OverflowError as exc:
             raise OverflowError(f"q-exponential overflows a float at x = {x!r}") from exc
     if x < 0.0 and big != (qq < 1.0) and -2.0 * x > _ALTERNATING_LIMIT * (1.0 + x / radius):
-        return _finite_exp_neg(-x, qq if qq < 1.0 else 1.0 / qq, ctrl)
-    # q_number(n, q) is inlined below, with the same float operations in the
-    # same order
-    lq = math.log(qq)
-    omq = 1.0 - qq
-    expm1 = math.expm1
-
-    def terms():
-        yield 1.0
-        s = term = qpow = 1.0  # qpow is q^(n-1), the E_q weight
-        for n in range(1, ctrl.max_terms + 1):
-            term *= x / (-expm1(n * lq) / omq)
-            if big:
-                term *= qpow
-                qpow *= qq
-            yield term
-            s += term
-            if abs(term) <= REL_TERM_TOL * abs(s) < math.inf:
-                return
-        raise ConvergenceError(
-            f"q-exponential series did not settle within {ctrl.max_terms} terms"
-        )
-
-    gen = terms()
+        return _finite_exp(x, qq if qq < 1.0 else 1.0 / qq, ctrl)
+    gen = _exp_terms(x, qq, big, ctrl.max_terms)
     try:
         return math.fsum(gen)
     except OverflowError as exc:
         if gen.gi_frame is not None:
             # fsum's own overflow: finite terms whose sum leaves the float range
             raise OverflowError(f"q-exponential overflows a float at x = {x!r}") from exc
-        if x < 0.0 and big and qq > 1.0:
+        if big and qq > 1.0:
             # a divisor q^n - 1 left the float range before E_q settled;
             # its reciprocal product has no divisors
-            return _finite_exp_neg(-x, 1.0 / qq, ctrl)
+            return _finite_exp(x, 1.0 / qq, ctrl)
         raise
 
 
@@ -297,7 +354,12 @@ def _log_tail(w: float, lp: float) -> float:
     raise ConvergenceError(f"log tail series needs |w| <= 1/2, got w = {w!r}")
 
 
-def _log_prod(v: float, p: float, lp: float) -> tuple[float, float]:
+#: A log magnitude past which exp overflows a float and exp of its negative
+#: is 0.0 (both happen by 745.14).
+_LOG_RANGE = 746.0
+
+
+def _log_prod(v: float, p: float, lp: float, bound: float = math.inf) -> tuple[float, float]:
     """prod_{j>=0} (1 - v p^j) for 0 < p < 1 and log p = lp, as (sign, log
     magnitude); sign 0.0 (log magnitude -inf) flags an exact zero factor.
 
@@ -306,6 +368,14 @@ def _log_prod(v: float, p: float, lp: float) -> tuple[float, float]:
     each is log1p(|v p^j|).  The rest are the log tail series of
     `_log_tail`.  So the cost is about log(2 |v|)/|log p| factors plus at
     most ~55 tail terms, whatever p.
+
+    Once every factor left lies in (0, 1) (v p^j < 1) or above 1 (v < 0),
+    the log magnitude only moves further in one direction, and the loop
+    returns the partial log as soon as it is past -bound or +bound.  With
+    bound = _LOG_RANGE its exp over- or underflows exactly as that of the
+    full log would, after at most ~1,900 factors (each moves the log by at
+    least log(3/2)).  Only a caller that takes exp of the log alone may pass
+    a bound: the Jackson-sum integrand adds (x-1) log t to it.
     """
     sign = 1.0
     logmag = 0.0
@@ -318,9 +388,13 @@ def _log_prod(v: float, p: float, lp: float) -> tuple[float, float]:
             logmag += math.log(-factor)
         else:
             logmag += math.log(factor)
+            if logmag < -bound:
+                return sign, logmag
         v *= p
     while v < -0.5:
         logmag += math.log1p(-v)
+        if logmag > bound:
+            return sign, logmag
         v *= p
     return sign, logmag + _log_tail(v, lp)
 
@@ -341,21 +415,28 @@ def _entire_exp_neg(t: float, p: float, ctrl: SeriesControl) -> tuple[float, flo
     return _log_prod(v, p, lp)
 
 
-def _finite_exp_neg(t: float, p: float, ctrl: SeriesControl) -> float:
-    """e_p(-t) = 1 / prod_{j>=0} (1 + v_j), v_j = (1-p) p^j t, for
-    0 <= t < 1/(1-p) and 0 < p < 1: the q-exponential with a finite radius
-    on its negative half-line, where it is positive and at most 1.
+def _finite_exp(x: float, p: float, ctrl: SeriesControl) -> float:
+    """e_p(x) = 1 / prod_{j>=0} (1 - v_j), v_j = (1-p) p^j x, for
+    |x| < 1/(1-p) and 0 < p < 1: the q-exponential with a finite radius,
+    which is positive there, at most 1 for x <= 0.
 
-    The product is `_log_prod` at -v_0.  ConvergenceError when its factors
-    above 1/2 alone would exceed ctrl.max_terms.
+    The product is `_log_prod` at v_0.  ConvergenceError when its factors
+    above 1/2 in magnitude alone would exceed ctrl.max_terms; OverflowError
+    where the value (near the radius) leaves the float range.
     """
-    v = (1.0 - p) * t
+    v = (1.0 - p) * x
     lp = math.log(p)
-    if v > 0.5 and math.log(2.0 * v) > ctrl.max_terms * -lp:
+    if abs(v) > 0.5 and math.log(2.0 * abs(v)) > ctrl.max_terms * -lp:
         raise ConvergenceError(
-            f"q-exponential product needs more than {ctrl.max_terms} factors at x = {-t!r}"
+            f"q-exponential product needs more than {ctrl.max_terms} factors at x = {x!r}"
         )
-    return math.exp(-_log_prod(-v, p, lp)[1])
+    sign, logmag = _log_prod(v, p, lp)
+    if sign:  # 0.0 where v_0 rounds to 1
+        try:
+            return math.exp(-logmag)
+        except OverflowError:
+            pass
+    raise OverflowError(f"q-exponential overflows a float at x = {x!r}")
 
 
 def _log_qpow_poch(x: float, lq: float) -> tuple[float, float]:
@@ -383,13 +464,15 @@ def _log_eq_base(qval: float) -> float:
     the same base.  The E_q(1) series settles within a few hundred terms
     wherever it is summed, far inside the default cap, so no caller needs
     another policy.  Past q ~ 9.59 its divisors q^n - 1 overflow before it
-    settles, and past q ~ 2^53 the rounded radius q/(q-1) is 1; there
-    E_q(1) = e_p(1) = 1/(1-p; p)_inf with p = 1/q, whose first factor is p,
-    so log E_q(1) = log q - `_log_tail`((1-p) p, log p).
+    settles (past q ~ 2^53, where the rounded radius q/(q-1) is 1, too);
+    there E_q(1) = e_p(1) = 1/(1-p; p)_inf with p = 1/q, whose first factor
+    is p, so log E_q(1) = log q - `_log_tail`((1-p) p, log p).  The series
+    is `_exp_terms` itself, not q_exp, which would answer the overflow with
+    a reciprocal product of different rounding.
     """
     try:
-        return math.log(q_exp(1.0, QParam(qval), ExpKind.BIG_E))
-    except (OverflowError, DomainError):
+        return math.log(math.fsum(_exp_terms(1.0, qval, True, DEFAULT_CTRL.max_terms)))
+    except OverflowError:
         lq = math.log(qval)
         p = 1.0 / qval
         return lq - _log_tail((1.0 - p) * p, -lq)
@@ -412,8 +495,10 @@ def qpoch_inf(a: float, q: QParam) -> float:
 
     Converges only for 0 < q < 1; callers in the q > 1 regime must transform
     to base 1/q first.  It is `_log_prod` at v = a, so it costs about
-    log(2 |a|)/|log q| factors plus at most ~55 tail terms; a value below
-    the float range is 0.0, and one above it raises OverflowError.
+    log(2 |a|)/|log q| factors plus at most ~55 tail terms, and no more
+    than ~1,900 factors for a < 1, where it stops once the log is past the
+    float range; a value below the float range is 0.0, and one above it
+    raises OverflowError.
     """
     if not q.is_sub_one:
         raise DomainError(
@@ -421,7 +506,7 @@ def qpoch_inf(a: float, q: QParam) -> float:
         )
     if not math.isfinite(a):
         raise DomainError(f"(a;q)_inf needs finite a, got {a!r}")
-    sign, logmag = _log_prod(float(a), q.q, math.log(q.q))
+    sign, logmag = _log_prod(float(a), q.q, math.log(q.q), _LOG_RANGE)
     try:
         return sign * math.exp(logmag)
     except OverflowError as exc:

@@ -141,35 +141,41 @@ def mp_entire_exp(x: float, p: float) -> tuple[float, float, float]:
 
 def mp_finite_exp(x: float, p: float) -> tuple[float, float, float]:
     """e_p(x) = 1 / prod_{j>=0} (1 - (1-p) p^j x) for 0 < p < 1 and x < 0,
-    at 50 digits, as (value, e_p(|x|), c).
+    or 0 < x < 1/(1-p), at 50 digits, as (value, e_p(|x|), c); all three are
+    inf for x > 0 at or past the radius.
 
     e_p(|x|) is the sum of the |terms| of the power series at x, inf at or
     past the radius 1/(1-p), where the series diverges but the product does
-    not.  A float x inside the library's rounded radius of q can lie there
-    when the base p = 1/q is itself rounded (q = 128/127: p = 127/128, radius
-    128, but fl(q/(q-1)) = 128.00000000000023).  With
+    not (for x < 0).  A float x inside the library's rounded radius of q can
+    lie there when the base p = 1/q is itself rounded (q = 128/127:
+    p = 127/128, radius 128, but fl(q/(q-1)) = 128.00000000000023).  With
     v_j = (1-p) p^j |x|, c = sum_j (j+2) v_j + |log e_p(x)| bounds the
     relative error the reciprocal product picks up from its factors when
     v_j is formed by j roundings from a rounded v_0, plus that of
-    exponentiating its log.  The factors above 1/100 are taken one by one,
-    the rest as log prod_j (1 + w p^j) = -sum_{m>=1} (-w)^m / (m (1 - p^m))
-    (and with w for 1 - w p^j); the split point differs from the library's
-    (1/2) on purpose.
+    exponentiating its log; for x > 0 each v_j is divided by 1 - v_j, the
+    growth of that error in the factor 1 - v_j.  The factors above 1/100
+    are taken one by one, the rest as
+    log prod_j (1 + w p^j) = -sum_{m>=1} (-w)^m / (m (1 - p^m)) (and with w
+    for 1 - w p^j); the split point differs from the library's (1/2) on
+    purpose.
     """
     with mp.workdps(50):
         pp = mp.mpf(p)
         v = (1 - pp) * abs(mp.mpf(x))
         inside = v < 1
+        if x > 0 and not inside:  # the product has a factor <= 0
+            return math.inf, math.inf, math.inf
         log_value = log_abs = c = mp.mpf(0)
         j = 0
         while v > mp.mpf(1) / 100:
             log_value -= mp.log1p(v)
             if inside:
                 log_abs -= mp.log1p(-v)
-            c += (j + 2) * v
+            c += (j + 2) * (v / (1 - v) if x > 0 else v)
             v *= pp
             j += 1
-        c += v * ((j + 2) / (1 - pp) + pp / (1 - pp) ** 2)  # sum_i (j+i+2) v p^i
+        # sum_i (j+i+2) v p^i, and for x > 0 at most 1/(1 - v) times it
+        c += v * ((j + 2) / (1 - pp) + pp / (1 - pp) ** 2) / (1 - v if x > 0 else 1)
         m = 1
         while True:
             term = v**m / (m * (1 - pp**m))
@@ -179,6 +185,8 @@ def mp_finite_exp(x: float, p: float) -> tuple[float, float, float]:
                 break
             m += 1
         abs_value = float(mp.exp(log_abs)) if inside else math.inf
+        if x > 0:
+            return abs_value, abs_value, float(c + log_abs)
         return float(mp.exp(log_value)), abs_value, float(c - log_value)
 
 

@@ -444,6 +444,28 @@ class TestPlumbing:
         assert run_cli(*argv, "--negative-control") == 2
         assert "unrecognized arguments: --negative-control" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "identity", "--grid-count", "3"),
+            ("table", "identity", "constant"),
+            ("certify", "identity"),
+            ("theorem", "closure"),
+            ("laplace", "--atoms", "1:1"),
+            ("semigroup",),
+        ],
+    )
+    def test_bad_tol_rel_is_refused_up_front(self, tmp_path, capsys, argv, tol):
+        # every provenance echoes tol_rel, so no subcommand may start with one
+        # that is not positive and finite
+        out = tmp_path / "out.csv"
+        assert run_cli(*argv, "--tol-rel", tol, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert "error: tol_rel must be positive and finite" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         assert run_cli("--version") == 0
         assert "qmono" in capsys.readouterr().out

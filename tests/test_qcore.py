@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 import time
 
 import pytest
@@ -38,9 +39,13 @@ from qmono import (
 from qmono.qcore import (
     _ALTERNATING_LIMIT,
     REL_TERM_TOL,
+    _EXP_STEPS_CAP,
+    _entire_exp_neg,
+    _exp_divisors,
     _log_eq_base,
     _log_qpow_poch,
     _log_qq_inf,
+    _log_tail,
     _log_tail_divisors,
 )
 
@@ -240,12 +245,27 @@ def _sums_series(x, qv, kind):
     series: the entire q-exponential (E_q for q < 1, e_q for q > 1) below
     x = -20 log 2, and the kind with a finite radius at x < 0 wherever the
     series' relative error bound u exp(2|x| / (1 - |x|/radius)) exceeds
-    2^20 u.  (E_q for q > 1 at x < 0 also takes the product when a divisor
-    q^n - 1 of its series overflows; that is decided while summing.)"""
+    2^20 u.  (E_q for q > 1 also takes the product when a divisor q^n - 1
+    of its series overflows; that is decided while summing.)"""
     if (kind is ExpKind.BIG_E) == (qv < 1.0):
         return not -math.inf < x < -_ALTERNATING_LIMIT
     radius = 1.0 / (1.0 - qv) if qv < 1.0 else qv / (qv - 1.0)
     return not (-radius < x < 0.0 and -2.0 * x > _ALTERNATING_LIMIT * (1.0 + x / radius))
+
+
+def _assert_matches_reference(x, q, kind, ctrl):
+    """q_exp gives the outcome of the reference loop, bit for bit, except
+    where a divisor q^n - 1 overflows before E_q (q > 1) settles: there the
+    reference raises and q_exp returns the reciprocal product instead,
+    checked against mpmath."""
+    want = outcome(_reference_q_exp, x, q, kind, ctrl)
+    if want[0] is OverflowError and kind is ExpKind.BIG_E:
+        value, _, cond = mp_finite_exp(x, 1.0 / q.q)
+        assume(math.isfinite(value))  # x is inside the rounded radius only
+        got = q_exp(x, q, kind, ctrl)
+        assert abs(got - value) <= 8.0 * UNIT_ROUNDOFF * (1.0 + cond) * value
+        return
+    assert outcome(q_exp, x, q, kind, ctrl) == want
 
 
 class TestQExpReference:
@@ -267,8 +287,7 @@ class TestQExpReference:
         radius = 1.0 / (1.0 - qv) if qv < 1.0 else qv / (qv - 1.0)
         x = u * radius
         assume(_sums_series(x, qv, kind))
-        ctrl = SeriesControl(max_terms=max_terms)
-        assert outcome(q_exp, x, q, kind, ctrl) == outcome(_reference_q_exp, x, q, kind, ctrl)
+        _assert_matches_reference(x, q, kind, SeriesControl(max_terms=max_terms))
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -280,16 +299,7 @@ class TestQExpReference:
         # n log q passes the expm1 overflow point (~709) by n ~ 45 here, so
         # q_exp must not form divisors its series never reaches
         assume(_sums_series(x, qv, kind))
-        q = QParam(qv)
-        want = outcome(_reference_q_exp, x, q, kind, DEFAULT_CTRL)
-        if want[0] is OverflowError and x < 0.0 and kind is ExpKind.BIG_E:
-            # a divisor q^n - 1 overflowed before E_q settled: q_exp takes
-            # the reciprocal product instead, checked against mpmath
-            value, _, cond = mp_finite_exp(x, 1.0 / qv)
-            got = q_exp(x, q, kind)
-            assert abs(got - value) <= 8.0 * UNIT_ROUNDOFF * (1.0 + cond) * value
-            return
-        assert outcome(q_exp, x, q, kind, DEFAULT_CTRL) == want
+        _assert_matches_reference(x, QParam(qv), kind, DEFAULT_CTRL)
 
     def test_series_overflow_is_named(self):
         # every term is finite, but their sum passes the float range
@@ -308,6 +318,77 @@ class TestQExpReference:
         assert outcome(q_exp, x, q, kind, DEFAULT_CTRL) == outcome(
             _reference_q_exp, x, q, kind, DEFAULT_CTRL
         )
+
+
+class TestExpDivisorCache:
+    """The q_exp series reads its divisors [n] from the per-q list of
+    _exp_divisors, which a fresh q starts with [1] only and a later call
+    grows; a cold, a one-step and a grown list must give the bits and the
+    errors of the plain reference loop."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        qv=st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 4.0)),
+        kind=st.sampled_from(list(ExpKind)),
+        u=st.floats(-1.2, 1.2),
+        max_terms=st.one_of(st.integers(1, 80), st.just(10_000)),
+    )
+    def test_cold_then_warm_outcomes_agree(self, qv, kind, u, max_terms):
+        q = QParam(qv)
+        radius = 1.0 / (1.0 - qv) if qv < 1.0 else qv / (qv - 1.0)
+        x = u * radius
+        assume(_sums_series(x, qv, kind))
+        ctrl = SeriesControl(max_terms=max_terms)
+        _exp_divisors.cache_clear()
+        cold = outcome(q_exp, x, q, kind, ctrl)
+        assert [outcome(q_exp, x, q, kind, ctrl) for _ in range(2)] == [cold] * 2
+        _assert_matches_reference(x, q, kind, ctrl)
+
+    @pytest.mark.parametrize(
+        "qv, x, kind",
+        [(0.9, 8.0, ExpKind.SMALL_E), (0.99, 60.0, ExpKind.SMALL_E), (3.0, 1.3, ExpKind.BIG_E)],
+    )
+    def test_series_cap_ignores_call_order(self, qv, x, kind):
+        # 40 terms are too few for each of these; the second (0.99, 60)
+        # runs past the cap of the list
+        q = QParam(qv)
+        short, full = SeriesControl(max_terms=40), SeriesControl(max_terms=10_000)
+        want = {c: outcome(_reference_q_exp, x, q, kind, c) for c in (short, full)}
+        assert want[short][0] is ConvergenceError and want[full][0] == "value"
+        for order in ((short, full, full, short), (full, full, short, full)):
+            _exp_divisors.cache_clear()
+            assert [outcome(q_exp, x, q, kind, c) for c in order] == [want[c] for c in order]
+
+    def test_threads_growing_one_q_agree(self):
+        # 16 threads grow the same slot at once under a 1 us switch
+        # interval: each series reads its own tuple and publishes onto the
+        # one it read only, so no divisor lands at another's index
+        q = QParam(0.9)
+        cases = [(x, kind) for x in (0.5, 5.0, 8.0, 9.5) for kind in ExpKind] * 2
+        want = {c: outcome(_reference_q_exp, c[0], q, c[1], DEFAULT_CTRL) for c in cases}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                _exp_divisors.cache_clear()
+                got = []
+
+                def work(c):
+                    for _ in range(3):
+                        got.append((c, outcome(q_exp, c[0], q, c[1], DEFAULT_CTRL)))
+
+                threads = [threading.Thread(target=work, args=(c,)) for c in cases]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10.0)
+                assert not any(t.is_alive() for t in threads)
+                assert len(got) == 3 * len(cases)
+                assert all(out == want[c] for c, out in got)
+        finally:
+            sys.setswitchinterval(interval)
+        table = _exp_divisors(0.9)[0]
+        assert [d.hex() for d in table] == [q_number(n, q).hex() for n in range(1, len(table) + 1)]
 
 
 class TestQExpOracle:
@@ -409,12 +490,38 @@ class TestFiniteExpOracle:
         with pytest.raises(ConvergenceError, match="more than 10000 factors"):
             q_exp(-9e5, QParam(1.0 - 1e-6), ExpKind.SMALL_E)
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        qv=st.one_of(st.floats(1.5, 20.0), st.floats(20.0, 1e7)),
+        frac=st.floats(0.5, 1.0, exclude_max=True),
+    )
+    @example(qv=18.285714285714285, frac=1.0 / (18.285714285714285 / 17.285714285714285))
+    @example(qv=18.285714285714285, frac=1.05 / (18.285714285714285 / 17.285714285714285))
+    @example(qv=2.0, frac=0.9995)
+    def test_big_e_past_overflowing_divisors(self, qv, frac):
+        # E_q = e_{1/q} for q > 1 on 0 < x < q/(q-1): where a divisor q^n - 1
+        # overflows before the series settles (q = 18.29, x = 1 needs ~650
+        # terms, but q^245 overflows), q_exp takes the reciprocal product
+        q = QParam(qv)
+        x = frac * (qv / (qv - 1.0))
+        assume(outcome(_reference_q_exp, x, q, ExpKind.BIG_E, DEFAULT_CTRL)[0] is OverflowError)
+        want, _, cond = mp_finite_exp(x, 1.0 / qv)
+        assume(math.isfinite(want))  # x is inside the rounded radius only
+        got = q_exp(x, q, ExpKind.BIG_E)
+        assert abs(got - want) <= 8.0 * UNIT_ROUNDOFF * (1.0 + cond) * want
+
+    def test_first_factor_rounding_to_zero_is_named(self):
+        # x one ulp below the radius 3/2: (1 - 1/3) x rounds to 1
+        x = math.nextafter(1.5, 0.0)
+        with pytest.raises(OverflowError, match=r"overflows a float at x = 1\.4999999999999998"):
+            q_exp(x, QParam(3.0), ExpKind.BIG_E)
+
 
 class TestPerQCaches:
     """Every per-q cache is an lru_cache of 128 entries, so nothing grows
     with the number of distinct q a process sees."""
 
-    CACHES = (_log_eq_base, _log_qq_inf, _log_tail_divisors)
+    CACHES = (_exp_divisors, _log_eq_base, _log_qq_inf, _log_tail_divisors)
 
     def test_caches_stay_at_their_size(self):
         for qv in (0.05 + 0.9 * i / 1000 for i in range(1000)):
@@ -435,6 +542,29 @@ class TestPerQCaches:
         for lp in (math.log(0.37), -math.log(1.0 / 0.37), math.log(1.0 - 1e-9), -700.0):
             fresh = [m * math.expm1(m * lp) for m in map(float, range(1, 61))]
             assert [d.hex() for d in _log_tail_divisors(lp)] == [d.hex() for d in fresh]
+
+    @pytest.mark.parametrize(
+        "qv, x, kind, end",
+        [
+            (0.37, 0.3, ExpKind.SMALL_E, "settled"),
+            (0.99, 60.0, ExpKind.SMALL_E, "cap"),
+            (3.0, 0.5, ExpKind.BIG_E, "settled"),
+            (1e7, 0.5, ExpKind.BIG_E, "overflow"),  # the product answers
+        ],
+    )
+    def test_exp_divisors_are_fresh_q_numbers(self, qv, x, kind, end):
+        q = QParam(qv)
+        _exp_divisors.cache_clear()
+        q_exp(x, q, kind)
+        assert len(_exp_divisors(qv)[0]) == 1  # a q seen once keeps [1] only
+        q_exp(x, q, kind)
+        table = _exp_divisors(qv)[0]
+        assert 1 < len(table) <= _EXP_STEPS_CAP
+        assert (len(table) == _EXP_STEPS_CAP) == (end == "cap")
+        if end == "overflow":  # every divisor short of the first to overflow
+            with pytest.raises(OverflowError):
+                q_number(len(table) + 1, q)
+        assert [d.hex() for d in table] == [q_number(n, q).hex() for n in range(1, len(table) + 1)]
 
 
 class TestEqPowerLogQ:
@@ -467,6 +597,14 @@ class TestEqPowerLogQ:
         assert _log_eq_base(qv) == pytest.approx(want, rel=4.0 * UNIT_ROUNDOFF)
         assert eq_power(x, q) == pytest.approx(math.exp(x * want), rel=1e-13)
         assert log_q(eq_power(x, q), q) == pytest.approx(x, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("qv", [12.0, 18.285714285714285, 1e17])
+    def test_large_q_base_is_its_own_product(self, qv):
+        # q_exp answers an overflowing E_q(1) series with its reciprocal
+        # product; the base keeps its own log-tail form, bit for bit
+        lq = math.log(qv)
+        p = 1.0 / qv
+        assert _log_eq_base(qv) == lq - _log_tail((1.0 - p) * p, -lq)
 
     def test_anchors(self):
         assert eq_power(0.0, Q5) == 1.0
@@ -551,6 +689,25 @@ class TestQPochInf:
         start = time.perf_counter()
         qpoch_inf(0.5, QParam(1.0 - 1e-6))
         assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("qv", [1.0 - 1e-6, 1.0 - 1e-7])
+    def test_near_one_past_the_float_range_is_fast(self, qv):
+        # ~5.9e5 (5.9e6) factors exceed 1/2 in magnitude; the product stops
+        # once its log is past the float range, where the rest only moves
+        # it further
+        start = time.perf_counter()
+        assert qpoch_inf(0.9, QParam(qv)) == 0.0
+        with pytest.raises(OverflowError, match=r"a = -0\.9, q = 0\.99999"):
+            qpoch_inf(-0.9, QParam(qv))
+        assert time.perf_counter() - start < 0.05
+
+    def test_kernel_log_runs_past_the_float_range(self):
+        # the Jackson-sum integrand adds (x-1) log t to log |E_q(-q t)|, so
+        # the product behind the kernel must not stop where qpoch_inf does
+        p = 0.999
+        assert qpoch_inf(0.99, QParam(p)) == 0.0
+        sign, logmag = _entire_exp_neg(0.99 / (1.0 - p), p, DEFAULT_CTRL)
+        assert sign == 1.0 and logmag < -1500.0  # -1590.14
 
     def test_overflow_names_a_and_q(self):
         with pytest.raises(OverflowError, match=r"a = -3, q = 0\.9999"):
