@@ -385,9 +385,21 @@ def _add_common(sub: argparse.ArgumentParser, *, grid_min=0.1, grid_max=5.0,
     sub.add_argument("--grid-count", type=int, default=grid_count)
     sub.add_argument("--grid-spacing", choices=("linear", "log"), default=spacing)
     sub.add_argument("--order", type=int, default=6, help="max q-derivative order N")
-    sub.add_argument("--tol-rel", type=float, default=1e-7)
+    sub.add_argument("--tol-rel", type=_tol_rel, default=1e-7)
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default=None, help="output path (stdout when omitted)")
+
+
+def _tol_rel(text: str) -> float:
+    """--tol-rel as a float, refused at parse time (exit 2) unless positive
+    and finite, as a CertSpec would: every subcommand echoes it in its
+    provenance."""
+    try:
+        value = float(text)
+        _check_tol_rel(value)
+    except ValueError as exc:  # DomainError is one
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return value
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -671,9 +683,6 @@ _DRIVERS = {
 
 def run(ns: argparse.Namespace) -> int:
     """Run a parsed command line, write its result and return the exit code."""
-    # every subcommand echoes tol_rel in its provenance: refuse a bad one
-    # before any work, as a CertSpec would
-    _check_tol_rel(ns.tol_rel)
     result, ok = _DRIVERS[ns.command](ns)
     _emit(result, ns)
     return 0 if ok else _VIOLATION_EXIT

@@ -211,8 +211,9 @@ def _exp_terms(x: float, qq: float, big: bool, max_terms: int):
     published to the slot when the series ends, unless another call has
     grown it meanwhile.  A fresh q publishes only [1], so the slot grows
     from a q's second call on and a q seen once costs the inline loop plus
-    a cache miss.  An overflowing divisor raises OverflowError from expm1,
-    as q_number would.
+    a cache miss.  An overflowing divisor raises OverflowError: from expm1,
+    as q_number would, where q^n leaves the float range, and from the stop
+    rule where only (q^n - 1)/(q - 1) does, which q_number returns as inf.
     """
     yield 1.0
     slot = _exp_divisors(qq)
@@ -247,6 +248,10 @@ def _exp_terms(x: float, qq: float, big: bool, max_terms: int):
             yield term
             s += term
             if abs(term) <= tol * abs(s) < inf:
+                if d == inf:
+                    # (q^n - 1)/(q - 1) left the float range (1 < q < 2)
+                    # and zeroed a term that had not settled
+                    raise OverflowError(f"q-exponential divisor [{n}] overflows a float")
                 return
     finally:
         if grown and slot[0] is known:
@@ -270,8 +275,9 @@ def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL
     for x < 0 q_exp returns that reciprocal product (`_finite_exp`)
     wherever the series' relative error could exceed 2^20 u, which it
     approaches as x -> -radius (see `_ALTERNATING_LIMIT`), and for E_q with
-    q > 1 also where a divisor q^n - 1 of the series overflows first, on
-    either side of 0.  A series whose terms sum past the float range raises
+    q > 1 also where a divisor [n] of the series overflows first, on
+    either side of 0 (DomainError where x > 0 lies at or past the radius
+    of p = 1/q rounded).  A series whose terms sum past the float range raises
     OverflowError.  The series is `_exp_terms`, which reads the divisors
     [n] from the per-q cache `_exp_divisors`.
     """
@@ -420,9 +426,14 @@ def _finite_exp(x: float, p: float, ctrl: SeriesControl) -> float:
     |x| < 1/(1-p) and 0 < p < 1: the q-exponential with a finite radius,
     which is positive there, at most 1 for x <= 0.
 
-    The product is `_log_prod` at v_0.  ConvergenceError when its factors
-    above 1/2 in magnitude alone would exceed ctrl.max_terms; OverflowError
-    where the value (near the radius) leaves the float range.
+    The product is `_log_prod` at v_0.  For x > 0 its first factor
+    1 - v_0 cancels near the radius, so it is formed exactly from the
+    floats p and x and rounded once; the factors after it are about 1 - p
+    or more.  Where that first factor is <= 0, x lies at or past the radius of
+    this p, which for p = 1/q rounded can be a few ulps inside the rounded
+    q/(q-1), and DomainError names x and p.  ConvergenceError when its
+    factors above 1/2 in magnitude alone would exceed ctrl.max_terms;
+    OverflowError where the value (near the radius) leaves the float range.
     """
     v = (1.0 - p) * x
     lp = math.log(p)
@@ -430,13 +441,24 @@ def _finite_exp(x: float, p: float, ctrl: SeriesControl) -> float:
         raise ConvergenceError(
             f"q-exponential product needs more than {ctrl.max_terms} factors at x = {x!r}"
         )
-    sign, logmag = _log_prod(v, p, lp)
-    if sign:  # 0.0 where v_0 rounds to 1
-        try:
-            return math.exp(-logmag)
-        except OverflowError:
-            pass
-    raise OverflowError(f"q-exponential overflows a float at x = {x!r}")
+    if x > 0.0:
+        # 1 - (1-p) x = (pd xd - (pd - pn) xn) / (pd xd) in integers; the
+        # int division rounds once
+        pn, pd = p.as_integer_ratio()
+        xn, xd = x.as_integer_ratio()
+        num = pd * xd - (pd - pn) * xn
+        if num <= 0:
+            raise DomainError(
+                f"q-exponential product diverges at x = {x!r}, at or past the "
+                f"radius 1/(1-p) of its base p = {p!r}"
+            )
+        logmag = math.log(num / (pd * xd)) + _log_prod(v * p, p, lp)[1]
+    else:
+        logmag = _log_prod(v, p, lp)[1]
+    try:
+        return math.exp(-logmag)
+    except OverflowError as exc:
+        raise OverflowError(f"q-exponential overflows a float at x = {x!r}") from exc
 
 
 def _log_qpow_poch(x: float, lq: float) -> tuple[float, float]:

@@ -462,7 +462,7 @@ class TestPlumbing:
         out = tmp_path / "out.csv"
         assert run_cli(*argv, "--tol-rel", tol, "--out", str(out)) == 2
         captured = capsys.readouterr()
-        assert "error: tol_rel must be positive and finite" in captured.err
+        assert "error: argument --tol-rel: tol_rel must be positive and finite" in captured.err
         assert captured.out == ""
         assert not out.exists()
 

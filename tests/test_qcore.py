@@ -227,7 +227,10 @@ def _reference_q_exp(x, q, kind, ctrl):
     s = term = 1.0
     qpow = 1.0  # q^(n-1) for the E_q weight
     for n in range(1, ctrl.max_terms + 1):
-        term *= x / q_number(n, q)
+        d = q_number(n, q)
+        if d == math.inf:  # q_number raises only where q^n itself overflows
+            raise OverflowError(f"[{n}] overflows a float")
+        term *= x / d
         if kind is ExpKind.BIG_E:
             term *= qpow
             qpow *= qq
@@ -255,13 +258,17 @@ def _sums_series(x, qv, kind):
 
 def _assert_matches_reference(x, q, kind, ctrl):
     """q_exp gives the outcome of the reference loop, bit for bit, except
-    where a divisor q^n - 1 overflows before E_q (q > 1) settles: there the
+    where a divisor [n] overflows before E_q (q > 1) settles: there the
     reference raises and q_exp returns the reciprocal product instead,
-    checked against mpmath."""
+    checked against mpmath, or raises where that product diverges (x at or
+    past the radius 1/(1-p) of the rounded p = 1/q)."""
     want = outcome(_reference_q_exp, x, q, kind, ctrl)
-    if want[0] is OverflowError and kind is ExpKind.BIG_E:
+    if want[0] is OverflowError and kind is ExpKind.BIG_E and q.q > 1.0:
         value, _, cond = mp_finite_exp(x, 1.0 / q.q)
-        assume(math.isfinite(value))  # x is inside the rounded radius only
+        if math.isinf(value):
+            with pytest.raises((OverflowError, DomainError)):
+                q_exp(x, q, kind, ctrl)
+            return
         got = q_exp(x, q, kind, ctrl)
         assert abs(got - value) <= 8.0 * UNIT_ROUNDOFF * (1.0 + cond) * value
         return
@@ -492,29 +499,48 @@ class TestFiniteExpOracle:
 
     @settings(deadline=None, max_examples=100)
     @given(
-        qv=st.one_of(st.floats(1.5, 20.0), st.floats(20.0, 1e7)),
+        qv=st.one_of(st.floats(1.1, 20.0), st.floats(20.0, 1e7)),
         frac=st.floats(0.5, 1.0, exclude_max=True),
     )
     @example(qv=18.285714285714285, frac=1.0 / (18.285714285714285 / 17.285714285714285))
     @example(qv=18.285714285714285, frac=1.05 / (18.285714285714285 / 17.285714285714285))
     @example(qv=2.0, frac=0.9995)
+    @example(qv=1.1, frac=0.999)
     def test_big_e_past_overflowing_divisors(self, qv, frac):
-        # E_q = e_{1/q} for q > 1 on 0 < x < q/(q-1): where a divisor q^n - 1
+        # E_q = e_{1/q} for q > 1 on 0 < x < q/(q-1): where a divisor [n]
         # overflows before the series settles (q = 18.29, x = 1 needs ~650
-        # terms, but q^245 overflows), q_exp takes the reciprocal product
+        # terms, but q^245 overflows; q = 1.1 at 0.999 of the radius ~16k
+        # terms, but [n] = (q^n - 1)/(q - 1) overflows at n = 7,423), q_exp
+        # takes the reciprocal product
         q = QParam(qv)
         x = frac * (qv / (qv - 1.0))
         assume(outcome(_reference_q_exp, x, q, ExpKind.BIG_E, DEFAULT_CTRL)[0] is OverflowError)
-        want, _, cond = mp_finite_exp(x, 1.0 / qv)
-        assume(math.isfinite(want))  # x is inside the rounded radius only
-        got = q_exp(x, q, ExpKind.BIG_E)
-        assert abs(got - want) <= 8.0 * UNIT_ROUNDOFF * (1.0 + cond) * want
+        _assert_matches_reference(x, q, ExpKind.BIG_E, DEFAULT_CTRL)
 
-    def test_first_factor_rounding_to_zero_is_named(self):
-        # x one ulp below the radius 3/2: (1 - 1/3) x rounds to 1
-        x = math.nextafter(1.5, 0.0)
-        with pytest.raises(OverflowError, match=r"overflows a float at x = 1\.4999999999999998"):
-            q_exp(x, QParam(3.0), ExpKind.BIG_E)
+    @pytest.mark.parametrize("qv", [1.1, 1.3, 1.7, 2.0, 3.0, 18.285714285714285, 1e6])
+    def test_last_floats_below_the_radius(self, qv):
+        # the first factor 1 - (1-p) x of the product is formed exactly, so
+        # even the float next to the rounded radius q/(q-1) keeps ~15
+        # digits: 1 - v_0 is a few u there, and a rounded v_0 would lose
+        # them all (q = 3, fl(1/3) < 1/3).  The oracle's c is dominated by
+        # 2 v_0/(1 - v_0) here and would allow any positive value.
+        q = QParam(qv)
+        x = qv / (qv - 1.0)
+        for _ in range(6):
+            x = math.nextafter(x, 0.0)
+            want = mp_finite_exp(x, 1.0 / qv)[0]
+            if math.isinf(want):
+                continue  # test_past_the_radius_of_the_rounded_base
+            assert q_exp(x, q, ExpKind.BIG_E) == pytest.approx(want, rel=1e-13)
+
+    def test_past_the_radius_of_the_rounded_base(self):
+        # fl(1/1.3) < 1/1.3, so the radius 1/(1-p) of the product lies below
+        # the rounded q/(q-1), and the float next to it has (1-p) x >= 1
+        qv = 1.3
+        x = math.nextafter(qv / (qv - 1.0), 0.0)
+        assert math.isinf(mp_finite_exp(x, 1.0 / qv)[0])
+        with pytest.raises(DomainError, match=r"at or past the radius 1/\(1-p\)"):
+            q_exp(x, QParam(qv), ExpKind.BIG_E)
 
 
 class TestPerQCaches:
