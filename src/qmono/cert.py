@@ -549,14 +549,9 @@ def _compose(g: RealFunction, f: RealFunction) -> RealFunction:
     return composed
 
 
-#: Series policy for the four series builtins of `cli` that can outrun the
-#: primitive default of 10_000 terms.  polylog_qx sums Li_s(q^x) at ratio
-#: q^x, so it needs tens of thousands of terms once x ~ 1e-3.  The q-digamma
-#: builtins (q_psi, q_psi_prime, q_psi_k) take about 10 terms plus at most
-#: 12 Euler-Maclaurin corrections for x < 1 whatever q, and about
-#: 37/(x |log q|) terms for x >= 1, so the default binds only for x >= 1
-#: and q within about 0.4% of 1.  h_aux, f_abq and thm31_harness sum Li_2
-#: at arguments <= 1/2 and take no policy.
+#: Series policy for polylog_qx, the one `cli` builtin whose series can
+#: outrun the default 10_000 terms: Li_s(q^x) at ratio q^x needs tens of
+#: thousands of terms once x ~ 1e-3.
 HARNESS_CTRL = SeriesControl(max_terms=400_000)
 
 #: Witness sweep for the gamma-based composite: 200 log-spaced points on (0, 50].

@@ -150,16 +150,16 @@ def _b_q_gamma_jackson(q, p):
 
 
 def _b_q_psi(q, p):
-    return lambda x: q_psi(x, q, HARNESS_CTRL)
+    return lambda x: q_psi(x, q)
 
 
 def _b_q_psi_prime(q, p):
-    return lambda x: q_psi_k(x, q, 1, HARNESS_CTRL)
+    return lambda x: q_psi_k(x, q, 1)
 
 
 def _b_q_psi_k(q, p):
     k = p["k"]
-    return lambda x: q_psi_k(x, q, k, HARNESS_CTRL)
+    return lambda x: q_psi_k(x, q, k)
 
 
 def _b_polylog_qx(q, p):

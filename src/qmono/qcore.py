@@ -364,6 +364,16 @@ def _log_tail(w: float, lp: float) -> float:
 #: is 0.0 (both happen by 745.14).
 _LOG_RANGE = 746.0
 
+_PI2_6 = math.pi**2 / 6.0  # Li_2(1)
+
+
+def _li2(y: float) -> float:
+    """Li_2(y) = sum_{m>=1} y^m / m^2 for 0 <= y < 1, in 59 terms at a ratio
+    <= 1/2 by Euler's reflection Li_2(y) = pi^2/6 - log(y) log(1-y) - Li_2(1-y)."""
+    if y > 0.5:
+        return _PI2_6 - math.log(y) * math.log1p(-y) - _li2(1.0 - y)
+    return math.fsum(y**m / (m * m) for m in range(1, 60))
+
 
 def _log_prod(v: float, p: float, lp: float, bound: float = math.inf) -> tuple[float, float]:
     """prod_{j>=0} (1 - v p^j) for 0 < p < 1 and log p = lp, as (sign, log
@@ -380,9 +390,25 @@ def _log_prod(v: float, p: float, lp: float, bound: float = math.inf) -> tuple[f
     returns the partial log as soon as it is past -bound or +bound.  With
     bound = _LOG_RANGE its exp over- or underflows exactly as that of the
     full log would, after at most ~1,900 factors (each moves the log by at
-    least log(3/2)).  Only a caller that takes exp of the log alone may pass
-    a bound: the Jackson-sum integrand adds (x-1) log t to it.
+    least log(3/2)).  For v > 1 the first n factors (v p^j > 1) are
+    negative and log |1 - v p^j| falls up to j ~ n and rises after, so each
+    side's sum is at most its integral and the log is at most
+    n log v + lp n(n-1)/2 + (Li_2(1/v) - Li_2(1/(v p^(n-1))) - Li_2(v p^n)) / |lp|;
+    past -bound, the product is (-1)^n times an underflow without its
+    ~log(v)/|lp| factors.  n counts the loop's v p^j (j roundings within u
+    each), so only where v p^(n-1) and v p^n clear 1 by more than that.
+    Only a caller that takes exp of the log alone may pass a bound: the
+    Jackson-sum integrand adds (x-1) log t to it.
     """
+    if v > 1.0 and bound < math.inf:
+        lv = math.log(v)
+        n = math.ceil(lv / -lp)
+        hi, lo = math.exp(lv + (n - 1) * lp), math.exp(lv + n * lp)
+        slack = 2.0 * _UNIT_ROUNDOFF * (n + 4.0 + 4.0 * lv)
+        if hi > 1.0 + slack and lo < 1.0 - slack:
+            top = n * lv + lp * (n * (n - 1) // 2) + (_li2(1 / v) - _li2(1 / hi) - _li2(lo)) / -lp
+            if top < -bound:
+                return (-1.0 if n % 2 else 1.0), top
     sign = 1.0
     logmag = 0.0
     while v > 0.5:
@@ -519,8 +545,9 @@ def qpoch_inf(a: float, q: QParam) -> float:
     to base 1/q first.  It is `_log_prod` at v = a, so it costs about
     log(2 |a|)/|log q| factors plus at most ~55 tail terms, and no more
     than ~1,900 factors for a < 1, where it stops once the log is past the
-    float range; a value below the float range is 0.0, and one above it
-    raises OverflowError.
+    float range; a value below the float range is 0.0 (-0.0 where an odd
+    number of factors is negative, which for a > 1 is known from a bound
+    on the log without its factors), and one above it raises OverflowError.
     """
     if not q.is_sub_one:
         raise DomainError(

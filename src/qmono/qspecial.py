@@ -23,6 +23,7 @@ from .qcore import (
     EvaluationError,
     QParam,
     SeriesControl,
+    _PI2_6,
     _UNIT_ROUNDOFF,
     _entire_exp_neg,
     _log_qpow_poch,
@@ -30,8 +31,6 @@ from .qcore import (
     q_number,
 )
 from .qmeasure import JacksonIntegralResult, jackson_integral_info
-
-_PI2_6 = math.pi**2 / 6.0  # Li_2(1)
 
 __all__ = [
     "GammaParams",
@@ -217,7 +216,7 @@ def _eulerian(k: int) -> tuple[float, ...]:
     A(m, i) = (i+1) A(m-1, i) + (m-i) A(m-1, i-1); A_k is palindromic, so the
     order suits Horner's rule either way."""
     if k > 170:
-        # A_k(1) = k! > 1.8e308; so is |psi_q^(k)(x)| ~ k!/x^(k+1) for x < 1
+        # A_k(1) = k! > 1.8e308, so Li_{-k} is out of float reach at any x
         raise OverflowError(f"Eulerian polynomial of order {k} overflows a float")
     row = [1]
     for m in range(2, k + 1):
@@ -244,84 +243,63 @@ _EM_COEFFS = (
     1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
     -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
 )
-#: The resummed series is summed directly up to x + j = _EM_HEAD and by its
-#: Euler-Maclaurin tail from there on.
-_EM_HEAD = 10.0
+#: The resummed series is summed directly for its first _EM_HEAD terms and by
+#: its Euler-Maclaurin tail from y = x + _EM_HEAD on.
+_EM_HEAD = 10
 
 
-def _digamma_series(x: float, lr: float, k: int, ctrl: SeriesControl) -> float:
+def _digamma_series(x: float, lr: float, k: int) -> float:
     """sum_{n>=1} n^k r^(nx) / (1 - r^n) with log r = lr < 0.
 
-    The series is the double sum sum_{n>=1} sum_{j>=0} n^k r^(n(x+j)), summed
-    over whichever index decays faster.  For x >= 1 the loop runs over n (ratio
-    r^x <= r) until a term falls below REL_TERM_TOL times the partial sum.  For
-    x < 1 it runs over j instead, S = sum_{j>=0} g(x+j) with
-    g(t) = Li_{-k}(e^(lr t)) in closed form, whose terms fall by the factor r.
-
-    Where that direct loop would be long (log(REL_TERM_TOL) / lr above
-    2 * _EM_HEAD terms), the head g(x) + ... + g(x+J-1) is summed up to
-    y = x + J >= _EM_HEAD and the rest is its Euler-Maclaurin tail
+    The double sum sum_{n>=1} sum_{j>=0} n^k r^(n(x+j)) is resummed over j:
+    S = sum_{j>=0} g(x+j), g(t) = Li_{-k}(e^(lr t)) in closed form, whose
+    terms fall by the factor r.  Where that direct loop would be long
+    (log(REL_TERM_TOL) / lr above 2 * _EM_HEAD terms), the first 10 terms
+    are summed and the rest is their Euler-Maclaurin tail at y = x + 10,
 
         int_y^inf g + g(y)/2 - sum_{m>=1} B_2m/(2m)! g^(2m-1)(y),
 
     with int_y^inf g = -Li_{1-k}(e^(lr y)) / lr and
-    g^(p)(y) = lr^p Li_{-k-p}(e^(lr y)), all in closed form.  The corrections
-    stop once one falls below u times the total, so the cost is about 10
-    terms plus at most 12 corrections whatever q.  Otherwise the loop runs
-    until the geometric tail bound term * r / (1-r) falls below REL_TERM_TOL
-    times the partial sum, after about log(REL_TERM_TOL) / lr terms.
-    max_terms caps the terms plus the corrections.  Every sum is one
-    math.fsum of its terms.
+    g^(p)(y) = lr^p Li_{-k-p}(e^(lr y)), all in closed form.  The
+    corrections stop once one falls below u times the total: 10 terms plus
+    at most 12 corrections whatever x and q.  (The head is 10 terms at
+    every x: it outweighs the tail by about e^(-10 lr), while the
+    corrections, relative to the tail, do not shrink with y.)  Otherwise
+    the loop stops once the geometric tail bound term * r / (1-r) is below
+    REL_TERM_TOL times the partial sum, after about log(REL_TERM_TOL) / lr
+    terms (~20 where |lr| >= 1.84), at most DEFAULT_CTRL.max_terms.  Every
+    sum is one math.fsum of its terms.
     """
     what = "q-digamma series" if k == 0 else "q-digamma derivative series"
-    if x >= 1.0:
-
-        def lambert_terms():
-            s = 0.0
-            for n in range(1, ctrl.max_terms + 1):
-                term = float(n) ** k * math.exp(n * x * lr) / -math.expm1(n * lr)
-                yield term
-                s += term
-                if term <= REL_TERM_TOL * s < math.inf:
-                    return
-            raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
-
-        return math.fsum(lambert_terms())
     # the corrections need A_(k+2m-1), m <= 12, which a float holds up to
     # order 170, and converge fastest for |lr| well below 2 pi
-    em = lr > -2.0 and 2.0 * _EM_HEAD * lr > math.log(REL_TERM_TOL) and k + 2 * len(_EM_COEFFS) <= 170
-    n_head = math.ceil(_EM_HEAD - x) if em else ctrl.max_terms
-    if n_head > ctrl.max_terms:
-        raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
+    em = lr > -2.0 and 2 * _EM_HEAD * lr > math.log(REL_TERM_TOL) and k + 2 * len(_EM_COEFFS) <= 170
     coeffs = _eulerian(k)
     tail = math.exp(lr) / -math.expm1(lr)  # r / (1 - r)
-
-    def shift_terms():
-        s = 0.0
-        for j in range(n_head):
-            t = (x + j) * lr
-            z = math.exp(t)
-            poly = 0.0
-            for a in coeffs:
-                poly = poly * z + a
-            den = (-math.expm1(t)) ** (k + 1)  # 0.0 only where the term overflows
-            term = z * poly / den if den > 0.0 else math.inf
-            if term == math.inf:
-                raise OverflowError(f"{what} overflows at x = {x!r}")
-            yield term
-            s += term
-            if not em and term * tail <= REL_TERM_TOL * s < math.inf:
-                return
-        if not em:
-            raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
-
+    head = []
+    s = 0.0
+    for j in range(_EM_HEAD if em else DEFAULT_CTRL.max_terms):
+        t = (x + j) * lr
+        z = math.exp(t)
+        poly = 0.0
+        for a in coeffs:
+            poly = poly * z + a
+        den = (-math.expm1(t)) ** (k + 1)  # 0.0 only where the term overflows
+        term = z * poly / den if den > 0.0 else math.inf
+        if term == math.inf:
+            raise OverflowError(f"{what} overflows at x = {x!r}")
+        head.append(term)
+        s += term
+        if not em and term * tail <= REL_TERM_TOL * s < math.inf:
+            return math.fsum(head)
     if not em:
-        return math.fsum(shift_terms())
-    head = list(shift_terms())  # at most _EM_HEAD terms
-    # the tail at y = x + n_head as integral + scale * (A_k(z)/2 - sum_m b_m
-    # rho^(2m-1) A_(k+2m-1)(z)), with g^(p)(y) = scale rho^p A_(k+p)(z)
-    t = (x + n_head) * lr
+        raise ConvergenceError(f"{what} did not settle within {DEFAULT_CTRL.max_terms} terms")
+    # the tail at y = x + _EM_HEAD as integral + scale * (A_k(z)/2 - sum_m
+    # b_m rho^(2m-1) A_(k+2m-1)(z)), with g^(p)(y) = scale rho^p A_(k+p)(z)
+    t = (x + _EM_HEAD) * lr
     z = math.exp(t)
+    if z == 0.0:  # so are the integral and every correction
+        return math.fsum(head)
     omz = -math.expm1(t)  # 1 - z
     rho = lr / omz
     scale = z / omz ** (k + 1)
@@ -330,41 +308,39 @@ def _digamma_series(x: float, lr: float, k: int, ctrl: SeriesControl) -> float:
     else:
         integral = -scale * _eulerian_at(k - 1, z) / rho
     bracket = 0.5 * _eulerian_at(k, z)
-    # a correction below this (in units of scale) no longer moves the total
-    # by u of it, so it cannot move the float result either
-    bound = _UNIT_ROUNDOFF * (sum(head) + integral + scale * bracket) / scale
+    # a correction below this (in units of scale) cannot move the float total;
+    # the ratio comes first, as u times a subnormal total would underflow
+    bound = _UNIT_ROUNDOFF * ((s + integral + scale * bracket) / scale)
     rho2 = rho * rho
     rho_m = rho  # rho^(2m-1)
-    for m, b in enumerate(_EM_COEFFS[: ctrl.max_terms - n_head]):
+    for m, b in enumerate(_EM_COEFFS):
         corr = b * rho_m * _eulerian_at(k + 2 * m + 1, z)
         bracket -= corr
         if abs(corr) <= bound:
             return math.fsum((*head, integral, scale * bracket))
         rho_m *= rho2
-    raise ConvergenceError(f"{what} did not settle within {ctrl.max_terms} terms")
+    raise ConvergenceError(f"{what} did not settle within {DEFAULT_CTRL.max_terms} terms")
 
 
-def q_psi(x: float, q: QParam, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
+def q_psi(x: float, q: QParam) -> float:
     """q-digamma, the logarithmic derivative of the q-gamma.
 
     0 < q < 1:  -log(1-q) + log(q) sum_{n>=1} q^(nx) / (1 - q^n).
     q > 1:      -log(q-1) + log(q) (x - 1/2 - sum_{n>=1} q^(-nx)/(1 - q^(-n))).
 
-    For x < 1 the series is resummed over the shifts x + j and, where
-    that would be long, cut at x + j ~ 10 with an Euler-Maclaurin tail (see
-    _digamma_series): about 10 terms plus at most 12 corrections, bounded
-    in q.  For x >= 1 it takes about 37 / (x |log q|) terms.
+    The series is resummed over the shifts x + j with an Euler-Maclaurin
+    tail (see _digamma_series): 10 terms plus at most 12 corrections.
     """
     if not x > 0.0:
         raise DomainError(f"q-digamma needs x > 0, got {x!r}")
     qq = q.q
     lq = math.log(qq)
     if q.is_sub_one:
-        return -math.log1p(-qq) + lq * _digamma_series(x, lq, 0, ctrl)
-    return -math.log(qq - 1.0) + lq * (x - 0.5 - _digamma_series(x, -lq, 0, ctrl))
+        return -math.log1p(-qq) + lq * _digamma_series(x, lq, 0)
+    return -math.log(qq - 1.0) + lq * (x - 0.5 - _digamma_series(x, -lq, 0))
 
 
-def q_psi_k(x: float, q: QParam, k: int, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
+def q_psi_k(x: float, q: QParam, k: int) -> float:
     """k-th derivative (in x) of the q-digamma, k >= 1, by termwise
     differentiation of the q_psi series.
 
@@ -373,10 +349,8 @@ def q_psi_k(x: float, q: QParam, k: int, ctrl: SeriesControl = DEFAULT_CTRL) -> 
     q > 1:      (-1)^(k+1) log(q)^(k+1) sum n^k q^(-nx) / (1 - q^(-n)), plus
                 the constant log(q) surviving from the linear term when k = 1.
 
-    For x < 1 the series is summed as sum_{j>=0} Li_{-k}(q^(x+j)) (or with
-    base 1/q), its terms up to x + j ~ 10 and an Euler-Maclaurin tail for
-    the rest: about 10 terms plus at most 12 corrections, bounded in q.
-    For x >= 1 it takes about 37 / (x |log q|) terms.
+    Summed as in q_psi, with Li_{-k} from the Eulerian polynomial A_k,
+    which overflows a float past k = 170 at every x (OverflowError).
     """
     if not x > 0.0:
         raise DomainError(f"q-digamma derivatives need x > 0, got {x!r}")
@@ -384,8 +358,8 @@ def q_psi_k(x: float, q: QParam, k: int, ctrl: SeriesControl = DEFAULT_CTRL) -> 
         raise DomainError(f"derivative order must be >= 1, got {k}")
     lq = math.log(q.q)
     if q.is_sub_one:
-        return lq ** (k + 1) * _digamma_series(x, lq, k, ctrl)
-    value = (-1.0) ** (k + 1) * lq ** (k + 1) * _digamma_series(x, -lq, k, ctrl)
+        return lq ** (k + 1) * _digamma_series(x, lq, k)
+    value = (-1.0) ** (k + 1) * lq ** (k + 1) * _digamma_series(x, -lq, k)
     if k == 1:
         value += lq
     return value

@@ -18,7 +18,6 @@ from qmono import (
     KernelKind,
     QParam,
     RatioParams,
-    SeriesControl,
     Verdict,
     bernstein_iff_check,
     certify,
@@ -45,7 +44,6 @@ from qmono import (
 )
 
 Q5 = QParam(0.5)
-DEEP = SeriesControl(max_terms=400_000)
 
 
 @contextmanager
@@ -144,7 +142,7 @@ def test_05_psi_coherence():
         for qv in (0.5, 0.9, 2.0):
             q = QParam(qv)
             for x in (0.25, 1.0, 2.5, 4.0):
-                lhs = q_psi(x + 1.0, q, DEEP) - q_psi(x, q, DEEP)
+                lhs = q_psi(x + 1.0, q) - q_psi(x, q)
                 rhs = -math.log(qv) * qv**x / (1.0 - qv**x)
                 assert abs(lhs - rhs) <= 1e-8
 
@@ -154,15 +152,11 @@ def test_05_psi_coherence():
         for qv in (0.5, 0.9):
             q = QParam(qv)
             for k in (1, 2, 3):
-                below = (lambda y: q_psi(y, q, DEEP)) if k == 1 else (
-                    lambda y: q_psi_k(y, q, k - 1, DEEP)
-                )
+                below = (lambda y: q_psi(y, q)) if k == 1 else (lambda y: q_psi_k(y, q, k - 1))
                 for x in (0.8, 1.6, 3.0):
-                    assert rel_ok(q_psi_k(x, q, k, DEEP), fd5(below, x), 1e-5)
+                    assert rel_ok(q_psi_k(x, q, k), fd5(below, x), 1e-5)
 
-        rep = certify(
-            lambda x: q_psi_k(x, Q5, 1, DEEP), Q5, CertSpec(CertProperty.QCM, max_order=6)
-        )
+        rep = certify(lambda x: q_psi_k(x, Q5, 1), Q5, CertSpec(CertProperty.QCM, max_order=6))
         assert rep.verdict is Verdict.CONSISTENT
         assert len(rep.counterexamples) == 0
 

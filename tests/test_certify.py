@@ -30,7 +30,6 @@ from qmono import (
     QDiffTable,
     QParam,
     RatioParams,
-    SeriesControl,
     Verdict,
     bernstein_iff_check,
     certify,
@@ -638,8 +637,7 @@ class TestThm32Harness:
 
 class TestPsiPrimeCertification:
     def test_psi_prime_is_qcm_to_order_six(self):
-        ctrl = SeriesControl(max_terms=400_000)
-        f = lambda x: q_psi_k(x, Q5, 1, ctrl)
+        f = lambda x: q_psi_k(x, Q5, 1)
         rep = certify(f, Q5, CertSpec(QCM, max_order=6))
         assert rep.verdict is Verdict.CONSISTENT
         assert len(rep.counterexamples) == 0

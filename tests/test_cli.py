@@ -356,10 +356,11 @@ class TestSemigroup:
 
 
 class TestSeriesBuiltins:
-    """Only `polylog_qx` still needs the deep cap `HARNESS_CTRL`: at x = 1e-2,
+    """Only `polylog_qx` needs the deep cap `HARNESS_CTRL`: at x = 1e-2,
     q = 0.9 the builtin returns a value while its primitive at the default cap
-    does not settle.  The other five series builtins agree with 50-digit
-    mpmath down to x = 1e-8."""
+    does not settle.  The other five series builtins take no cap and agree
+    with 50-digit mpmath down to x = 1e-8; the three q-digamma builtins also
+    at x = 5 with q = 0.999, and `eval` reaches x = 50 at q = 0.99999."""
 
     Q9 = QParam(0.9)
     X = 1e-2
@@ -384,6 +385,24 @@ class TestSeriesBuiltins:
         f = build_function(name, self.Q9, params)
         for x in (1e-2, 1e-8):
             assert f(x) == pytest.approx(oracle(x, self.Q9), rel=1e-13)
+
+    @pytest.mark.parametrize("name", ["q_psi", "q_psi_prime", "q_psi_k"])
+    def test_psi_builtin_matches_mpmath_near_one(self, name):
+        params, oracle = self.ORACLES[name]
+        q = QParam(0.999)
+        assert build_function(name, q, params)(5.0) == pytest.approx(oracle(5.0, q), rel=1e-13)
+
+    def test_psi_eval_reaches_large_x_near_one(self, tmp_path):
+        # a loop over n would need ~37 / (x |log q|) = 3.7e6 terms at x = 1
+        out = tmp_path / "psi.csv"
+        code = run_cli(
+            "eval", "q_psi_k", "--k", "2", "--q", "0.99999", "--grid-min", "1",
+            "--grid-max", "50", "--grid-count", "3", "--out", str(out),
+        )
+        assert code == 0
+        _, rows, _ = read_csv(out)
+        # near the classical psi''(1) = -2 zeta(3); the two differ by 3.5e-12 relative
+        assert float(rows[0][1]) == pytest.approx(-2.0 * 1.2020569031595942, rel=1e-9)
 
 
 class TestTable:

@@ -43,6 +43,7 @@ from qmono.qcore import (
     _entire_exp_neg,
     _exp_divisors,
     _log_eq_base,
+    _log_prod,
     _log_qpow_poch,
     _log_qq_inf,
     _log_tail,
@@ -725,7 +726,23 @@ class TestQPochInf:
         assert qpoch_inf(0.9, QParam(qv)) == 0.0
         with pytest.raises(OverflowError, match=r"a = -0\.9, q = 0\.99999"):
             qpoch_inf(-0.9, QParam(qv))
+        # a > 1: the first ~1.1e6 (1.1e7) and ~4.1e5 (4.1e6) factors are
+        # negative and their logs change direction; the zeros carry the sign
+        # of the product multiplied out factor by factor
+        want = {1.0 - 1e-6: (0.0, -0.0), 1.0 - 1e-7: (-0.0, -0.0)}[qv]
+        assert [qpoch_inf(a, QParam(qv)).hex() for a in (3.0, 1.5)] == [w.hex() for w in want]
         assert time.perf_counter() - start < 0.05
+
+    @settings(deadline=None, max_examples=40)
+    @given(a=st.floats(1.0, 10.0, exclude_min=True), qv=st.floats(0.999, 0.9999))
+    @example(a=3.0, qv=0.9999)
+    @example(a=1.5, qv=0.9999)
+    @example(a=10.0, qv=0.999)
+    def test_above_one_matches_the_product_without_a_stop(self, a, qv):
+        # the bound that stops a > 1 early must not change a bit, the sign of
+        # a zero included
+        sign, logmag = _log_prod(a, qv, math.log(qv))
+        assert qpoch_inf(a, QParam(qv)).hex() == (sign * math.exp(logmag)).hex()
 
     def test_kernel_log_runs_past_the_float_range(self):
         # the Jackson-sum integrand adds (x-1) log t to log |E_q(-q t)|, so
