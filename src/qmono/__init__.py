@@ -10,7 +10,6 @@ q-Bernstein sign patterns.
 __version__ = "0.1.0"
 
 from .qcore import (
-    DEFAULT_CTRL,
     ConvergenceError,
     DomainError,
     EvaluationError,
@@ -18,7 +17,6 @@ from .qcore import (
     InputError,
     QParam,
     Regime,
-    SeriesControl,
     eq_power,
     log_q,
     q_binomial,
@@ -69,7 +67,6 @@ from .qspecial import (
     q_psi_k,
 )
 from .cert import (
-    HARNESS_CTRL,
     BernsteinIffReport,
     CertProperty,
     CertReport,
@@ -93,7 +90,7 @@ __all__ = [
     "__version__",
     # qcore
     "DomainError", "ConvergenceError", "EvaluationError", "InputError",
-    "Regime", "QParam", "SeriesControl", "DEFAULT_CTRL", "ExpKind",
+    "Regime", "QParam", "ExpKind",
     "q_number", "q_pochhammer", "q_factorial", "q_binomial", "q_exp",
     "eq_power", "log_q", "qpoch_inf",
     # qdiff
@@ -113,5 +110,4 @@ __all__ = [
     "CertReport", "certify", "BernsteinIffReport", "bernstein_iff_check",
     "difference_check", "ClosureReport", "closure_checks", "thm31_harness",
     "thm32_harness", "report_to_tree", "report_to_json", "report_to_csv",
-    "HARNESS_CTRL",
 ]

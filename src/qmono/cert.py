@@ -33,7 +33,6 @@ from .qcore import (
     DomainError,
     InputError,
     QParam,
-    SeriesControl,
     eq_power,
     log_q,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "report_to_tree",
     "report_to_json",
     "report_to_csv",
-    "HARNESS_CTRL",
 ]
 
 
@@ -548,11 +546,6 @@ def _compose(g: RealFunction, f: RealFunction) -> RealFunction:
 
     return composed
 
-
-#: Series policy for polylog_qx, the one `cli` builtin whose series can
-#: outrun the default 10_000 terms: Li_s(q^x) at ratio q^x needs tens of
-#: thousands of terms once x ~ 1e-3.
-HARNESS_CTRL = SeriesControl(max_terms=400_000)
 
 #: Witness sweep for the gamma-based composite: 200 log-spaced points on (0, 50].
 _WITNESS_POINTS = _spaced(1e-6, 50.0, 200, log=True)

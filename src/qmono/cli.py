@@ -34,7 +34,6 @@ from typing import Callable, Sequence
 from . import __version__
 from ._serialize import format17, format_cell, render_csv, render_json
 from .cert import (
-    HARNESS_CTRL,
     CertProperty,
     CertSpec,
     Grid,
@@ -165,7 +164,7 @@ def _b_q_psi_k(q, p):
 def _b_polylog_qx(q, p):
     s = p["s"]
     lq = math.log(q.q)
-    return lambda x: polylog(s, math.exp(x * lq), HARNESS_CTRL)
+    return lambda x: polylog(s, math.exp(x * lq))
 
 
 def _b_h_aux(q, p):

@@ -18,8 +18,9 @@ and what a fresh computation would return:
 - `_log_tail_divisors`: the divisors m (p^m - 1) of the log tail series.
 
 Every summed series is one math.fsum of its terms; a series that can run
-to SeriesControl.max_terms feeds it from a generator, so memory stays flat,
-and stops on a plain running sum (see REL_TERM_TOL).
+to its fixed cap (`_MAX_TERMS` here, qspecial._POLYLOG_MAX_TERMS for the
+polylogarithm) feeds it from a generator, so memory stays flat, and stops
+on a plain running sum (see REL_TERM_TOL).
 
 The base q = 1 is rejected at construction; classical q -> 1 behaviour is
 exercised only by tests with q close to 1, which keeps every formula
@@ -40,8 +41,6 @@ __all__ = [
     "InputError",
     "Regime",
     "QParam",
-    "SeriesControl",
-    "DEFAULT_CTRL",
     "REL_TERM_TOL",
     "ExpKind",
     "q_number",
@@ -60,7 +59,7 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A truncated series failed its stopping rule within max_terms."""
+    """A truncated series failed its stopping rule within its term cap."""
 
 
 class EvaluationError(ValueError):
@@ -102,29 +101,16 @@ class QParam:
         return self.regime is Regime.SUB_ONE
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the summed series (q_exp, the q-digamma family
-    and the polylogarithm): max_terms is a hard cap on the terms summed.
-
-    A series stops once |term| <= REL_TERM_TOL * |partial sum|.  All the
-    series in this package are eventually dominated by a geometric ratio,
-    so the relative stopping rule is sound.
-    """
-
-    max_terms: int = 10_000
-
-    def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
-
-
-DEFAULT_CTRL = SeriesControl()
-
 #: A series stops once a term is at most this times its plain running sum
 #: (u = 2^-53 is 1.11e-16).  An inf or nan running sum never stops a
-#: series, so an overflowing one raises rather than returning inf.
+#: series, so an overflowing one raises rather than returning inf.  All the
+#: series in this package are eventually dominated by a geometric ratio,
+#: so the relative stopping rule is sound.
 REL_TERM_TOL = 1e-16
+
+#: Cap on the terms of the q_exp series and the q-digamma's direct loop, and
+#: on the factors above 1/2 of a q-exponential product (ConvergenceError).
+_MAX_TERMS = 10_000
 
 _LN2 = math.log(2.0)
 _UNIT_ROUNDOFF = 2.0**-53
@@ -181,6 +167,12 @@ class ExpKind(Enum):
 #: product where that bound exceeds 2^20 u.
 _ALTERNATING_LIMIT = 20.0 * _LN2
 
+#: For x > 0 the ratio of that kind's series tends to v = x / radius: it
+#: needs ~37 / (1 - v) terms and its stop rule drops a tail of ~u / (1 - v).
+#: q_exp takes the reciprocal product (base p) where 1 - v < max((1 - p) / 4,
+#: _NEAR_RADIUS), where it matched or beat the series against mpmath (p <= 0.99).
+_NEAR_RADIUS = 40.0 / _MAX_TERMS  # where ~37 / (1 - v) terms near _MAX_TERMS
+
 #: Divisors [1].._EXP_STEPS_CAP that `_exp_divisors` keeps per q; a
 #: series that runs further computes the rest inline.
 _EXP_STEPS_CAP = 64
@@ -200,11 +192,11 @@ def _exp_divisors(qval: float) -> list[tuple[float, ...]]:
     return [()]
 
 
-def _exp_terms(x: float, qq: float, big: bool, max_terms: int):
+def _exp_terms(x: float, qq: float, big: bool):
     """The terms of the q_exp series, for math.fsum: 1, then term n is term
     n-1 times x/[n] (and then times q^(n-1) for E_q), until the running sum
     is finite and at least |term| / REL_TERM_TOL; ConvergenceError after
-    max_terms terms.
+    _MAX_TERMS terms.
 
     The divisors come from the per-q slot of `_exp_divisors`.  Past its end
     q_number(n, q) is inlined and each new divisor, up to _EXP_STEPS_CAP, is
@@ -217,12 +209,11 @@ def _exp_terms(x: float, qq: float, big: bool, max_terms: int):
     """
     yield 1.0
     slot = _exp_divisors(qq)
-    known = slot[0]
-    steps = known if len(known) <= max_terms else known[:max_terms]
+    known = slot[0]  # at most _EXP_STEPS_CAP divisors, far below _MAX_TERMS
     s = term = qpow = 1.0  # qpow is q^(n-1), the E_q weight
     tol = REL_TERM_TOL
     inf = math.inf
-    for d in steps:
+    for d in known:
         term *= x / d
         if big:
             term *= qpow
@@ -237,7 +228,7 @@ def _exp_terms(x: float, qq: float, big: bool, max_terms: int):
     cap = _EXP_STEPS_CAP if known else 1
     grown = []
     try:
-        for n in range(len(steps) + 1, max_terms + 1):
+        for n in range(len(known) + 1, _MAX_TERMS + 1):
             d = expm1(n * lq) / qm1
             if n <= cap:
                 grown.append(d)
@@ -256,12 +247,13 @@ def _exp_terms(x: float, qq: float, big: bool, max_terms: int):
     finally:
         if grown and slot[0] is known:
             slot[0] = known + tuple(grown)
-    raise ConvergenceError(f"q-exponential series did not settle within {max_terms} terms")
+    raise ConvergenceError(f"q-exponential series did not settle within {_MAX_TERMS} terms")
 
 
-def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
+def q_exp(x: float, q: QParam, kind: ExpKind) -> float:
     """q-exponential of either kind from its truncated series (far out on
-    the negative axis, the entire kind from its factor product).
+    the negative axis, the entire kind from its factor product; near its
+    radius, the other kind from its reciprocal product).
 
     e_q carries the term ratio x/[n]; E_q carries an extra factor q^(n-1) so
     its n-th term is q^(n(n-1)/2) x^n/[n]!.  Since E_q(x) = e_{1/q}(x), the
@@ -274,12 +266,13 @@ def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL
     The kind with a finite radius is e_p(x) = 1 / prod_{j>=0} (1 - (1-p) p^j x);
     for x < 0 q_exp returns that reciprocal product (`_finite_exp`)
     wherever the series' relative error could exceed 2^20 u, which it
-    approaches as x -> -radius (see `_ALTERNATING_LIMIT`), and for E_q with
-    q > 1 also where a divisor [n] of the series overflows first, on
-    either side of 0 (DomainError where x > 0 lies at or past the radius
-    of p = 1/q rounded).  A series whose terms sum past the float range raises
-    OverflowError.  The series is `_exp_terms`, which reads the divisors
-    [n] from the per-q cache `_exp_divisors`.
+    approaches as x -> -radius (see `_ALTERNATING_LIMIT`), for x > 0 near
+    the radius (see `_NEAR_RADIUS`), and for E_q with q > 1 also where a
+    divisor [n] of the series overflows first, on either side of 0
+    (DomainError where x > 0 lies at or past the radius of p = 1/q rounded).
+    A series whose terms sum past the float range raises OverflowError.
+    The series is `_exp_terms`, which reads the divisors [n] from the per-q
+    cache `_exp_divisors`; it, and a product, stop at `_MAX_TERMS`.
     """
     if not math.isfinite(x):
         raise DomainError(f"q-exponential argument must be finite, got {x!r}")
@@ -297,15 +290,18 @@ def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL
             raise DomainError(
                 f"E_q series (q > 1) diverges for |x| >= q/(q-1) = {radius}, got x={x}"
             )
+    p = qq if qq < 1.0 else 1.0 / qq
     if x < -_ALTERNATING_LIMIT and big == (qq < 1.0):
-        sign, logmag = _entire_exp_neg(-x, qq if big else 1.0 / qq, ctrl)
+        sign, logmag = _entire_exp_neg(-x, p)
         try:
             return sign * math.exp(logmag)
         except OverflowError as exc:
             raise OverflowError(f"q-exponential overflows a float at x = {x!r}") from exc
     if x < 0.0 and big != (qq < 1.0) and -2.0 * x > _ALTERNATING_LIMIT * (1.0 + x / radius):
-        return _finite_exp(x, qq if qq < 1.0 else 1.0 / qq, ctrl)
-    gen = _exp_terms(x, qq, big, ctrl.max_terms)
+        return _finite_exp(x, p)
+    if x > 0.0 and big != (qq < 1.0) and 1.0 - x / radius < max(0.25 * (1.0 - p), _NEAR_RADIUS):
+        return _finite_exp(x, p)
+    gen = _exp_terms(x, qq, big)
     try:
         return math.fsum(gen)
     except OverflowError as exc:
@@ -315,7 +311,7 @@ def q_exp(x: float, q: QParam, kind: ExpKind, ctrl: SeriesControl = DEFAULT_CTRL
         if big and qq > 1.0:
             # a divisor q^n - 1 left the float range before E_q settled;
             # its reciprocal product has no divisors
-            return _finite_exp(x, 1.0 / qq, ctrl)
+            return _finite_exp(x, p)
         raise
 
 
@@ -431,23 +427,29 @@ def _log_prod(v: float, p: float, lp: float, bound: float = math.inf) -> tuple[f
     return sign, logmag + _log_tail(v, lp)
 
 
-def _entire_exp_neg(t: float, p: float, ctrl: SeriesControl) -> tuple[float, float]:
+def _check_factor_count(v: float, lp: float, x: float) -> None:
+    """ConvergenceError when the factors 1 -+ v p^j, log p = lp, with
+    |v p^j| > 1/2 alone would exceed _MAX_TERMS; x names the q_exp argument."""
+    if abs(v) > 0.5 and math.log(2.0 * abs(v)) > _MAX_TERMS * -lp:
+        raise ConvergenceError(
+            f"q-exponential product needs more than {_MAX_TERMS} factors at x = {x!r}"
+        )
+
+
+def _entire_exp_neg(t: float, p: float) -> tuple[float, float]:
     """E_p(-t) = prod_{j>=0} (1 - v_j), v_j = (1-p) p^j t, for t >= 0 and
     0 < p < 1, as (sign, log magnitude) from `_log_prod`; sign 0.0 (log
     magnitude -inf) flags an exact zero factor, a lattice zero of the
     kernel.  ConvergenceError when the factors above 1/2 alone would exceed
-    ctrl.max_terms.
+    _MAX_TERMS.
     """
     v = (1.0 - p) * t
     lp = math.log(p)
-    if v > 0.5 and math.log(2.0 * v) > ctrl.max_terms * -lp:
-        raise ConvergenceError(
-            f"q-exponential product needs more than {ctrl.max_terms} factors at x = {-t!r}"
-        )
+    _check_factor_count(v, lp, -t)
     return _log_prod(v, p, lp)
 
 
-def _finite_exp(x: float, p: float, ctrl: SeriesControl) -> float:
+def _finite_exp(x: float, p: float) -> float:
     """e_p(x) = 1 / prod_{j>=0} (1 - v_j), v_j = (1-p) p^j x, for
     |x| < 1/(1-p) and 0 < p < 1: the q-exponential with a finite radius,
     which is positive there, at most 1 for x <= 0.
@@ -458,15 +460,12 @@ def _finite_exp(x: float, p: float, ctrl: SeriesControl) -> float:
     or more.  Where that first factor is <= 0, x lies at or past the radius of
     this p, which for p = 1/q rounded can be a few ulps inside the rounded
     q/(q-1), and DomainError names x and p.  ConvergenceError when its
-    factors above 1/2 in magnitude alone would exceed ctrl.max_terms;
+    factors above 1/2 in magnitude alone would exceed _MAX_TERMS;
     OverflowError where the value (near the radius) leaves the float range.
     """
     v = (1.0 - p) * x
     lp = math.log(p)
-    if abs(v) > 0.5 and math.log(2.0 * abs(v)) > ctrl.max_terms * -lp:
-        raise ConvergenceError(
-            f"q-exponential product needs more than {ctrl.max_terms} factors at x = {x!r}"
-        )
+    _check_factor_count(v, lp, x)
     if x > 0.0:
         # 1 - (1-p) x = (pd xd - (pd - pn) xn) / (pd xd) in integers; the
         # int division rounds once
@@ -510,16 +509,15 @@ def _log_eq_base(qval: float) -> float:
 
     Cached per q: certification sweeps call eq_power millions of times with
     the same base.  The E_q(1) series settles within a few hundred terms
-    wherever it is summed, far inside the default cap, so no caller needs
-    another policy.  Past q ~ 9.59 its divisors q^n - 1 overflow before it
-    settles (past q ~ 2^53, where the rounded radius q/(q-1) is 1, too);
+    wherever it is summed.  Past q ~ 9.59 its divisors q^n - 1 overflow
+    before it settles (past q ~ 2^53, where the rounded radius q/(q-1) is 1, too);
     there E_q(1) = e_p(1) = 1/(1-p; p)_inf with p = 1/q, whose first factor
     is p, so log E_q(1) = log q - `_log_tail`((1-p) p, log p).  The series
     is `_exp_terms` itself, not q_exp, which would answer the overflow with
     a reciprocal product of different rounding.
     """
     try:
-        return math.log(math.fsum(_exp_terms(1.0, qval, True, DEFAULT_CTRL.max_terms)))
+        return math.log(math.fsum(_exp_terms(1.0, qval, True)))
     except OverflowError:
         lq = math.log(qval)
         p = 1.0 / qval

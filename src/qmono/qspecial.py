@@ -16,13 +16,12 @@ import math
 from dataclasses import dataclass
 
 from .qcore import (
-    DEFAULT_CTRL,
     REL_TERM_TOL,
     ConvergenceError,
     DomainError,
     EvaluationError,
     QParam,
-    SeriesControl,
+    _MAX_TERMS,
     _PI2_6,
     _UNIT_ROUNDOFF,
     _entire_exp_neg,
@@ -184,7 +183,7 @@ def q_gamma_jackson_info(
         )
 
     def integrand(t: float) -> float:
-        sign, logmag = _entire_exp_neg(qq * t, qq, DEFAULT_CTRL)  # E_q(-q t)
+        sign, logmag = _entire_exp_neg(qq * t, qq)  # E_q(-q t)
         if sign == 0.0:
             return 0.0
         logterm = (x - 1.0) * math.log(t) + logmag
@@ -267,7 +266,7 @@ def _digamma_series(x: float, lr: float, k: int) -> float:
     corrections, relative to the tail, do not shrink with y.)  Otherwise
     the loop stops once the geometric tail bound term * r / (1-r) is below
     REL_TERM_TOL times the partial sum, after about log(REL_TERM_TOL) / lr
-    terms (~20 where |lr| >= 1.84), at most DEFAULT_CTRL.max_terms.  Every
+    terms (~20 where |lr| >= 1.84), at most qcore._MAX_TERMS.  Every
     sum is one math.fsum of its terms.
     """
     what = "q-digamma series" if k == 0 else "q-digamma derivative series"
@@ -278,7 +277,7 @@ def _digamma_series(x: float, lr: float, k: int) -> float:
     tail = math.exp(lr) / -math.expm1(lr)  # r / (1 - r)
     head = []
     s = 0.0
-    for j in range(_EM_HEAD if em else DEFAULT_CTRL.max_terms):
+    for j in range(_EM_HEAD if em else _MAX_TERMS):
         t = (x + j) * lr
         z = math.exp(t)
         poly = 0.0
@@ -293,7 +292,7 @@ def _digamma_series(x: float, lr: float, k: int) -> float:
         if not em and term * tail <= REL_TERM_TOL * s < math.inf:
             return math.fsum(head)
     if not em:
-        raise ConvergenceError(f"{what} did not settle within {DEFAULT_CTRL.max_terms} terms")
+        raise ConvergenceError(f"{what} did not settle within {_MAX_TERMS} terms")
     # the tail at y = x + _EM_HEAD as integral + scale * (A_k(z)/2 - sum_m
     # b_m rho^(2m-1) A_(k+2m-1)(z)), with g^(p)(y) = scale rho^p A_(k+p)(z)
     t = (x + _EM_HEAD) * lr
@@ -319,7 +318,7 @@ def _digamma_series(x: float, lr: float, k: int) -> float:
         if abs(corr) <= bound:
             return math.fsum((*head, integral, scale * bracket))
         rho_m *= rho2
-    raise ConvergenceError(f"{what} did not settle within {DEFAULT_CTRL.max_terms} terms")
+    raise ConvergenceError(f"{what} did not settle within {_MAX_TERMS} terms")
 
 
 def q_psi(x: float, q: QParam) -> float:
@@ -350,7 +349,8 @@ def q_psi_k(x: float, q: QParam, k: int) -> float:
                 the constant log(q) surviving from the linear term when k = 1.
 
     Summed as in q_psi, with Li_{-k} from the Eulerian polynomial A_k,
-    which overflows a float past k = 170 at every x (OverflowError).
+    which overflows a float past k = 170 at every x; OverflowError there
+    and wherever the value leaves the float range.
     """
     if not x > 0.0:
         raise DomainError(f"q-digamma derivatives need x > 0, got {x!r}")
@@ -358,18 +358,28 @@ def q_psi_k(x: float, q: QParam, k: int) -> float:
         raise DomainError(f"derivative order must be >= 1, got {k}")
     lq = math.log(q.q)
     if q.is_sub_one:
-        return lq ** (k + 1) * _digamma_series(x, lq, k)
-    value = (-1.0) ** (k + 1) * lq ** (k + 1) * _digamma_series(x, -lq, k)
-    if k == 1:
-        value += lq
+        value = lq ** (k + 1) * _digamma_series(x, lq, k)
+    else:
+        value = (-1.0) ** (k + 1) * lq ** (k + 1) * _digamma_series(x, -lq, k)
+        if k == 1:
+            value += lq
+    if math.isinf(value):
+        raise OverflowError(f"q-digamma derivative overflows at x = {x!r}")
     return value
 
 
-def polylog(s: float, z: float, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
+#: Term cap of the polylogarithm series, whose ratio is z: the builtin
+#: polylog_qx reaches z = q^x ~ 1 - 1e-3, tens of thousands of terms.  It
+#: stays until polylog sums near z = 1 by its expansion in log z.
+_POLYLOG_MAX_TERMS = 400_000
+
+
+def polylog(s: float, z: float) -> float:
     """Polylogarithm Li_s(z) = sum_{k>=1} z^k / k^s on |z| < 1.
 
     Arguments on or outside the unit circle are rejected; the package only
-    ever needs z in (0, 1).  The series has ratio z, so it is slow as z -> 1.
+    ever needs z in (0, 1).  The series has ratio z, so it is slow as z -> 1;
+    ConvergenceError after _POLYLOG_MAX_TERMS terms.
     """
     if not abs(z) < 1.0:
         raise DomainError(f"polylogarithm series needs |z| < 1, got z={z!r}")
@@ -379,7 +389,7 @@ def polylog(s: float, z: float, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
     def terms():
         acc = 0.0
         zk = 1.0
-        for k in range(1, ctrl.max_terms + 1):
+        for k in range(1, _POLYLOG_MAX_TERMS + 1):
             zk *= z
             term = zk / float(k) ** s
             yield term
@@ -387,7 +397,7 @@ def polylog(s: float, z: float, ctrl: SeriesControl = DEFAULT_CTRL) -> float:
             if abs(term) <= REL_TERM_TOL * abs(acc) < math.inf:
                 return
         raise ConvergenceError(
-            f"polylogarithm series did not settle within {ctrl.max_terms} terms"
+            f"polylogarithm series did not settle within {_POLYLOG_MAX_TERMS} terms"
         )
 
     return math.fsum(terms())

@@ -20,12 +20,10 @@ from _oracles import (
 )
 from qmono import (
     ConvergenceError,
-    DEFAULT_CTRL,
     DomainError,
     ExpKind,
     QParam,
     Regime,
-    SeriesControl,
     eq_power,
     log_q,
     log_q_gamma,
@@ -40,8 +38,11 @@ from qmono.qcore import (
     _ALTERNATING_LIMIT,
     REL_TERM_TOL,
     _EXP_STEPS_CAP,
+    _MAX_TERMS,
+    _NEAR_RADIUS,
     _entire_exp_neg,
     _exp_divisors,
+    _exp_terms,
     _log_eq_base,
     _log_prod,
     _log_qpow_poch,
@@ -49,6 +50,7 @@ from qmono.qcore import (
     _log_tail,
     _log_tail_divisors,
 )
+from qmono.qspecial import _POLYLOG_MAX_TERMS
 
 Q5 = QParam(0.5)
 
@@ -66,14 +68,11 @@ class TestQParam:
             QParam(bad)
 
 
-class TestSeriesControl:
+class TestSeriesCaps:
     def test_defaults(self):
-        assert SeriesControl().max_terms == 10_000
+        assert _MAX_TERMS == 10_000
+        assert _POLYLOG_MAX_TERMS == 400_000
         assert REL_TERM_TOL == 1e-16
-
-    def test_rejects_bad_policy(self):
-        with pytest.raises(DomainError):
-            SeriesControl(max_terms=0)
 
 
 class TestQNumber:
@@ -200,12 +199,13 @@ class TestQExp:
         q_exp(100.0, q2, ExpKind.SMALL_E)  # e_q entire for q > 1
 
     def test_convergence_cap(self):
-        ctrl = SeriesControl(max_terms=3)
-        with pytest.raises(ConvergenceError):
-            q_exp(1.9, Q5, ExpKind.SMALL_E, ctrl)
+        # the second term already overflows, and inf or nan running sums
+        # never stop the series
+        with pytest.raises(ConvergenceError, match="within 10000 terms"):
+            q_exp(1e300, Q5, ExpKind.BIG_E)
 
 
-def _reference_q_exp(x, q, kind, ctrl):
+def _reference_q_exp(x, q, kind):
     """The q_exp series as math.fsum of a plain list of its terms, each term
     from q_number, stopping where the running sum is finite and outweighs
     the last term by 1/REL_TERM_TOL; the guards are the ones q_exp keeps."""
@@ -227,7 +227,7 @@ def _reference_q_exp(x, q, kind, ctrl):
     terms = [1.0]
     s = term = 1.0
     qpow = 1.0  # q^(n-1) for the E_q weight
-    for n in range(1, ctrl.max_terms + 1):
+    for n in range(1, 10_001):
         d = q_number(n, q)
         if d == math.inf:  # q_number raises only where q^n itself overflows
             raise OverflowError(f"[{n}] overflows a float")
@@ -239,41 +239,44 @@ def _reference_q_exp(x, q, kind, ctrl):
         s += term
         if math.isfinite(s) and abs(term) <= REL_TERM_TOL * abs(s):
             return math.fsum(terms)
-    raise ConvergenceError(
-        f"q-exponential series did not settle within {ctrl.max_terms} terms"
-    )
+    raise ConvergenceError("q-exponential series did not settle within 10000 terms")
 
 
 def _sums_series(x, qv, kind):
     """False where q_exp returns a factor product instead of summing its
     series: the entire q-exponential (E_q for q < 1, e_q for q > 1) below
-    x = -20 log 2, and the kind with a finite radius at x < 0 wherever the
-    series' relative error bound u exp(2|x| / (1 - |x|/radius)) exceeds
-    2^20 u.  (E_q for q > 1 also takes the product when a divisor q^n - 1
-    of its series overflows; that is decided while summing.)"""
+    x = -20 log 2, and the kind with a finite radius, of base p = q or 1/q
+    below 1, at x < 0 wherever the series' relative error bound
+    u exp(2|x| / (1 - |x|/radius)) exceeds 2^20 u, and at x > 0 where
+    1 - x/radius < max((1 - p)/4, _NEAR_RADIUS).  (E_q for q > 1 also
+    takes the product when a divisor q^n - 1 of its series overflows; that
+    is decided while summing.)"""
     if (kind is ExpKind.BIG_E) == (qv < 1.0):
         return not -math.inf < x < -_ALTERNATING_LIMIT
     radius = 1.0 / (1.0 - qv) if qv < 1.0 else qv / (qv - 1.0)
+    p = qv if qv < 1.0 else 1.0 / qv
+    if 0.0 < x < radius:
+        return not 1.0 - x / radius < max(0.25 * (1.0 - p), _NEAR_RADIUS)
     return not (-radius < x < 0.0 and -2.0 * x > _ALTERNATING_LIMIT * (1.0 + x / radius))
 
 
-def _assert_matches_reference(x, q, kind, ctrl):
+def _assert_matches_reference(x, q, kind):
     """q_exp gives the outcome of the reference loop, bit for bit, except
     where a divisor [n] overflows before E_q (q > 1) settles: there the
     reference raises and q_exp returns the reciprocal product instead,
     checked against mpmath, or raises where that product diverges (x at or
     past the radius 1/(1-p) of the rounded p = 1/q)."""
-    want = outcome(_reference_q_exp, x, q, kind, ctrl)
+    want = outcome(_reference_q_exp, x, q, kind)
     if want[0] is OverflowError and kind is ExpKind.BIG_E and q.q > 1.0:
         value, _, cond = mp_finite_exp(x, 1.0 / q.q)
         if math.isinf(value):
             with pytest.raises((OverflowError, DomainError)):
-                q_exp(x, q, kind, ctrl)
+                q_exp(x, q, kind)
             return
-        got = q_exp(x, q, kind, ctrl)
+        got = q_exp(x, q, kind)
         assert abs(got - value) <= 8.0 * UNIT_ROUNDOFF * (1.0 + cond) * value
         return
-    assert outcome(q_exp, x, q, kind, ctrl) == want
+    assert outcome(q_exp, x, q, kind) == want
 
 
 class TestQExpReference:
@@ -287,15 +290,14 @@ class TestQExpReference:
         qv=st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 4.0)),
         kind=st.sampled_from(list(ExpKind)),
         u=st.floats(-1.2, 1.2),
-        max_terms=st.one_of(st.integers(1, 40), st.just(10_000)),
     )
-    def test_matches_reference_loop(self, qv, kind, u, max_terms):
+    def test_matches_reference_loop(self, qv, kind, u):
         q = QParam(qv)
         # x runs a little past the finite radius of whichever kind has one
         radius = 1.0 / (1.0 - qv) if qv < 1.0 else qv / (qv - 1.0)
         x = u * radius
         assume(_sums_series(x, qv, kind))
-        _assert_matches_reference(x, q, kind, SeriesControl(max_terms=max_terms))
+        _assert_matches_reference(x, q, kind)
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -307,7 +309,7 @@ class TestQExpReference:
         # n log q passes the expm1 overflow point (~709) by n ~ 45 here, so
         # q_exp must not form divisors its series never reaches
         assume(_sums_series(x, qv, kind))
-        _assert_matches_reference(x, QParam(qv), kind, DEFAULT_CTRL)
+        _assert_matches_reference(x, QParam(qv), kind)
 
     def test_series_overflow_is_named(self):
         # every term is finite, but their sum passes the float range
@@ -323,9 +325,7 @@ class TestQExpReference:
             with pytest.raises(OverflowError, match="overflows a float"):
                 q_exp(x, q, kind)
             return
-        assert outcome(q_exp, x, q, kind, DEFAULT_CTRL) == outcome(
-            _reference_q_exp, x, q, kind, DEFAULT_CTRL
-        )
+        assert outcome(q_exp, x, q, kind) == outcome(_reference_q_exp, x, q, kind)
 
 
 class TestExpDivisorCache:
@@ -339,33 +339,16 @@ class TestExpDivisorCache:
         qv=st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 4.0)),
         kind=st.sampled_from(list(ExpKind)),
         u=st.floats(-1.2, 1.2),
-        max_terms=st.one_of(st.integers(1, 80), st.just(10_000)),
     )
-    def test_cold_then_warm_outcomes_agree(self, qv, kind, u, max_terms):
+    def test_cold_then_warm_outcomes_agree(self, qv, kind, u):
         q = QParam(qv)
         radius = 1.0 / (1.0 - qv) if qv < 1.0 else qv / (qv - 1.0)
         x = u * radius
         assume(_sums_series(x, qv, kind))
-        ctrl = SeriesControl(max_terms=max_terms)
         _exp_divisors.cache_clear()
-        cold = outcome(q_exp, x, q, kind, ctrl)
-        assert [outcome(q_exp, x, q, kind, ctrl) for _ in range(2)] == [cold] * 2
-        _assert_matches_reference(x, q, kind, ctrl)
-
-    @pytest.mark.parametrize(
-        "qv, x, kind",
-        [(0.9, 8.0, ExpKind.SMALL_E), (0.99, 60.0, ExpKind.SMALL_E), (3.0, 1.3, ExpKind.BIG_E)],
-    )
-    def test_series_cap_ignores_call_order(self, qv, x, kind):
-        # 40 terms are too few for each of these; the second (0.99, 60)
-        # runs past the cap of the list
-        q = QParam(qv)
-        short, full = SeriesControl(max_terms=40), SeriesControl(max_terms=10_000)
-        want = {c: outcome(_reference_q_exp, x, q, kind, c) for c in (short, full)}
-        assert want[short][0] is ConvergenceError and want[full][0] == "value"
-        for order in ((short, full, full, short), (full, full, short, full)):
-            _exp_divisors.cache_clear()
-            assert [outcome(q_exp, x, q, kind, c) for c in order] == [want[c] for c in order]
+        cold = outcome(q_exp, x, q, kind)
+        assert [outcome(q_exp, x, q, kind) for _ in range(2)] == [cold] * 2
+        _assert_matches_reference(x, q, kind)
 
     def test_threads_growing_one_q_agree(self):
         # 16 threads grow the same slot at once under a 1 us switch
@@ -373,7 +356,7 @@ class TestExpDivisorCache:
         # one it read only, so no divisor lands at another's index
         q = QParam(0.9)
         cases = [(x, kind) for x in (0.5, 5.0, 8.0, 9.5) for kind in ExpKind] * 2
-        want = {c: outcome(_reference_q_exp, c[0], q, c[1], DEFAULT_CTRL) for c in cases}
+        want = {c: outcome(_reference_q_exp, c[0], q, c[1]) for c in cases}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -383,7 +366,7 @@ class TestExpDivisorCache:
 
                 def work(c):
                     for _ in range(3):
-                        got.append((c, outcome(q_exp, c[0], q, c[1], DEFAULT_CTRL)))
+                        got.append((c, outcome(q_exp, c[0], q, c[1])))
 
                 threads = [threading.Thread(target=work, args=(c,)) for c in cases]
                 for t in threads:
@@ -446,9 +429,8 @@ class TestQExpOracle:
         # v_0 = 1 at p = 1 - 1e-6: ~6.9e5 factors exceed 1/2, past the cap
         with pytest.raises(ConvergenceError, match="more than 10000 factors"):
             q_exp(-1e6, QParam(1.0 - 1e-6), ExpKind.BIG_E)
-        with pytest.raises(ConvergenceError, match="more than 50 factors"):
-            q_exp(-2000.0, QParam(0.9), ExpKind.BIG_E, SeriesControl(max_terms=50))
-        assert q_exp(-2000.0, QParam(0.9), ExpKind.BIG_E, SeriesControl(max_terms=70)) != 0.0
+        # ~57 factors exceed 1/2 at v_0 = 200, p = 0.9: far inside the cap
+        assert q_exp(-2000.0, QParam(0.9), ExpKind.BIG_E) != 0.0
 
     def test_laplace_kernel_far_out(self):
         # the CLI example: E_0.9(-60), the Jackson kernel at lambda t = 60
@@ -458,14 +440,16 @@ class TestQExpOracle:
 
 class TestFiniteExpOracle:
     """The q-exponential with a finite radius, e_p(x), p = q < 1 (e_q) or
-    p = 1/q < 1 (E_q), against 50-digit mpmath over x in (-radius, 0).
+    p = 1/q < 1 (E_q), against 50-digit mpmath over x in (-radius, radius).
 
-    Its series alternates there with a relative rounding error of about u
-    e_p(|x|) / e_p(x), which grows without bound as x -> -radius; where
+    Its series alternates for x < 0 with a relative rounding error of about
+    u e_p(|x|) / e_p(x), which grows without bound as x -> -radius; where
     that could pass 2^20 u, q_exp takes the reciprocal product, a few u
     times the factor conditioning c of _oracles.mp_finite_exp.  The summed
     series returned 4.74e-5 for e_0.95(-19) (true 1.534e-7) and was off by
-    5e-7 relative at E_1.1(-10.5)."""
+    5e-7 relative at E_1.1(-10.5).  For x > 0 near the radius the series
+    would run out of terms (e_0.5(1.998)) or lose its tail (2e-14 relative
+    at e_0.5(1.99)), and q_exp takes the product there too."""
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -493,6 +477,36 @@ class TestFiniteExpOracle:
         else:  # plus the spacing of subnormals, where e_p(x) underflows
             assert abs(got - want) <= 8.0 * UNIT_ROUNDOFF * (1.0 + cond) * want + 2.0 * math.ulp(0.0)
 
+    @settings(deadline=None, max_examples=150)
+    @given(
+        pv=st.one_of(st.floats(0.05, 0.99), st.floats(0.99, 0.999)),
+        frac=st.floats(0.0, 1.0, exclude_min=True),
+        kind=st.sampled_from(list(ExpKind)),
+    )
+    @example(pv=0.5, frac=0.001 / 0.125, kind=ExpKind.SMALL_E)  # x = 1.998
+    @example(pv=0.9, frac=0.001 / 0.025, kind=ExpKind.SMALL_E)  # x = 9.99
+    @example(pv=0.5, frac=0.005 / 0.125, kind=ExpKind.SMALL_E)  # x = 1.99
+    @example(pv=1.0 / 1.1, frac=0.01 / (0.25 / 11.0), kind=ExpKind.BIG_E)
+    def test_near_the_radius_matches_mpmath(self, pv, frac, kind):
+        # frac of the product's band 1 - x/radius < max((1 - p)/4, _NEAR_RADIUS)
+        q = QParam(pv if kind is ExpKind.SMALL_E else 1.0 / pv)
+        p = q.q if kind is ExpKind.SMALL_E else 1.0 / q.q
+        radius = 1.0 / (1.0 - q.q) if q.q < 1.0 else q.q / (q.q - 1.0)
+        x = (1.0 - frac * max(0.25 * (1.0 - p), _NEAR_RADIUS)) * radius
+        assume(x < radius and not _sums_series(x, q.q, kind))
+        want, _, cond = mp_finite_exp(x, p)
+        if math.isinf(cond):  # past the radius of the rounded p = 1/q
+            with pytest.raises(DomainError):
+                q_exp(x, q, kind)
+            return
+        tol = 8.0 * UNIT_ROUNDOFF * (1.0 + cond) * want
+        try:
+            got = q_exp(x, q, kind)
+        except OverflowError as exc:  # within tol of the float range or past it
+            assert "overflows a float" in str(exc) and want + tol > sys.float_info.max
+        else:
+            assert abs(got - want) <= tol
+
     def test_too_many_factors_is_a_convergence_error(self):
         # v_0 = 0.9 at p = 1 - 1e-6: ~5.9e5 factors exceed 1/2, past the cap
         with pytest.raises(ConvergenceError, match="more than 10000 factors"):
@@ -515,8 +529,8 @@ class TestFiniteExpOracle:
         # takes the reciprocal product
         q = QParam(qv)
         x = frac * (qv / (qv - 1.0))
-        assume(outcome(_reference_q_exp, x, q, ExpKind.BIG_E, DEFAULT_CTRL)[0] is OverflowError)
-        _assert_matches_reference(x, q, ExpKind.BIG_E, DEFAULT_CTRL)
+        assume(outcome(_reference_q_exp, x, q, ExpKind.BIG_E)[0] is OverflowError)
+        _assert_matches_reference(x, q, ExpKind.BIG_E)
 
     @pytest.mark.parametrize("qv", [1.1, 1.3, 1.7, 2.0, 3.0, 18.285714285714285, 1e6])
     def test_last_floats_below_the_radius(self, qv):
@@ -602,11 +616,12 @@ class TestEqPowerLogQ:
         y=st.floats(1e-300, 1e300),
     )
     def test_base_ignores_the_series_cap(self, qv, x, y):
-        # E_q(1) settles in a few hundred terms, so the default cap behind
-        # eq_power/log_q gives the same bits as a 40x deeper one
+        # E_q(1) settles in a few hundred terms, far inside the cap of the
+        # series behind eq_power/log_q
         q = QParam(qv)
-        deep = SeriesControl(max_terms=400_000)
-        log_e1 = math.log(q_exp(1.0, q, ExpKind.BIG_E, deep))
+        terms = list(_exp_terms(1.0, qv, True))
+        assert len(terms) < 1000
+        log_e1 = math.log(math.fsum(terms))
         assert eq_power(x, q) == math.exp(x * log_e1)
         assert log_q(y, q) == math.log(y) / log_e1
 
@@ -676,7 +691,7 @@ class TestQPochInf:
             qpoch_inf(0.5, QParam(2.0))
 
     def test_slow_base_converges(self):
-        # q = 0.99 needs ~4e3 factors; products are not capped by max_terms
+        # q = 0.99 needs ~4e3 factors; products are not capped by _MAX_TERMS
         v = qpoch_inf(0.99, QParam(0.99))
         assert 0.0 < v < 1.0
         # at q = 0.999 the product value genuinely underflows double range
@@ -749,7 +764,7 @@ class TestQPochInf:
         # the product behind the kernel must not stop where qpoch_inf does
         p = 0.999
         assert qpoch_inf(0.99, QParam(p)) == 0.0
-        sign, logmag = _entire_exp_neg(0.99 / (1.0 - p), p, DEFAULT_CTRL)
+        sign, logmag = _entire_exp_neg(0.99 / (1.0 - p), p)
         assert sign == 1.0 and logmag < -1500.0  # -1590.14
 
     def test_overflow_names_a_and_q(self):
