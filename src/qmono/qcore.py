@@ -9,9 +9,8 @@ All functions are pure.  The only shared state is four lru_caches, each
 keyed by q alone (or by log p, p = q or 1/q), holding at most 128 entries
 and what a fresh computation would return:
 
-- `_exp_divisors`: the divisors [n] of the q_exp series, grown as far as
-  its calls reach (at most `_EXP_STEPS_CAP` of them) by replacing the
-  tuple in a one-slot list;
+- `_exp_divisors`: the first `_EXP_STEPS_CAP` divisors [n] of the q_exp
+  series, formed once per q;
 - `_log_eq_base`: log E_q(1), behind eq_power and log_q;
 - `_log_qq_inf`: log (r;r)_inf with r = q or 1/q, the x-free factor of
   log Gamma_q (qspecial.log_q_gamma);
@@ -120,10 +119,10 @@ def q_number(x: float, q: QParam) -> float:
     """The q-analogue [x] = (1 - q^x)/(1 - q); tends to x as q -> 1.
 
     Evaluated through expm1 so the heavy cancellation in 1 - q^x at small
-    x*log(q) costs no relative accuracy.  The q_exp series inlines this
-    expression for speed, in `_exp_terms`, as expm1(n log q)/(q - 1), which
-    is the same float (both roundings are symmetric in sign); a change here
-    must be made there too.
+    x*log(q) costs no relative accuracy.  `_exp_divisors` and `_exp_terms`
+    form it for the q_exp series as expm1(n log q)/(q - 1), which is the
+    same float (both roundings are symmetric in sign); a change here must
+    be made there too.
     """
     return -math.expm1(x * math.log(q.q)) / (1.0 - q.q)
 
@@ -173,23 +172,28 @@ _ALTERNATING_LIMIT = 20.0 * _LN2
 #: _NEAR_RADIUS), where it matched or beat the series against mpmath (p <= 0.99).
 _NEAR_RADIUS = 40.0 / _MAX_TERMS  # where ~37 / (1 - v) terms near _MAX_TERMS
 
-#: Divisors [1].._EXP_STEPS_CAP that `_exp_divisors` keeps per q; a
-#: series that runs further computes the rest inline.
+#: Length of the divisor table of `_exp_terms`: a series that runs further
+#: computes the rest inline.
 _EXP_STEPS_CAP = 64
 
 
 @lru_cache(maxsize=128)
-def _exp_divisors(qval: float) -> list[tuple[float, ...]]:
-    """A one-slot list holding the divisors [n] = -expm1(n log q)/(1-q) of
-    the q_exp series known so far, [n] at index n - 1, as its own loop
-    rounds them; they depend on q alone, so e_q and E_q share them.
-
-    The slot starts empty and `_exp_terms` replaces its tuple by a longer
-    one as a series reaches further, so no divisor is formed that a series
-    does not use.  A tuple is never changed in place, so a series that is
-    running while another call grows the slot keeps reading its own.
+def _exp_divisors(qval: float) -> tuple[float, ...]:
+    """The divisors [n] = expm1(n log q)/(q - 1), n = 1.._EXP_STEPS_CAP, of
+    the q_exp series, rounded as the inline loop of `_exp_terms` rounds
+    them; e_q and E_q share them.  The table stops before the first n where
+    q^n leaves the float range (q above ~6.6e4), so that loop raises at that
+    same n.  It never holds inf: (q^n - 1)/(q - 1) overflows only for
+    1 < q < 2, and there it stays finite for n <= 64.
     """
-    return [()]
+    lq = math.log(qval)
+    table = []
+    for n in range(1, _EXP_STEPS_CAP + 1):
+        try:
+            table.append(math.expm1(n * lq) / (qval - 1.0))
+        except OverflowError:
+            break
+    return tuple(table)
 
 
 def _exp_terms(x: float, qq: float, big: bool):
@@ -198,22 +202,18 @@ def _exp_terms(x: float, qq: float, big: bool):
     is finite and at least |term| / REL_TERM_TOL; ConvergenceError after
     _MAX_TERMS terms.
 
-    The divisors come from the per-q slot of `_exp_divisors`.  Past its end
-    q_number(n, q) is inlined and each new divisor, up to _EXP_STEPS_CAP, is
-    published to the slot when the series ends, unless another call has
-    grown it meanwhile.  A fresh q publishes only [1], so the slot grows
-    from a q's second call on and a q seen once costs the inline loop plus
-    a cache miss.  An overflowing divisor raises OverflowError: from expm1,
-    as q_number would, where q^n leaves the float range, and from the stop
+    The divisors come from the per-q table `_exp_divisors`; past its end
+    q_number(n, q) is inlined.  That loop raises OverflowError once the
+    running sum is inf, and where a divisor overflows: from expm1, as
+    q_number would, where q^n leaves the float range, and from the stop
     rule where only (q^n - 1)/(q - 1) does, which q_number returns as inf.
     """
     yield 1.0
-    slot = _exp_divisors(qq)
-    known = slot[0]  # at most _EXP_STEPS_CAP divisors, far below _MAX_TERMS
+    table = _exp_divisors(qq)
     s = term = qpow = 1.0  # qpow is q^(n-1), the E_q weight
     tol = REL_TERM_TOL
     inf = math.inf
-    for d in known:
+    for d in table:
         term *= x / d
         if big:
             term *= qpow
@@ -225,28 +225,22 @@ def _exp_terms(x: float, qq: float, big: bool):
     lq = math.log(qq)
     qm1 = qq - 1.0
     expm1 = math.expm1
-    cap = _EXP_STEPS_CAP if known else 1
-    grown = []
-    try:
-        for n in range(len(known) + 1, _MAX_TERMS + 1):
-            d = expm1(n * lq) / qm1
-            if n <= cap:
-                grown.append(d)
-            term *= x / d
-            if big:
-                term *= qpow
-                qpow *= qq
-            yield term
-            s += term
-            if abs(term) <= tol * abs(s) < inf:
-                if d == inf:
-                    # (q^n - 1)/(q - 1) left the float range (1 < q < 2)
-                    # and zeroed a term that had not settled
-                    raise OverflowError(f"q-exponential divisor [{n}] overflows a float")
-                return
-    finally:
-        if grown and slot[0] is known:
-            slot[0] = known + tuple(grown)
+    for n in range(len(table) + 1, _MAX_TERMS + 1):
+        d = expm1(n * lq) / qm1
+        term *= x / d
+        if big:
+            term *= qpow
+            qpow *= qq
+        yield term
+        s += term
+        if abs(term) <= tol * abs(s) < inf:
+            if d == inf:
+                # (q^n - 1)/(q - 1) left the float range (1 < q < 2)
+                # and zeroed a term that had not settled
+                raise OverflowError(f"q-exponential divisor [{n}] overflows a float")
+            return
+        if s == inf:
+            raise OverflowError(f"q-exponential overflows a float at x = {x!r}")
     raise ConvergenceError(f"q-exponential series did not settle within {_MAX_TERMS} terms")
 
 
@@ -272,7 +266,7 @@ def q_exp(x: float, q: QParam, kind: ExpKind) -> float:
     (DomainError where x > 0 lies at or past the radius of p = 1/q rounded).
     A series whose terms sum past the float range raises OverflowError.
     The series is `_exp_terms`, which reads the divisors [n] from the per-q
-    cache `_exp_divisors`; it, and a product, stop at `_MAX_TERMS`.
+    table `_exp_divisors`; it, and a product, stop at `_MAX_TERMS`.
     """
     if not math.isfinite(x):
         raise DomainError(f"q-exponential argument must be finite, got {x!r}")
@@ -309,8 +303,8 @@ def q_exp(x: float, q: QParam, kind: ExpKind) -> float:
             # fsum's own overflow: finite terms whose sum leaves the float range
             raise OverflowError(f"q-exponential overflows a float at x = {x!r}") from exc
         if big and qq > 1.0:
-            # a divisor q^n - 1 left the float range before E_q settled;
-            # its reciprocal product has no divisors
+            # a divisor q^n - 1 or the running sum left the float range;
+            # the reciprocal product has no divisors and raises on overflow
             return _finite_exp(x, p)
         raise
 

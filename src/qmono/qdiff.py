@@ -151,6 +151,19 @@ def _qnum_qfact(n: int, q: QParam) -> tuple[list[float], list[float]]:
     return qnum, qfact
 
 
+def _composition_denom(comp: tuple[int, ...], qnum: list[float], qfact: list[float]) -> float:
+    """prod_j [b_1+...+b_j] * prod_j [b_j - 1]! for the composition b, in
+    that order: the q-factorial weight of q_bell and q_faa_di_bruno."""
+    denom = 1.0
+    prefix = 0
+    for b in comp:
+        prefix += b
+        denom *= qnum[prefix]
+    for b in comp:
+        denom *= qfact[b - 1]
+    return denom
+
+
 def q_bell(n: int, k: int, q: QParam, xs: Sequence[float]) -> float:
     """q-partial Bell polynomial B_{n,k,q}(x_1, ..., x_{n-k+1}).
 
@@ -169,14 +182,7 @@ def q_bell(n: int, k: int, q: QParam, xs: Sequence[float]) -> float:
     qnum, qfact = _qnum_qfact(n, q)
     terms = []
     for comp in _compositions(n, k):
-        denom = 1.0
-        prefix = 0
-        for b in comp:
-            prefix += b
-            denom *= qnum[prefix]
-        for b in comp:
-            denom *= qfact[b - 1]
-        term = qfact[n] / denom
+        term = qfact[n] / _composition_denom(comp, qnum, qfact)
         for b in comp:
             term *= xs[b - 1]
         terms.append(term)
@@ -221,15 +227,11 @@ def q_faa_di_bruno(
         inner = []
         for comp in _compositions(n, k):
             num = qfact[n]
-            denom = 1.0
             prefix = 0
             for b in comp:
                 num *= dh(b, prefix)
                 prefix += b
-                denom *= qnum[prefix]
-            for b in comp:
-                denom *= qfact[b - 1]
-            inner.append(num / denom)
+            inner.append(num / _composition_denom(comp, qnum, qfact))
         terms.append(gval * math.fsum(inner))
     return math.fsum(terms)
 

@@ -199,10 +199,25 @@ class TestQExp:
         q_exp(100.0, q2, ExpKind.SMALL_E)  # e_q entire for q > 1
 
     def test_convergence_cap(self):
-        # the second term already overflows, and inf or nan running sums
-        # never stop the series
+        # a finite value (~5.0e291 by the product) just outside the product
+        # band near the radius, whose series ratio is too close to 1
         with pytest.raises(ConvergenceError, match="within 10000 terms"):
-            q_exp(1e300, Q5, ExpKind.BIG_E)
+            q_exp(412.1376166861753, QParam(0.9975835910984506), ExpKind.SMALL_E)
+
+    @pytest.mark.parametrize(
+        "x, qv, kind",
+        [
+            (949.99, 0.999, ExpKind.SMALL_E),
+            (818.18, 0.9989, ExpKind.SMALL_E),
+            (949.99, 1.0 / 0.999, ExpKind.BIG_E),
+        ],
+    )
+    def test_overflowing_sum_raises_at_once(self, x, qv, kind):
+        # the running sum is inf by term ~400, far short of the term cap
+        t0 = time.perf_counter()
+        with pytest.raises(OverflowError, match=f"overflows a float at x = {x!r}"):
+            q_exp(x, QParam(qv), kind)
+        assert time.perf_counter() - t0 < 0.05
 
 
 def _reference_q_exp(x, q, kind):
@@ -306,8 +321,8 @@ class TestQExpReference:
         x=st.one_of(st.floats(-0.999, 0.999), st.sampled_from([0.5, -0.5, 1e-3])),
     )
     def test_large_q_matches_reference(self, qv, kind, x):
-        # n log q passes the expm1 overflow point (~709) by n ~ 45 here, so
-        # q_exp must not form divisors its series never reaches
+        # n log q passes the expm1 overflow point (~709) by n ~ 45 here;
+        # the divisor table stops before the first divisor that overflows
         assume(_sums_series(x, qv, kind))
         _assert_matches_reference(x, QParam(qv), kind)
 
@@ -321,7 +336,9 @@ class TestQExpReference:
     @pytest.mark.parametrize("qv", [0.5, 3.0])
     def test_extreme_arguments_match_reference(self, qv, kind, x):
         q = QParam(qv)
-        if not _sums_series(x, qv, kind):
+        # at x = 1e300 the entire kind's terms overflow: q_exp raises once
+        # its running sum is inf, where the reference runs to its term cap
+        if not _sums_series(x, qv, kind) or x == 1e300 and (kind is ExpKind.BIG_E) == (qv < 1.0):
             with pytest.raises(OverflowError, match="overflows a float"):
                 q_exp(x, q, kind)
             return
@@ -329,10 +346,9 @@ class TestQExpReference:
 
 
 class TestExpDivisorCache:
-    """The q_exp series reads its divisors [n] from the per-q list of
-    _exp_divisors, which a fresh q starts with [1] only and a later call
-    grows; a cold, a one-step and a grown list must give the bits and the
-    errors of the plain reference loop."""
+    """The q_exp series reads its divisors [n] from the per-q table of
+    _exp_divisors; the call that forms the table and the calls that read it
+    must give the bits and the errors of the plain reference loop."""
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -351,9 +367,9 @@ class TestExpDivisorCache:
         _assert_matches_reference(x, q, kind)
 
     def test_threads_growing_one_q_agree(self):
-        # 16 threads grow the same slot at once under a 1 us switch
-        # interval: each series reads its own tuple and publishes onto the
-        # one it read only, so no divisor lands at another's index
+        # 16 threads sum series of one q at once under a 1 us switch
+        # interval, from a cleared cache: whichever thread's table the
+        # cache keeps, every outcome is the reference loop's
         q = QParam(0.9)
         cases = [(x, kind) for x in (0.5, 5.0, 8.0, 9.5) for kind in ExpKind] * 2
         want = {c: outcome(_reference_q_exp, c[0], q, c[1]) for c in cases}
@@ -378,8 +394,8 @@ class TestExpDivisorCache:
                 assert all(out == want[c] for c, out in got)
         finally:
             sys.setswitchinterval(interval)
-        table = _exp_divisors(0.9)[0]
-        assert [d.hex() for d in table] == [q_number(n, q).hex() for n in range(1, len(table) + 1)]
+        table = _exp_divisors(0.9)
+        assert [d.hex() for d in table] == [q_number(n, q).hex() for n in range(1, _EXP_STEPS_CAP + 1)]
 
 
 class TestQExpOracle:
@@ -588,23 +604,26 @@ class TestPerQCaches:
         "qv, x, kind, end",
         [
             (0.37, 0.3, ExpKind.SMALL_E, "settled"),
-            (0.99, 60.0, ExpKind.SMALL_E, "cap"),
+            (0.99, 60.0, ExpKind.SMALL_E, "cap"),  # runs past the table
             (3.0, 0.5, ExpKind.BIG_E, "settled"),
+            (1.999, 0.5, ExpKind.SMALL_E, "settled"),  # [64] ~ 1.8e19, far from inf
             (1e7, 0.5, ExpKind.BIG_E, "overflow"),  # the product answers
         ],
     )
     def test_exp_divisors_are_fresh_q_numbers(self, qv, x, kind, end):
+        # one call of a fresh q leaves the whole table
         q = QParam(qv)
         _exp_divisors.cache_clear()
         q_exp(x, q, kind)
-        assert len(_exp_divisors(qv)[0]) == 1  # a q seen once keeps [1] only
-        q_exp(x, q, kind)
-        table = _exp_divisors(qv)[0]
-        assert 1 < len(table) <= _EXP_STEPS_CAP
-        assert (len(table) == _EXP_STEPS_CAP) == (end == "cap")
+        assert _exp_divisors.cache_info().currsize == 1
+        table = _exp_divisors(qv)
+        assert type(table) is tuple and all(map(math.isfinite, table))
         if end == "overflow":  # every divisor short of the first to overflow
+            assert len(table) < _EXP_STEPS_CAP
             with pytest.raises(OverflowError):
                 q_number(len(table) + 1, q)
+        else:
+            assert len(table) == _EXP_STEPS_CAP
         assert [d.hex() for d in table] == [q_number(n, q).hex() for n in range(1, len(table) + 1)]
 
 
