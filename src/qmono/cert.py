@@ -16,9 +16,11 @@ band follows the units of f, reads no sample past q^n x, and keeps
 high-order cancellation from producing spurious verdicts.
 
 Grid points are certified one after another in grid order, one difference
-table each, so identical inputs give byte-identical reports.  Every report
-here and `qmeasure.SemigroupReport` offers `to_tree()` (its JSON form) and
-`csv_rows() -> (header, rows)` (its CSV form); `_serialize` renders both.
+table each, so identical inputs give byte-identical reports; its
+`QDiffTable.build` is the one check that each sample is finite.  Every
+report here and `qmeasure.SemigroupReport` offers `to_tree()` (its JSON
+form) and `csv_rows() -> (header, rows)` (its CSV form); `_serialize`
+renders both.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .qcore import (
     DomainError,
     InputError,
     QParam,
+    _log_eq_base,
     eq_power,
-    log_q,
 )
 from .qdiff import MAX_TABLE_ORDER, QDiffTable, RealFunction
 from .qspecial import GammaParams, RatioParams, f_abq, g_ab, g_ratio
@@ -219,22 +221,20 @@ def _signs_and_orders(prop: CertProperty, n_max: int) -> list[tuple[int, float]]
 
 
 def _certification_target(f: RealFunction, q: QParam, prop: CertProperty) -> RealFunction:
-    """Wrap f with evaluability checks; for QLOGCM, compose with Log_q."""
-
-    def checked(y: float) -> float:
-        v = f(y)
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
-            raise InputError(f"function not evaluable at x = {y!r}: got {v!r}")
-        return float(v)
-
+    """f itself, or for QLOGCM Log_q f with the bits of `log_q`: it refuses
+    f <= 0 and leaves the other bad samples to `QDiffTable.build`."""
     if prop is not CertProperty.QLOGCM:
-        return checked
+        return f
+    base = _log_eq_base(q.q)
 
     def log_target(y: float) -> float:
-        v = checked(y)
-        if v <= 0.0:
-            raise InputError(f"Log_q needs a positive function: f({y!r}) = {v!r}")
-        return log_q(v, q)
+        v = f(y)
+        try:
+            return math.log(v) / base
+        except ValueError:
+            raise InputError(f"Log_q needs a positive function: f({y!r}) = {v!r}") from None
+        except TypeError:
+            return v  # not a number: build rejects it
 
     return log_target
 
@@ -242,11 +242,11 @@ def _certification_target(f: RealFunction, q: QParam, prop: CertProperty) -> Rea
 def certify(f: RealFunction, q: QParam, spec: CertSpec) -> CertReport:
     """Certify the sign pattern named by spec.property for f on spec.grid.
 
-    f must be evaluable at every q^j x for x in the grid and j = 0..N (and
-    positive there for QLOGCM).  Each grid point costs one difference table
-    over its N+1 samples; only column 0 of each value row and of each
-    condition row enters the checks, so the check at order n reads only the
-    samples at q^j x, j <= n, and raising N leaves it unchanged.
+    f must be finite at every q^j x, x in the grid, j = 0..N (and positive
+    for QLOGCM); `QDiffTable.build`, the one check on these samples, raises
+    EvaluationError (an InputError) otherwise.  One table per grid point:
+    only column 0 of each value and condition row enters the checks, so the
+    check at order n reads only q^j x, j <= n; raising N leaves it unchanged.
     """
     g = _certification_target(f, q, spec.property)
     pts = spec.grid.points

@@ -61,12 +61,13 @@ class ConvergenceError(RuntimeError):
     """A truncated series failed its stopping rule within its term cap."""
 
 
-class EvaluationError(ValueError):
-    """A supplied function produced a non-finite or unusable value."""
-
-
 class InputError(ValueError):
     """Structurally invalid input (bad certification target, missing family member)."""
+
+
+class EvaluationError(InputError):
+    """A supplied function produced a non-finite or unusable value; an
+    InputError, since a function that cannot be sampled is a bad target."""
 
 
 class Regime(Enum):
@@ -204,7 +205,8 @@ def _exp_terms(x: float, qq: float, big: bool):
 
     The divisors come from the per-q table `_exp_divisors`; past its end
     q_number(n, q) is inlined.  That loop raises OverflowError once the
-    running sum is inf, and where a divisor overflows: from expm1, as
+    running sum is not finite (nan where an inf term met a weight q^(n-1)
+    that underflowed to 0), and where a divisor overflows: from expm1, as
     q_number would, where q^n leaves the float range, and from the stop
     rule where only (q^n - 1)/(q - 1) does, which q_number returns as inf.
     """
@@ -239,7 +241,7 @@ def _exp_terms(x: float, qq: float, big: bool):
                 # and zeroed a term that had not settled
                 raise OverflowError(f"q-exponential divisor [{n}] overflows a float")
             return
-        if s == inf:
+        if not -inf < s < inf:
             raise OverflowError(f"q-exponential overflows a float at x = {x!r}")
     raise ConvergenceError(f"q-exponential series did not settle within {_MAX_TERMS} terms")
 
@@ -254,9 +256,11 @@ def q_exp(x: float, q: QParam, kind: ExpKind) -> float:
     finite convergence radius 1/(1-q) belongs to e_q when q < 1 and to E_q
     (as q/(q-1)) when q > 1; arguments outside it are rejected.  The other
     kind is entire: E_p(x) = prod_{j>=0} (1 + (1-p) p^j x) with p = q or
-    1/q below 1.  For x < -`_ALTERNATING_LIMIT` q_exp returns that product
-    (see `_entire_exp_neg`), where the alternating series would lose every
-    digit; it raises OverflowError when the product leaves the float range.
+    1/q below 1.  q_exp returns that product (`_entire_exp`) for
+    x < -`_ALTERNATING_LIMIT`, where the alternating series would lose every
+    digit, and for x > 0 where the series overflows, which a term can do
+    before its weight q^(n-1) brings it back (E_{1e-6}(1e56) is ~1e290); it
+    raises OverflowError when the product leaves the float range.
     The kind with a finite radius is e_p(x) = 1 / prod_{j>=0} (1 - (1-p) p^j x);
     for x < 0 q_exp returns that reciprocal product (`_finite_exp`)
     wherever the series' relative error could exceed 2^20 u, which it
@@ -286,11 +290,7 @@ def q_exp(x: float, q: QParam, kind: ExpKind) -> float:
             )
     p = qq if qq < 1.0 else 1.0 / qq
     if x < -_ALTERNATING_LIMIT and big == (qq < 1.0):
-        sign, logmag = _entire_exp_neg(-x, p)
-        try:
-            return sign * math.exp(logmag)
-        except OverflowError as exc:
-            raise OverflowError(f"q-exponential overflows a float at x = {x!r}") from exc
+        return _entire_exp(x, p)
     if x < 0.0 and big != (qq < 1.0) and -2.0 * x > _ALTERNATING_LIMIT * (1.0 + x / radius):
         return _finite_exp(x, p)
     if x > 0.0 and big != (qq < 1.0) and 1.0 - x / radius < max(0.25 * (1.0 - p), _NEAR_RADIUS):
@@ -302,6 +302,10 @@ def q_exp(x: float, q: QParam, kind: ExpKind) -> float:
         if gen.gi_frame is not None:
             # fsum's own overflow: finite terms whose sum leaves the float range
             raise OverflowError(f"q-exponential overflows a float at x = {x!r}") from exc
+        if big == (qq < 1.0):
+            # the entire kind at x > 0, where a term can overflow before its
+            # weight q^(n-1) or its divisor brings it back into range
+            return _entire_exp(x, p)
         if big and qq > 1.0:
             # a divisor q^n - 1 or the running sum left the float range;
             # the reciprocal product has no divisors and raises on overflow
@@ -441,6 +445,22 @@ def _entire_exp_neg(t: float, p: float) -> tuple[float, float]:
     lp = math.log(p)
     _check_factor_count(v, lp, -t)
     return _log_prod(v, p, lp)
+
+
+def _entire_exp(x: float, p: float) -> float:
+    """E_p(x) = prod_{j>=0} (1 + (1-p) p^j x) for 0 < p < 1, the entire
+    q-exponential: `_entire_exp_neg` for x < 0; for x > 0 every factor
+    exceeds 1, so `_log_prod` stops once the log is past the float range,
+    within ~1,900 factors.  OverflowError where the value leaves it.
+    """
+    if x < 0.0:
+        sign, logmag = _entire_exp_neg(-x, p)
+    else:
+        sign, logmag = _log_prod(-(1.0 - p) * x, p, math.log(p), _LOG_RANGE)
+    try:
+        return sign * math.exp(logmag)
+    except OverflowError as exc:
+        raise OverflowError(f"q-exponential overflows a float at x = {x!r}") from exc
 
 
 def _finite_exp(x: float, p: float) -> float:

@@ -23,6 +23,7 @@ from qmono import (
     CertSpec,
     Counterexample,
     DomainError,
+    EvaluationError,
     ExpKind,
     GammaParams,
     Grid,
@@ -38,6 +39,7 @@ from qmono import (
     eq_power,
     g_ratio,
     h_aux,
+    log_q,
     q_derive_n,
     q_exp,
     q_number,
@@ -162,6 +164,53 @@ class TestCertify:
         rep = certify(lambda x: 4.5, Q5, CertSpec(QCM, max_order=6))
         assert rep.verdict is Verdict.CONSISTENT
         assert rep.min_margin == 0.0  # every order >= 1 sits in the zero band
+
+
+class TestOneSampleCheck:
+    """QDiffTable.build is the one check on every sample certify takes: a
+    non-finite or non-numeric sample raises its EvaluationError, which is
+    an InputError, under every property."""
+
+    GRID = Grid.linear(0.5, 2.0, 4)
+
+    @pytest.mark.parametrize("prop", list(CertProperty))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "1.0", None])
+    def test_bad_sample_is_an_evaluation_error(self, prop, bad):
+        # the sample at q^2 x = 0.125 of the first grid point is the bad one
+        f = lambda x: bad if x == 0.125 else 1.0 + x
+        with pytest.raises(EvaluationError, match=r"not finite at x = 0\.125") as err:
+            certify(f, Q5, CertSpec(prop, max_order=2, grid=self.GRID))
+        assert isinstance(err.value, InputError)
+
+    @pytest.mark.parametrize("prop", [QCM, QBERNSTEIN])
+    def test_minus_inf_is_an_evaluation_error(self, prop):
+        with pytest.raises(EvaluationError, match="got -inf"):
+            certify(lambda x: -math.inf, Q5, CertSpec(prop, max_order=2, grid=self.GRID))
+
+    def test_minus_inf_fails_the_log_positivity_check(self):
+        with pytest.raises(InputError, match=r"positive function: f\(0\.5\) = -inf"):
+            certify(lambda x: -math.inf, Q5, CertSpec(QLOGCM, max_order=2, grid=self.GRID))
+
+    @pytest.mark.parametrize("prop", [QCM, QBERNSTEIN])
+    def test_f_itself_is_the_target(self, prop):
+        f = lambda x: x
+        assert _certification_target(f, Q5, prop) is f
+
+    @settings(deadline=None, max_examples=100)
+    @given(qv=st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 3.0)), y=st.floats(1e-300, 1e300))
+    def test_log_target_is_log_q_bit_for_bit(self, qv, y):
+        q = QParam(qv)
+        g = _certification_target(lambda x: y, q, QLOGCM)
+        assert g(1.0).hex() == log_q(y, q).hex()
+
+    def test_closure_marks_a_non_finite_member_inapplicable(self):
+        corpus = {"identity": lambda x: x, "blows_up": lambda x: math.inf if x < 1.0 else x}
+        rep = closure_checks(corpus, Q5, CertSpec(QCM, max_order=2))
+        base = {(n, p): v for n, p, v in rep.base}
+        for prop in CertProperty:
+            assert base[("blows_up", prop.value)] == "inapplicable"
+        assert base[("identity", "qbernstein")] == "Consistent"
+        assert all(c.f_name != "blows_up" for c in rep.checks)
 
 
 class TestSoundness:
@@ -569,6 +618,70 @@ class TestClosureChecks:
         rows = [c for c in rep.checks if c.kind == "logcm_implies_cm"]
         assert rows, "corpus must exercise the implication"
         assert all(c.ok for c in rows)
+
+
+#: A Bernstein-Widder measure: k <= 4 atoms (t, w), t in [e^-3, e^2] and
+#: w in [e^-3, e^3].
+_MEASURES = st.lists(
+    st.tuples(st.floats(-3.0, 2.0).map(math.exp), st.floats(-3.0, 3.0).map(math.exp)),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestBernsteinWidderOracle:
+    """No false alarm.  A q-difference of order n is [n]_q! times an n-th
+    divided difference, so a classically completely monotone, Bernstein or
+    log-completely monotone function has the q-sign pattern for every q.
+    Over random measures mu, a, b >= 0, both regimes, N <= 8 and grids on
+    [0.1, 5], certify must never report Violated for
+
+      L = sum w e^(-t x)                     as QCM,
+      B = a + b x + sum w (1 - e^(-t x))     as QBERNSTEIN,
+      exp(-B)                                as QLOGCM.
+
+    exp(-B) may underflow to 0.0 at a lattice point q^j x, and Log_q then
+    refuses it (an InputError, not a verdict).  The negative control
+    B + eps x^2 has D_q^2 = D_q^2 B + eps (1 + q), which is positive, a
+    QBERNSTEIN violation at n = 2, wherever eps (1 + q) > |D_q^2 B|; orders 0
+    and 1 stay positive.  |D_q^2 B| <= (1 + q) max |B''| / 2 <= (1 + q)
+    sum w t^2 / 2, so eps = sum w t^2 + a + b + sum w + 1 puts every grid
+    point past both that bound and the numerical-zero band."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        measure=_MEASURES,
+        a=st.floats(0.0, 5.0),
+        b=st.floats(0.0, 5.0),
+        qv=st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 3.0)),
+        order=st.integers(1, 8),
+        points=st.lists(st.floats(0.1, 5.0), min_size=1, max_size=12, unique=True),
+    )
+    def test_representations_are_never_violated(self, measure, a, b, qv, order, points):
+        q = QParam(qv)
+        grid = Grid(tuple(sorted(points)))
+
+        def cm(x):
+            return math.fsum(w * math.exp(-t * x) for t, w in measure)
+
+        def bern(x):
+            return math.fsum([a, b * x] + [-w * math.expm1(-t * x) for t, w in measure])
+
+        for f, prop in ((cm, QCM), (bern, QBERNSTEIN), (lambda x: math.exp(-bern(x)), QLOGCM)):
+            try:
+                rep = certify(f, q, CertSpec(prop, max_order=order, grid=grid))
+            except InputError as exc:
+                assert prop is QLOGCM and str(exc).endswith(") = 0.0"), exc
+                continue
+            assert rep.verdict is Verdict.CONSISTENT, (prop, rep.counterexamples[:3])
+
+        eps = math.fsum([a, b, 1.0] + [w * (1.0 + t * t) for t, w in measure])
+        control = certify(
+            lambda x: bern(x) + eps * x * x,
+            q,
+            CertSpec(QBERNSTEIN, max_order=max(order, 2), grid=grid),
+        )
+        assert [c.n for c in control.counterexamples if c.n < 3] == [2] * len(grid.points)
 
 
 class TestClassicalTransfer:

@@ -1,6 +1,7 @@
 """Primitive layer: q-numbers, factorials, binomials, exponentials, products."""
 
 import math
+import re
 import sys
 import threading
 import time
@@ -210,12 +211,14 @@ class TestQExp:
             (949.99, 0.999, ExpKind.SMALL_E),
             (818.18, 0.9989, ExpKind.SMALL_E),
             (949.99, 1.0 / 0.999, ExpKind.BIG_E),
+            (1e56, 1e-5, ExpKind.BIG_E),
         ],
     )
     def test_overflowing_sum_raises_at_once(self, x, qv, kind):
-        # the running sum is inf by term ~400, far short of the term cap
+        # the running sum is inf by term ~400, far short of the term cap;
+        # log E_{1e-5}(1e56) = 787.6, so its factor product overflows too
         t0 = time.perf_counter()
-        with pytest.raises(OverflowError, match=f"overflows a float at x = {x!r}"):
+        with pytest.raises(OverflowError, match=re.escape(f"overflows a float at x = {x!r}")):
             q_exp(x, QParam(qv), kind)
         assert time.perf_counter() - t0 < 0.05
 
@@ -452,6 +455,45 @@ class TestQExpOracle:
         # the CLI example: E_0.9(-60), the Jackson kernel at lambda t = 60
         got = q_exp(-60.0, QParam(0.9), ExpKind.BIG_E)
         assert got == pytest.approx(5.0484082037937963e-8, rel=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        lp=st.floats(-25.0, -2.0),
+        r=st.floats(0.05, 1.3),
+        kind=st.sampled_from(list(ExpKind)),
+    )
+    @example(lp=math.log(1e-6), r=0.9, kind=ExpKind.BIG_E)
+    def test_large_positive_x_matches_mpmath(self, lp, r, kind):
+        # log E_p(x) is about log(v_0)^2 / (2 |log p|), v_0 = (1-p) x, so r
+        # near 1 puts E_p(x) near the float range; far out a term of the
+        # series overflows before its weight q^(n-1) brings it back, and
+        # q_exp answers with the factor product
+        pv = math.exp(lp)
+        q = QParam(pv if kind is ExpKind.BIG_E else 1.0 / pv)
+        p = q.q if kind is ExpKind.BIG_E else 1.0 / q.q
+        x = math.exp(math.sqrt(2.0 * r * 709.0 * -lp)) / (1.0 - p)
+        want, _, cond = mp_entire_exp(x, p)
+        if math.isinf(want):
+            with pytest.raises(OverflowError, match=re.escape(f"overflows a float at x = {x!r}")):
+                q_exp(x, q, kind)
+            return
+        got = q_exp(x, q, kind)
+        assert abs(got - want) <= 8.0 * UNIT_ROUNDOFF * (1.0 + cond + math.log(want)) * want
+
+    @pytest.mark.parametrize(
+        "x, qv, kind, want",
+        [
+            (1e56, 1e-6, ExpKind.BIG_E, 1.0100909191373027e290),
+            (1e60, 1e-8, ExpKind.BIG_E, 1.0001999299860026e256),
+            (7.644832266757935e18, 0.24268105445822252, ExpKind.BIG_E, 1.4542780067989593e296),
+        ],
+    )
+    def test_overflowing_term_is_not_an_overflowing_value(self, x, qv, kind, want):
+        # a term overflows before its weight q^(n-1) brings it back, so the
+        # running sum is inf (OverflowError), or nan once the weight
+        # underflows to 0 (10,000 terms to a ConvergenceError), although
+        # E_q(x) is a float
+        assert q_exp(x, QParam(qv), kind) == pytest.approx(want, rel=1e-12)
 
 
 class TestFiniteExpOracle:
