@@ -11,16 +11,17 @@ A `Consistent` verdict means "no violation found at this order / grid /
 tolerance" and never claims a proof; reports therefore carry the order,
 grid and tolerance that produced them.  A value is sign-checked only when
 |value| > tol_rel * scale, where scale is the propagated magnitude of the
-checked entry itself (condition-table entry (n, 0), see `QDiffTable`): the
+checked entry itself (its condition-table entry, see `QDiffTable`): the
 band follows the units of f, reads no sample past q^n x, and keeps
 high-order cancellation from producing spurious verdicts.
 
-Grid points are certified one after another in grid order, one difference
-table each, so identical inputs give byte-identical reports; its
-`QDiffTable.build` is the one check that each sample is finite.  Every
-report here and `qmeasure.SemigroupReport` offers `to_tree()` (its JSON
-form) and `csv_rows() -> (header, rows)` (its CSV form); `_serialize`
-renders both.
+Each call builds one difference table over the whole grid and checks it
+in grid order, point by point, so identical inputs give byte-identical
+reports.  That `QDiffTable.build` is the one check that each sample is
+finite; the first bad sample in its root-by-root order is the one
+reported.  Every report here and `qmeasure.SemigroupReport` offers
+`to_tree()` (its JSON form) and `csv_rows() -> (header, rows)` (its CSV
+form); `_serialize` renders both.
 """
 
 from __future__ import annotations
@@ -244,9 +245,9 @@ def certify(f: RealFunction, q: QParam, spec: CertSpec) -> CertReport:
 
     f must be finite at every q^j x, x in the grid, j = 0..N (and positive
     for QLOGCM); `QDiffTable.build`, the one check on these samples, raises
-    EvaluationError (an InputError) otherwise.  One table per grid point:
-    only column 0 of each value and condition row enters the checks, so the
-    check at order n reads only q^j x, j <= n; raising N leaves it unchanged.
+    EvaluationError (an InputError) otherwise.  One table over the whole
+    grid: the check at (x_i, n) reads rows[n][i] and mag_rows[n][i], which
+    depend only on q^j x_i, j <= n, so raising N leaves it unchanged.
     """
     g = _certification_target(f, q, spec.property)
     pts = spec.grid.points
@@ -254,12 +255,12 @@ def certify(f: RealFunction, q: QParam, spec: CertSpec) -> CertReport:
     tol_rel = spec.tol_rel
     counterexamples: list[Counterexample] = []
     min_margin = math.inf
-    for x in pts:
-        table = QDiffTable.build(g, x, q, spec.max_order)
-        rows, mag_rows = table.rows, table.mag_rows
+    table = QDiffTable.build(g, pts, q, spec.max_order)
+    rows, mag_rows = table.rows, table.mag_rows
+    for i, x in enumerate(pts):
         for n, sign in checks:
-            scale = mag_rows[n][0]
-            signed = sign * rows[n][0]
+            scale = mag_rows[n][i]
+            signed = sign * rows[n][i]
             if abs(signed) <= tol_rel * scale:
                 margin = 0.0
             else:

@@ -2,13 +2,16 @@
 
 D_q f(x) = (f(qx) - f(x)) / (x(q-1)) is a two-point formula: no limits and
 no step-size choice.  Iterating it only ever samples f on the geometric
-points q^j x, so the n-th q-derivative comes from a triangular difference
-table over n+1 samples with O(n^2) arithmetic.  On top of the table sit the
-q-partial Bell polynomials and the q-analogue composition (Faa di Bruno)
-rule for D_q^n of g(h(x)).
+points q^j x, so the n-th q-derivative at x comes from a triangular
+difference table over n+1 samples with O(n^2) arithmetic.  On top of the
+table sit the q-partial Bell polynomials and the q-analogue composition
+(Faa di Bruno) rule for D_q^n of g(h(x)).
 
-Tables are built per call and share nothing: a table depends only on f, q,
-x and the order, never on which tables were built before it.
+One table covers a whole set of roots x_i (a certification grid, or the
+single x of `q_derive_n`): it samples f root by root and then forms each
+order for every root at once.  Tables are built per call and share
+nothing: a table depends only on f, q, its roots and the order, never on
+which tables were built before it.
 """
 
 from __future__ import annotations
@@ -40,33 +43,41 @@ MAX_TABLE_ORDER = 8
 
 @dataclass(frozen=True)
 class QDiffTable:
-    """Triangular q-difference table rooted at x0.
+    """q-difference table of f over the roots x_0, ..., x_{P-1}.
 
-    Row 0 holds the raw samples f(q^j x0) for j = 0..n; row m, column j holds
-    (D_q^m f)(q^j x0), computed by the recurrence
+    rows[m][i] holds (D_q^m f)(x_i) for m = 0..order, so row 0 is the raw
+    samples f(x_i).  Each root's order-m value comes from its own samples
+    f(q^j x_i), j = 0..m, by the recurrence
 
-        (m, j) = [ (m-1, j+1) - (m-1, j) ] / (q^j x0 (q - 1)).
+        D^m(q^j x) = [ D^(m-1)(q^(j+1) x) - D^(m-1)(q^j x) ] / (q^j x (q - 1)),
 
-    The sample points are built by iterated multiplication (x0, q*x0, ...)
-    so the table reproduces a naive recursive D_q evaluation bit for bit.
+    run for every root at once, one order after another; the entries at the
+    lattice points q^j x_i, j >= 1, are not kept.  The lattice points are
+    built by iterated multiplication (x_i, q*x_i, ...) so each value
+    reproduces a naive recursive D_q evaluation bit for bit.
 
     A companion condition table runs the same recurrence with |a| + |b| in
-    place of a - b, seeded with the sample magnitudes: entry (m, j) of
-    mag_rows bounds the magnitude that may have cancelled to produce value
-    (m, j).  The certifier counts value (n, 0) as numerically zero when it
-    is at most tol_rel * mag_rows[n][0]: a value that is pure correlated
-    rounding noise says nothing about its own error; its propagated
-    magnitude does.
+    place of a - b, seeded with the sample magnitudes: mag_rows[m][i] bounds
+    the magnitude that may have cancelled to produce rows[m][i].  The
+    certifier counts rows[n][i] as numerically zero when it is at most
+    tol_rel * mag_rows[n][i]: a value that is pure correlated rounding noise
+    says nothing about its own error; its propagated magnitude does.
     """
 
-    x0: float
+    points: tuple[float, ...]
     q: QParam
     rows: tuple[tuple[float, ...], ...]
     mag_rows: tuple[tuple[float, ...], ...]
 
     @classmethod
-    def build(cls, f: RealFunction, x0: float, q: QParam, order: int) -> "QDiffTable":
-        if x0 == 0.0:
+    def build(
+        cls, f: RealFunction, points: Sequence[float], q: QParam, order: int
+    ) -> "QDiffTable":
+        """Sample f root by root, x_i then q*x_i up to q^order*x_i, checking
+        each sample as it comes: the first one that is not a finite number
+        raises EvaluationError naming its point, and f sees no later point."""
+        pts = tuple([float(x) for x in points])
+        if 0.0 in pts:
             raise DomainError("q-derivative is undefined at x = 0")
         if order < 0:
             raise DomainError(f"table order must be nonnegative, got {order}")
@@ -74,38 +85,48 @@ class QDiffTable:
             raise DomainError(
                 f"table order {order} exceeds the cap {MAX_TABLE_ORDER}"
             )
-        pts = [float(x0)]
-        for _ in range(order):
-            pts.append(q.q * pts[-1])
-        samples = []
-        for p in pts:
-            v = f(p)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise EvaluationError(f"function not finite at x = {p!r}: got {v!r}")
-            samples.append(float(v))
-        # Entry (m, j) divides by pts[j] * (q - 1) whatever m is, so the
-        # denominators are formed once; zip stops each row one entry short.
-        qm1 = q.q - 1.0
-        dens = [p * qm1 for p in pts[:-1]]
+        qq = q.q
+        width = order + 1
+        samples: list[float] = []
+        for x in pts:
+            p = x
+            for _ in range(width):
+                v = f(p)
+                if not (isinstance(v, (int, float)) and math.isfinite(v)):
+                    raise EvaluationError(f"function not finite at x = {p!r}: got {v!r}")
+                samples.append(float(v))
+                p = qq * p
+        # Column-major: entry j*P + i is (D_q^m f)(q^j x_i), so each order
+        # is one pass over every root's entries, each order has one column
+        # fewer than the last, and entry j*P + i divides by q^j x_i (q - 1)
+        # at every order.
+        npts = len(pts)
+        lattice = list(pts)
+        for _ in range(order - 1):
+            lattice += [qq * p for p in lattice[-npts:]]
+        qm1 = qq - 1.0
+        dens = [p * qm1 for p in lattice]
         abs_dens = [abs(d) for d in dens]
-        row = tuple(samples)
-        mag = tuple([abs(v) for v in row])
-        rows = [row]
-        mags = [mag]
+        vals: list[float] = []
+        for j in range(width):
+            vals += samples[j::width]
+        mags = [abs(v) for v in vals]
+        rows = [tuple(vals[:npts])]
+        mag_rows = [tuple(mags[:npts])]
         for _ in range(order):
-            row = tuple([(b - a) / d for a, b, d in zip(row, row[1:], dens)])
-            mag = tuple([(b + a) / d for a, b, d in zip(mag, mag[1:], abs_dens)])
-            rows.append(row)
-            mags.append(mag)
-        return cls(float(x0), q, tuple(rows), tuple(mags))
+            vals = [(b - a) / d for a, b, d in zip(vals, vals[npts:], dens)]
+            mags = [(b + a) / d for a, b, d in zip(mags, mags[npts:], abs_dens)]
+            rows.append(tuple(vals[:npts]))
+            mag_rows.append(tuple(mags[:npts]))
+        return cls(pts, q, tuple(rows), tuple(mag_rows))
 
     @property
     def order(self) -> int:
         return len(self.rows) - 1
 
-    def value(self, m: int, j: int = 0) -> float:
-        """(D_q^m f)(q^j x0)."""
-        return self.rows[m][j]
+    def value(self, m: int, i: int = 0) -> float:
+        """(D_q^m f)(x_i)."""
+        return self.rows[m][i]
 
 
 def q_derive(f: RealFunction, x: float, q: QParam) -> float:
@@ -116,7 +137,7 @@ def q_derive(f: RealFunction, x: float, q: QParam) -> float:
 
 
 def q_derive_n(f: RealFunction, x: float, q: QParam, n: int) -> float:
-    """n-th q-derivative at x via the triangular table; n = 0 returns f(x).
+    """n-th q-derivative at x from a table rooted at (x,); n = 0 returns f(x).
 
     Costs n+1 evaluations of f plus O(n^2) arithmetic.
     """
@@ -124,7 +145,7 @@ def q_derive_n(f: RealFunction, x: float, q: QParam, n: int) -> float:
         raise DomainError(f"derivative order must be nonnegative, got {n}")
     if n == 0:
         return f(x)
-    return QDiffTable.build(f, x, q, n).value(n, 0)
+    return QDiffTable.build(f, (x,), q, n).value(n)
 
 
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:

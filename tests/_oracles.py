@@ -37,6 +37,32 @@ def monomial_q_derive_n(m: int, n: int, x: float, q: QParam) -> float:
     return coeff * x ** (m - n)
 
 
+def reference_rows(f, x0: float, q: QParam, order: int):
+    """The whole triangular table rooted at x0, entry by entry as in the
+    definition: row 0 is f at the lattice x0, q x0, ..., q^order x0 (formed
+    by iterated multiplication) and
+
+        (m, j) = [(m-1, j+1) - (m-1, j)] / (q^j x0 (q - 1)),
+
+    with the condition rows running the same recurrence on magnitudes.
+    Returns (rows, mag_rows); rows[m][j] is (D_q^m f)(q^j x0)."""
+    pts = [x0]
+    for _ in range(order):
+        pts.append(q.q * pts[-1])
+    rows = [tuple(float(f(p)) for p in pts)]
+    mags = [tuple(abs(v) for v in rows[0])]
+    qm1 = q.q - 1.0
+    for m in range(1, order + 1):
+        prev, pmag = rows[m - 1], mags[m - 1]
+        rows.append(
+            tuple((prev[j + 1] - prev[j]) / (pts[j] * qm1) for j in range(len(prev) - 1))
+        )
+        mags.append(
+            tuple((pmag[j + 1] + pmag[j]) / abs(pts[j] * qm1) for j in range(len(pmag) - 1))
+        )
+    return tuple(rows), tuple(mags)
+
+
 def reciprocal_q_derive_sign(n: int, x: float, c: float, q: QParam) -> float:
     """Closed form (-1)^n D_q^n [1/(x+c)] = [n]! / prod_{j=0..n} (q^j x + c),
     proved by induction on n."""

@@ -16,6 +16,7 @@ from _oracles import (
     classical_logcm_screen,
     mp_h_aux_q_derive,
     reciprocal_q_derive_sign,
+    reference_rows,
 )
 from qmono import (
     CertProperty,
@@ -28,7 +29,6 @@ from qmono import (
     GammaParams,
     Grid,
     InputError,
-    QDiffTable,
     QParam,
     RatioParams,
     Verdict,
@@ -182,6 +182,41 @@ class TestOneSampleCheck:
             certify(f, Q5, CertSpec(prop, max_order=2, grid=self.GRID))
         assert isinstance(err.value, InputError)
 
+    @pytest.mark.parametrize("prop", list(CertProperty))
+    @pytest.mark.parametrize("qv", [0.5, 2.0])
+    def test_samples_root_by_root(self, prop, qv):
+        # x_0, q x_0, ..., q^N x_0, then x_1, ...: each lattice point by
+        # iterated multiplication, one call of f per sample
+        q = QParam(qv)
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 1.0 / (x + 1.0)
+
+        certify(f, q, CertSpec(prop, max_order=3, grid=self.GRID))
+        expected = []
+        for x in self.GRID.points:
+            for _ in range(4):
+                expected.append(x)
+                x = q.q * x
+        assert repr(seen) == repr(expected)
+
+    @pytest.mark.parametrize("prop", list(CertProperty))
+    def test_first_bad_sample_in_sampling_order_is_named(self, prop):
+        # q^2 x_0 = 0.125 comes before x_1 = 1.0 in sampling order, and f
+        # sees no point after it, not even q^3 x_0 of the same root
+        bad = {0.125, self.GRID.points[1]}
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return math.nan if x in bad else 1.0 + x
+
+        with pytest.raises(EvaluationError, match=r"not finite at x = 0\.125: got nan"):
+            certify(f, Q5, CertSpec(prop, max_order=3, grid=self.GRID))
+        assert seen == [0.5, 0.25, 0.125]
+
     @pytest.mark.parametrize("prop", [QCM, QBERNSTEIN])
     def test_minus_inf_is_an_evaluation_error(self, prop):
         with pytest.raises(EvaluationError, match="got -inf"):
@@ -302,9 +337,9 @@ class TestGoldenReports:
 
 def _reference_fold(f, q, spec):
     """checks_run, min_margin and counterexamples recomputed one check at a
-    time from QDiffTable.value and the checked entry's propagated magnitude
-    QDiffTable.mag_rows[n][0], plus every decision as (x, n, neutral,
-    margin)."""
+    time from each grid point's own entrywise triangle (`reference_rows`):
+    the value (n, 0) and its propagated magnitude mag_rows[n][0], plus every
+    decision as (x, n, neutral, margin)."""
     n_max = spec.max_order
     if spec.property is QCM:
         pattern = [(n, (-1.0) ** n) for n in range(0, n_max + 1)]
@@ -315,10 +350,10 @@ def _reference_fold(f, q, spec):
     g = _certification_target(f, q, spec.property)
     checks_run, min_margin, ces, decisions = 0, math.inf, [], []
     for x in spec.grid.points:
-        table = QDiffTable.build(g, x, q, n_max)
+        rows, mag_rows = reference_rows(g, x, q, n_max)
         for n, sign in pattern:
-            v = table.value(n, 0)
-            scale = table.mag_rows[n][0]
+            v = rows[n][0]
+            scale = mag_rows[n][0]
             signed = sign * v
             neutral = abs(v) <= spec.tol_rel * scale
             margin = 0.0 if neutral else signed

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import central_diff, monomial_q_derive_n, naive_q_derive_n
+from _oracles import central_diff, monomial_q_derive_n, naive_q_derive_n, reference_rows
 from qmono import (
     DomainError,
     ExpKind,
@@ -119,11 +119,11 @@ class TestQDeriveN:
             q = QParam(qv)
             for m in (1, 2, 3, 4):
                 f = lambda x, m=m: x**m
-                for x in (0.4, 2.0):
-                    table = QDiffTable.build(f, x, q, 6)
+                table = QDiffTable.build(f, (0.4, 2.0), q, 6)
+                for i, x in enumerate(table.points):
                     for n in range(0, 7):
                         expected = monomial_q_derive_n(m, n, x, q)
-                        got = table.value(n, 0)
+                        got = table.value(n, i)
                         if n <= m:
                             assert got == pytest.approx(expected, rel=1e-12)
                         else:
@@ -141,77 +141,82 @@ class TestQDeriveN:
             assert dq == pytest.approx(classical, rel=1e-2)
 
 
+def _lattice(x0, q, order):
+    """x0, q x0, ..., q^order x0 by iterated multiplication, as the table
+    forms them: a table rooted there holds every column of x0's triangle,
+    rows[m][j] = (D_q^m f)(q^j x0)."""
+    pts = [x0]
+    for _ in range(order):
+        pts.append(q.q * pts[-1])
+    return tuple(pts)
+
+
 class TestQDiffTable:
     def test_row_zero_is_samples(self):
         f = lambda x: x * x
-        t = QDiffTable.build(f, 2.0, Q5, 3)
+        t = QDiffTable.build(f, _lattice(2.0, Q5, 3), Q5, 3)
         assert t.rows[0] == (4.0, 1.0, 0.25, 0.0625)
+        assert t.points == (2.0, 1.0, 0.5, 0.25)
         assert t.order == 3
+        assert QDiffTable.build(f, (2.0,), Q5, 3).rows[0] == (4.0,)
 
     def test_row_lengths_and_values(self):
-        t = QDiffTable.build(lambda x: x**2, 1.0, Q5, 4)
+        t = QDiffTable.build(lambda x: x**2, _lattice(1.0, Q5, 4), Q5, 4)
         for m in range(5):
-            assert len(t.rows[m]) == 5 - m
-        # D_q^2 x^2 = [2][1] = [2]! everywhere on the row
-        for j in range(3):
+            assert len(t.rows[m]) == len(t.mag_rows[m]) == 5  # one entry per root
+        # D_q^2 x^2 = [2][1] = [2]! at every root
+        for j in range(5):
             assert t.value(2, j) == pytest.approx(1.5, rel=1e-12)
 
     def test_mag_rows_are_the_condition_table(self):
-        t = QDiffTable.build(lambda x: x, 1.0, Q5, 2)
+        t = QDiffTable.build(lambda x: x, _lattice(1.0, Q5, 2), Q5, 2)
         assert t.mag_rows[0] == (1.0, 0.5, 0.25)
         # condition entry (1, 0): (|1.0| + |0.5|) / |1.0 * (q-1)| = 3.0
         assert t.mag_rows[1][0] == pytest.approx(3.0, rel=1e-14)
         # (1, 1): (|0.5| + |0.25|) / |0.5 * (q-1)| = 3.0
         assert t.mag_rows[1][1] == pytest.approx(3.0, rel=1e-14)
+        # (2, 0): (3.0 + 3.0) / |1.0 * (q-1)| = 12.0
+        assert t.mag_rows[2][0] == pytest.approx(12.0, rel=1e-14)
         # the value rows are untouched by the condition table
         assert t.value(1, 0) == pytest.approx(1.0, rel=1e-14)
 
     def test_entries_match_recursive_definition(self):
         f = lambda x: 1.0 / (1.0 + x)
-        t = QDiffTable.build(f, 1.5, Q5, 5)
+        t = QDiffTable.build(f, _lattice(1.5, Q5, 5), Q5, 5)
         for m in range(6):
-            for j in range(6 - m):
+            for j in range(6):
                 direct = naive_q_derive_n(f, 0.5**j * 1.5, Q5, m)
                 assert t.value(m, j) == pytest.approx(direct, rel=1e-12)
 
 
-def _reference_rows(f, x0, q, order):
-    """Value and condition rows entry by entry, as in the definition:
-    (m, j) = [(m-1, j+1) - (m-1, j)] / (q^j x0 (q - 1))."""
-    pts = [x0]
-    for _ in range(order):
-        pts.append(q.q * pts[-1])
-    rows = [tuple(float(f(p)) for p in pts)]
-    mags = [tuple(abs(v) for v in rows[0])]
-    qm1 = q.q - 1.0
-    for m in range(1, order + 1):
-        prev, pmag = rows[m - 1], mags[m - 1]
-        rows.append(
-            tuple((prev[j + 1] - prev[j]) / (pts[j] * qm1) for j in range(len(prev) - 1))
-        )
-        mags.append(
-            tuple((pmag[j + 1] + pmag[j]) / abs(pts[j] * qm1) for j in range(len(pmag) - 1))
-        )
-    return tuple(rows), tuple(mags)
-
-
 class TestQDiffTableReference:
+    FUNCTIONS = [
+        lambda x: 1.0 / (x + 0.7), lambda x: math.exp(-1.3 * x), lambda x: x,
+        lambda x: x * x, lambda x: 2.5,
+    ]
+
     @settings(deadline=None)
     @given(
-        f=st.sampled_from(
-            [lambda x: 1.0 / (x + 0.7), lambda x: math.exp(-1.3 * x), lambda x: x,
-             lambda x: x * x, lambda x: 2.5]
-        ),
+        f=st.sampled_from(FUNCTIONS),
         qv=st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 3.0)),
-        x0=st.floats(0.05, 5.0),
+        points=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=16),
         order=st.integers(0, 8),
     )
-    def test_rows_bit_identical_to_entrywise_recurrence(self, f, qv, x0, order):
+    def test_rows_bit_identical_to_entrywise_recurrence(self, f, qv, points, order):
         q = QParam(qv)
-        table = QDiffTable.build(f, x0, q, order)
-        rows, mags = _reference_rows(f, x0, q, order)
-        assert repr(table.rows) == repr(rows)
-        assert repr(table.mag_rows) == repr(mags)
+        # every root of a grid against its own entrywise triangle
+        table = QDiffTable.build(f, points, q, order)
+        refs = [reference_rows(f, x, q, order) for x in points]
+        for m in range(order + 1):
+            assert repr(table.rows[m]) == repr(tuple(r[m][0] for r, _ in refs))
+            assert repr(table.mag_rows[m]) == repr(tuple(g[m][0] for _, g in refs))
+        # a table rooted at the lattice of points[0] holds that triangle's
+        # columns: every entry (m, j), j <= order - m
+        rows, mags = refs[0]
+        lattice = QDiffTable.build(f, _lattice(points[0], q, order), q, order)
+        for m in range(order + 1):
+            assert repr(lattice.rows[m][: order + 1 - m]) == repr(rows[m])
+            assert repr(lattice.mag_rows[m][: order + 1 - m]) == repr(mags[m])
 
 
 class TestQBell:
