@@ -22,6 +22,15 @@ finite; the first bad sample in its root-by-root order is the one
 reported.  Every report here and `qmeasure.SemigroupReport` offers
 `to_tree()` (its JSON form) and `csv_rows() -> (header, rows)` (its CSV
 form); `_serialize` renders both.
+
+The theorem harnesses check each thing once.  `thm31_harness` and
+`thm32_harness` are the only gates on their hypotheses (the parameter
+classes only report them), and `negative_control` is the one way past
+either.  `bernstein_iff_check` and `closure_checks` refuse every t that is
+not > 0 at entry and certify f's decay targets E_q(1)^(-t f) as QCM through
+one helper.  Closure laws that follow from the base pass are read off it:
+`logcm_implies_cm` from the QLOGCM and QCM verdicts, `decay_is_logcm` from
+the QBERNSTEIN one.
 """
 
 from __future__ import annotations
@@ -338,16 +347,12 @@ def bernstein_iff_check(
     q: QParam,
     spec: CertSpec,
 ) -> BernsteinIffReport:
-    """Certify f as QBERNSTEIN and each x -> E_q(1)^(-t f(x)) as QCM."""
-    f_spec = replace(spec, property=CertProperty.QBERNSTEIN)
-    cm_spec = replace(spec, property=CertProperty.QCM)
-    f_report = certify(f, q, f_spec)
-    cm_reports: list[tuple[float, CertReport]] = []
-    for t in ts:
-        if not t > 0.0:
-            raise InputError(f"transform parameters must be positive, got t = {t!r}")
-        target = _scaled_eq_decay(f, t, q)
-        cm_reports.append((t, certify(target, q, cm_spec)))
+    """Certify f as QBERNSTEIN, then each decay target x -> E_q(1)^(-t f(x)),
+    t in ts, as QCM.  Every t must be > 0: InputError before f sees a call.
+    """
+    ts = _positive_ts(ts)
+    f_report = certify(f, q, replace(spec, property=CertProperty.QBERNSTEIN))
+    cm_reports = _decay_reports(f, ts, q, spec)
     f_ok = f_report.verdict is Verdict.CONSISTENT
     cm_ok = all(r.verdict is Verdict.CONSISTENT for _, r in cm_reports)
     flagged: list[str] = []
@@ -364,17 +369,28 @@ def bernstein_iff_check(
             )
     return BernsteinIffReport(
         f_report=f_report,
-        cm_reports=tuple(cm_reports),
+        cm_reports=cm_reports,
         agree=f_ok == cm_ok,
         flagged=tuple(flagged),
     )
 
 
-def _scaled_eq_decay(f: RealFunction, t: float, q: QParam) -> RealFunction:
-    def target(x: float) -> float:
-        return eq_power(-t * f(x), q)
+def _positive_ts(ts: Sequence[float]) -> tuple[float, ...]:
+    """ts as a tuple; InputError naming the first t that is not > 0."""
+    ts = tuple(ts)
+    for t in ts:
+        if not t > 0.0:
+            raise InputError(f"transform parameters must be positive, got t = {t!r}")
+    return ts
 
-    return target
+
+def _decay_reports(
+    f: RealFunction, ts: tuple[float, ...], q: QParam, spec: CertSpec
+) -> tuple[tuple[float, CertReport], ...]:
+    """(t, QCM report of the decay target x -> E_q(1)^(-t f(x))) for each t,
+    in order; ts has been through `_positive_ts`."""
+    cm_spec = replace(spec, property=CertProperty.QCM)
+    return tuple((t, certify(lambda x, t=t: eq_power(-t * f(x), q), q, cm_spec)) for t in ts)
 
 
 def difference_check(
@@ -417,6 +433,12 @@ class ClosureCheck:
     t: float | None
     verdict: Verdict
     ok: bool  # whether the predicted outcome held
+
+
+def _law(kind: str, f_name: str, verdict: Verdict, g_name: str | None = None,
+         t: float | None = None) -> ClosureCheck:
+    """A closure-law row: every law predicts Consistent."""
+    return ClosureCheck(kind, f_name, g_name, t, verdict, verdict is Verdict.CONSISTENT)
 
 
 @dataclass(frozen=True)
@@ -466,6 +488,7 @@ def closure_checks(
 ) -> ClosureReport:
     """Run the closure laws over a named corpus.
 
+    Every t in ts must be > 0: InputError before any function sees a call.
     Base pass: certify every function as QBERNSTEIN, QCM and (where positive)
     QLOGCM.  Closure pass, driven by the base verdicts:
 
@@ -473,7 +496,15 @@ def closure_checks(
       * logcm_implies_cm a QLOGCM-Consistent f must be QCM-Consistent;
       * power_stays_cm   E_q(1)^(-t f) is QCM for certified Bernstein f, t in ts;
       * decay_is_logcm   E_q(1)^(-f) is QLOGCM for certified Bernstein f.
+
+    The first and third certify new targets; the other two are read off the
+    base pass.  Log_q E_q(1)^(-f) is exactly -f, and the q-difference table
+    of -f is exactly the negative of f's, so the QLOGCM checks of
+    E_q(1)^(-f) at n = 1..N are f's QBERNSTEIN checks at n = 1..N, bit for
+    bit and with the same band: a QBERNSTEIN-Consistent f makes the row
+    Consistent without a certification of its own.
     """
+    ts = _positive_ts(ts)
     names = sorted(fs)
     base: list[tuple[str, str, str]] = []
     verdicts: dict[tuple[str, CertProperty], Verdict | None] = {}
@@ -491,48 +522,25 @@ def closure_checks(
     bernstein_names = [
         n for n in names if verdicts[(n, CertProperty.QBERNSTEIN)] is Verdict.CONSISTENT
     ]
-    checks: list[ClosureCheck] = []
-
-    for f_name in bernstein_names:
-        for g_name in bernstein_names:
-            composed = _compose(fs[g_name], fs[f_name])
-            rep = certify(composed, q, replace(spec, property=CertProperty.QBERNSTEIN))
-            checks.append(
-                ClosureCheck(
-                    "composition", f_name, g_name, None, rep.verdict,
-                    rep.verdict is Verdict.CONSISTENT,
-                )
-            )
-
-    for name in names:
-        if verdicts[(name, CertProperty.QLOGCM)] is Verdict.CONSISTENT:
-            cm = verdicts[(name, CertProperty.QCM)]
-            checks.append(
-                ClosureCheck(
-                    "logcm_implies_cm", name, None, None,
-                    cm if cm is not None else Verdict.VIOLATED,
-                    cm is Verdict.CONSISTENT,
-                )
-            )
-
+    bernstein_spec = replace(spec, property=CertProperty.QBERNSTEIN)
+    checks = [
+        _law("composition", f_name,
+             certify(_compose(fs[g_name], fs[f_name]), q, bernstein_spec).verdict, g_name)
+        for f_name in bernstein_names
+        for g_name in bernstein_names
+    ]
+    checks += [
+        # an inapplicable QCM base (None) fails the implication
+        _law("logcm_implies_cm", name, verdicts[(name, CertProperty.QCM)] or Verdict.VIOLATED)
+        for name in names
+        if verdicts[(name, CertProperty.QLOGCM)] is Verdict.CONSISTENT
+    ]
     for name in bernstein_names:
-        for t in ts:
-            target = _scaled_eq_decay(fs[name], t, q)
-            rep = certify(target, q, replace(spec, property=CertProperty.QCM))
-            checks.append(
-                ClosureCheck(
-                    "power_stays_cm", name, None, t, rep.verdict,
-                    rep.verdict is Verdict.CONSISTENT,
-                )
-            )
-        target1 = _scaled_eq_decay(fs[name], 1.0, q)
-        rep = certify(target1, q, replace(spec, property=CertProperty.QLOGCM))
-        checks.append(
-            ClosureCheck(
-                "decay_is_logcm", name, None, None, rep.verdict,
-                rep.verdict is Verdict.CONSISTENT,
-            )
-        )
+        checks += [
+            _law("power_stays_cm", name, rep.verdict, t=t)
+            for t, rep in _decay_reports(fs[name], ts, q, spec)
+        ]
+        checks.append(_law("decay_is_logcm", name, Verdict.CONSISTENT))
 
     return ClosureReport(
         base=tuple(base),
@@ -606,8 +614,9 @@ def thm32_harness(
 ) -> CertReport:
     """Certify the gamma-ratio product g_ratio(., rp, q) as QCM.
 
-    Requires sorted shift sequences with prefix-sum dominance unless
-    negative_control is set.
+    The one gate on the shift hypothesis (sorted sequences with prefix-sum
+    dominance, `RatioParams.hypothesis_ok`): InputError unless it holds or
+    negative_control is set, in which case the report notes the violation.
     """
     if not (rp.hypothesis_ok or negative_control):
         raise InputError(

@@ -182,7 +182,7 @@ def _b_g_ab(q, p):
 
 
 def _b_g_ratio(q, p):
-    rp = RatioParams(tuple(p["a"]), tuple(p["b"]), allow_violations=True)
+    rp = RatioParams(tuple(p["a"]), tuple(p["b"]))
     return lambda x: g_ratio(x, rp, q)
 
 
@@ -542,7 +542,7 @@ def _thm31(ns, q, spec, params):
 
 def _thm32(ns, q, spec, params):
     p = _param_values("g_ratio", params)
-    rp = RatioParams(tuple(p["a"]), tuple(p["b"]), allow_violations=ns.negative_control)
+    rp = RatioParams(tuple(p["a"]), tuple(p["b"]))
     report = thm32_harness(rp, q, spec, negative_control=ns.negative_control)
     return report, report.verdict is Verdict.CONSISTENT
 

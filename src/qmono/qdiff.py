@@ -75,7 +75,9 @@ class QDiffTable:
     ) -> "QDiffTable":
         """Sample f root by root, x_i then q*x_i up to q^order*x_i, checking
         each sample as it comes: the first one that is not a finite number
-        raises EvaluationError naming its point, and f sees no later point."""
+        raises EvaluationError naming its point, and f sees no later point.
+        A divisor q^j x_i (q - 1), j < order, that underflows to 0 raises
+        DomainError naming x_i and j before any division."""
         pts = tuple([float(x) for x in points])
         if 0.0 in pts:
             raise DomainError("q-derivative is undefined at x = 0")
@@ -106,6 +108,12 @@ class QDiffTable:
             lattice += [qq * p for p in lattice[-npts:]]
         qm1 = qq - 1.0
         dens = [p * qm1 for p in lattice]
+        if order and 0.0 in dens:
+            j, i = divmod(dens.index(0.0), npts)
+            raise DomainError(
+                f"q-derivative is undefined where the divisor q^j x (q - 1) underflows "
+                f"to 0: root x = {pts[i]!r}, j = {j} (q = {qq!r})"
+            )
         abs_dens = [abs(d) for d in dens]
         vals: list[float] = []
         for j in range(width):

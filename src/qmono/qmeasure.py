@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from ._serialize import format17
 from .qcore import (
     DomainError,
     EvaluationError,
@@ -325,7 +326,7 @@ def semigroup_check(
 def measure_to_text(mu: DiscreteMeasure) -> str:
     """Serialize as one `t w` pair per line, sorted by t, 17 significant
     digits (lossless decimal round-trip for doubles)."""
-    lines = [f"{t:.17g} {w:.17g}" for t, w in mu.pairs()]
+    lines = [f"{format17(t)} {format17(w)}" for t, w in mu.pairs()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

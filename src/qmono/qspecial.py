@@ -76,15 +76,15 @@ class GammaParams:
 class RatioParams:
     """Shift sequences (a_i), (b_i) of the q-gamma ratio product.
 
-    The monotonicity hypothesis requires both sequences positive, sorted
-    nondecreasing, and prefix-sum dominated: sum_{i<=k} a_i <= sum_{i<=k} b_i
-    for every k.  Construction enforces this unless allow_violations is set
-    (deliberate negative controls); hypothesis_ok reports the actual status.
+    Both sequences must have equal length and positive, finite entries.
+    hypothesis_ok records whether the monotonicity hypothesis holds: both
+    sorted nondecreasing and prefix-sum dominated, sum_{i<=k} a_i <=
+    sum_{i<=k} b_i for every k.  As for `GammaParams`, construction does not
+    enforce it; `cert.thm32_harness` is its one gate.
     """
 
     a: tuple[float, ...]
     b: tuple[float, ...]
-    allow_violations: bool = False
 
     def __post_init__(self) -> None:
         a = tuple(float(v) for v in self.a)
@@ -96,12 +96,6 @@ class RatioParams:
         for v in a + b:
             if not (math.isfinite(v) and v > 0.0):
                 raise DomainError(f"shifts must be positive reals, got {v!r}")
-        if not (self.allow_violations or self.hypothesis_ok):
-            raise DomainError(
-                "shift sequences must be sorted nondecreasing with prefix-sum "
-                "dominance sum(a[:k]) <= sum(b[:k]); pass allow_violations=True "
-                "for a deliberate negative control"
-            )
 
     @property
     def hypothesis_ok(self) -> bool:

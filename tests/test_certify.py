@@ -3,7 +3,7 @@
 import importlib
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -29,6 +29,7 @@ from qmono import (
     GammaParams,
     Grid,
     InputError,
+    MAX_TABLE_ORDER,
     QParam,
     RatioParams,
     Verdict,
@@ -52,7 +53,7 @@ from qmono import (
 )
 from qmono._serialize import render_csv, render_json
 from qmono.cert import _certification_target
-from qmono.cli import build_function
+from qmono.cli import _CLOSURE_CORPUS, build_function
 
 Q5 = QParam(0.5)
 QCM = CertProperty.QCM
@@ -545,6 +546,18 @@ class TestSerialization:
         assert report_to_csv(rep) == render_csv(*rep.csv_rows())
 
 
+def test_public_names_are_each_modules_all():
+    from qmono import cert, qcore, qdiff, qmeasure, qspecial
+
+    modules = (qcore, qdiff, qmeasure, qspecial, cert)
+    assert qmono.__all__ == ["__version__"] + [n for m in modules for n in m.__all__]
+    assert len(set(qmono.__all__)) == len(qmono.__all__)
+    for name in qmono.__all__:
+        assert hasattr(qmono, name), name
+    for name in ("REL_TERM_TOL", "MERGE_TOL", "SemigroupEntry", "ClosureCheck"):
+        assert name in qmono.__all__
+
+
 def test_module_is_not_shadowed_by_the_function():
     mod = importlib.import_module("qmono.cert")
     assert mod.__name__ == "qmono.cert"
@@ -653,6 +666,80 @@ class TestClosureChecks:
         rows = [c for c in rep.checks if c.kind == "logcm_implies_cm"]
         assert rows, "corpus must exercise the implication"
         assert all(c.ok for c in rows)
+
+
+def _cli_closure_corpus(q: QParam) -> dict:
+    return {name: build_function(name, q, {}) for name in _CLOSURE_CORPUS}
+
+
+class TestDecaySide:
+    """bernstein_iff_check and closure_checks share one decay side: every t
+    is refused before anything is certified."""
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("lead", [(), (1.0,)])
+    @pytest.mark.parametrize("check", ["bernstein_iff", "closure"])
+    def test_bad_t_refused_before_any_call(self, check, lead, bad):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x
+
+        ts = lead + (bad,)
+        spec = CertSpec(QCM, max_order=2, grid=Grid.linear(1.0, 2.0, 2))
+        with pytest.raises(InputError, match="transform parameters must be positive"):
+            if check == "bernstein_iff":
+                bernstein_iff_check(f, ts, Q5, spec)
+            else:
+                closure_checks({"identity": f}, Q5, spec, ts=ts)
+        assert seen == []
+
+    def test_both_sides_certify_the_same_decay_reports(self):
+        spec = CertSpec(QCM, max_order=4)
+        f = lambda x: 1.0 - eq_power(-x, Q5)
+        ts = (0.5, 2.0)
+        iff = bernstein_iff_check(f, ts, Q5, spec)
+        rep = closure_checks({"one_minus_eq_decay": f}, Q5, spec, ts=ts)
+        rows = [(c.t, c.verdict) for c in rep.checks if c.kind == "power_stays_cm"]
+        assert rows == [(t, r.verdict) for t, r in iff.cm_reports]
+        assert all(r.verdict is Verdict.CONSISTENT for _, r in iff.cm_reports)
+
+
+class TestDecayIsLogcm:
+    """The decay_is_logcm row is read off the QBERNSTEIN base verdict; the
+    round trip it replaces, Log_q of E_q(1)^(-f) certified as QLOGCM, agrees
+    wherever no sample underflows."""
+
+    @pytest.mark.parametrize("order", range(1, MAX_TABLE_ORDER + 1))
+    @pytest.mark.parametrize("qv", [0.5, 1.5])
+    def test_row_matches_the_round_trip_certification(self, qv, order):
+        q = QParam(qv)
+        corpus = _cli_closure_corpus(q)
+        spec = CertSpec(QCM, max_order=order)
+        rep = closure_checks(corpus, q, spec)
+        rows = {c.f_name: c for c in rep.checks if c.kind == "decay_is_logcm"}
+        members = [n for n, p, v in rep.base if p == "qbernstein" and v == "Consistent"]
+        assert sorted(rows) == sorted(members) == ["constant", "identity", "one_minus_eq_decay"]
+        logcm = replace(spec, property=QLOGCM)
+        compared = 0
+        for name in members:
+            f = corpus[name]
+            lattice = [x * qv**j for x in spec.grid.points for j in range(order + 1)]
+            if any(eq_power(-f(y), q) == 0.0 for y in lattice):
+                continue
+            ref = certify(lambda x: eq_power(-f(x), q), q, logcm)
+            assert ref.verdict is Verdict.CONSISTENT
+            assert (rows[name].verdict, rows[name].ok) == (ref.verdict, True)
+            compared += 1
+        assert compared == len(members)
+
+    def test_every_law_holds_at_q_two_order_eight(self):
+        # the round trip raised here: E_2(1)^(-f) underflows to 0 at q^8 x
+        q = QParam(2.0)
+        rep = closure_checks(_cli_closure_corpus(q), q, CertSpec(QCM, max_order=8))
+        assert rep.all_ok
+        assert [c.ok for c in rep.checks if c.kind == "decay_is_logcm"] == [True] * 3
 
 
 #: A Bernstein-Widder measure: k <= 4 atoms (t, w), t in [e^-3, e^2] and
@@ -776,8 +863,8 @@ class TestThm32Harness:
             assert q_derive_n(f, 1.0, Q5, n) == 0.0
 
     def test_hypothesis_gate(self):
-        rp = RatioParams((2.0,), (1.0,), allow_violations=True)
-        with pytest.raises(InputError):
+        rp = RatioParams((2.0,), (1.0,))
+        with pytest.raises(InputError, match="negative_control"):
             thm32_harness(rp, Q5, CertSpec(QCM, max_order=3))
         rep = thm32_harness(rp, Q5, CertSpec(QCM, max_order=3), negative_control=True)
         assert any("negative control" in n for n in rep.notes)

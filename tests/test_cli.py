@@ -169,6 +169,12 @@ class TestTheorem:
         assert code == 2
         assert "negative_control" in capsys.readouterr().err
 
+    def test_thm32_hypothesis_gate(self, capsys):
+        # the harness is the one gate: same exit and hint as thm31
+        code = run_cli("theorem", "thm32", "--a", "2", "--b", "1", "--order", "3")
+        assert code == 2
+        assert "negative_control" in capsys.readouterr().err
+
     def test_thm32_exit_zero(self, tmp_path):
         out = tmp_path / "t32.csv"
         code = run_cli(
@@ -209,6 +215,12 @@ class TestTheorem:
         assert code == 0
         tree = json.loads(capsys.readouterr().out)
         assert tree["all_ok"] is True
+
+    @pytest.mark.parametrize("ts", ["-1", "0", "1,-1"])
+    def test_closure_refuses_nonpositive_t(self, ts, capsys):
+        code = run_cli("theorem", "closure", "--ts", ts, "--order", "3", "--grid-count", "4")
+        assert code == 2
+        assert "must be positive" in capsys.readouterr().err
 
     def test_missing_fn_is_usage_error(self):
         assert run_cli("theorem", "bernstein_iff") == 2

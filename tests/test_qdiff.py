@@ -189,6 +189,23 @@ class TestQDiffTable:
                 assert t.value(m, j) == pytest.approx(direct, rel=1e-12)
 
 
+class TestUnderflowingDivisor:
+    def test_subnormal_root_is_a_domain_error(self):
+        # 5e-324 * (0.6 - 1) rounds to -0.0: the first divisor is zero
+        with pytest.raises(DomainError, match=r"root x = 5e-324, j = 0"):
+            QDiffTable.build(lambda x: 1.0, (5e-324,), QParam(0.6), 1)
+
+    def test_underflowing_lattice_point_is_a_domain_error(self):
+        # q * x = 1e-400 underflows to 0.0, the divisor of order 2 at j = 1
+        q = QParam(1e-200)
+        with pytest.raises(DomainError, match=r"root x = 1e-200, j = 1"):
+            QDiffTable.build(lambda x: 1.0 / (x + 1.0), (1e-200, 1e-199), q, 2)
+
+    def test_order_zero_divides_by_nothing(self):
+        table = QDiffTable.build(lambda x: 1.0, (5e-324,), QParam(0.6), 0)
+        assert table.rows == ((1.0,),)
+
+
 class TestQDiffTableReference:
     FUNCTIONS = [
         lambda x: 1.0 / (x + 0.7), lambda x: math.exp(-1.3 * x), lambda x: x,
