@@ -7,13 +7,17 @@ time-dependent content, so identical inputs render byte-identically.
 One rule for missing and non-finite values covers both formats: `None` is
 the only empty value (`null` in JSON, an empty CSV cell), and a non-finite
 float raises `ValueError`.
+
+One rule for report rows covers both formats too: a report states each row
+once, as the tuple its CSV line holds, and its JSON row is that tuple keyed
+by the CSV header (`keyed`).
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["format17", "format_cell", "render_csv", "render_json"]
+__all__ = ["format17", "format_cell", "keyed", "render_csv", "render_json"]
 
 
 def format17(v: float) -> str:
@@ -74,6 +78,12 @@ def format_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     return str(v)
+
+
+def keyed(keys, rows) -> list[dict]:
+    """JSON rows of CSV rows: each row as a dict of `keys` to its cells, in
+    key order."""
+    return [dict(zip(keys, row)) for row in rows]
 
 
 def render_csv(header, rows) -> str:

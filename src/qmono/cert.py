@@ -21,7 +21,8 @@ reports.  That `QDiffTable.build` is the one check that each sample is
 finite; the first bad sample in its root-by-root order is the one
 reported.  Every report here and `qmeasure.SemigroupReport` offers
 `to_tree()` (its JSON form) and `csv_rows() -> (header, rows)` (its CSV
-form); `_serialize` renders both.
+form); `_serialize` renders both.  A report states each row once: its JSON
+rows are its CSV rows keyed by the header (`_serialize.keyed`).
 
 The theorem harnesses check each thing once.  `thm31_harness` and
 `thm32_harness` are the only gates on their hypotheses (the parameter
@@ -40,7 +41,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
-from ._serialize import format17, render_csv, render_json
+from ._serialize import format17, keyed, render_csv, render_json
 from .qcore import (
     DomainError,
     InputError,
@@ -207,18 +208,15 @@ class CertReport:
             "verdict": self.verdict.value,
             "checks_run": self.checks_run,
             "min_margin": self.min_margin,
-            "counterexamples": [
-                {"x": c.x, "n": c.n, "value": c.value, "scale": c.scale}
-                for c in self.counterexamples
-            ],
+            "counterexamples": keyed(Counterexample._fields, self.counterexamples),
             "notes": list(self.notes),
         }
 
     def csv_rows(self) -> tuple[tuple[str, ...], list[tuple]]:
         """Counterexample rows; the margin of a violation equals its signed
         value, and a Consistent report has no rows."""
-        header = ("x", "n", "value", "scale", "margin")
-        return header, [(c.x, c.n, c.value, c.scale, c.value) for c in self.counterexamples]
+        header = (*Counterexample._fields, "margin")
+        return header, [(*c, c.value) for c in self.counterexamples]
 
 
 def _signs_and_orders(prop: CertProperty, n_max: int) -> list[tuple[int, float]]:
@@ -324,21 +322,12 @@ class BernsteinIffReport:
 
     def csv_rows(self) -> tuple[tuple[str, ...], list[tuple]]:
         header = ("side", "t", "verdict", "min_margin", "checks_run", "counterexamples")
-        rows: list[tuple] = [
-            (
-                "qbernstein",
-                None,
-                self.f_report.verdict.value,
-                self.f_report.min_margin,
-                self.f_report.checks_run,
-                len(self.f_report.counterexamples),
-            )
+        sides = [("qbernstein", None, self.f_report)]
+        sides += [("qcm", t, r) for t, r in self.cm_reports]
+        return header, [
+            (side, t, r.verdict.value, r.min_margin, r.checks_run, len(r.counterexamples))
+            for side, t, r in sides
         ]
-        for t, r in self.cm_reports:
-            rows.append(
-                ("qcm", t, r.verdict.value, r.min_margin, r.checks_run, len(r.counterexamples))
-            )
-        return header, rows
 
 
 def bernstein_iff_check(
@@ -454,20 +443,8 @@ class ClosureReport:
         return {
             "kind": "closure_report",
             "all_ok": self.all_ok,
-            "base": [
-                {"name": n, "property": p, "verdict": v} for n, p, v in self.base
-            ],
-            "checks": [
-                {
-                    "kind": c.kind,
-                    "f": c.f_name,
-                    "g": c.g_name,
-                    "t": c.t,
-                    "verdict": c.verdict.value,
-                    "ok": c.ok,
-                }
-                for c in self.checks
-            ],
+            "base": keyed(("name", "property", "verdict"), self.base),
+            "checks": keyed(*self.csv_rows()),
         }
 
     def csv_rows(self) -> tuple[tuple[str, ...], list[tuple]]:
@@ -506,18 +483,14 @@ def closure_checks(
     """
     ts = _positive_ts(ts)
     names = sorted(fs)
-    base: list[tuple[str, str, str]] = []
     verdicts: dict[tuple[str, CertProperty], Verdict | None] = {}
     for name in names:
         f = fs[name]
         for prop in (CertProperty.QBERNSTEIN, CertProperty.QCM, CertProperty.QLOGCM):
             try:
-                rep = certify(f, q, replace(spec, property=prop))
-                verdicts[(name, prop)] = rep.verdict
-                base.append((name, prop.value, rep.verdict.value))
+                verdicts[(name, prop)] = certify(f, q, replace(spec, property=prop)).verdict
             except InputError:
                 verdicts[(name, prop)] = None
-                base.append((name, prop.value, "inapplicable"))
 
     bernstein_names = [
         n for n in names if verdicts[(n, CertProperty.QBERNSTEIN)] is Verdict.CONSISTENT
@@ -543,7 +516,9 @@ def closure_checks(
         checks.append(_law("decay_is_logcm", name, Verdict.CONSISTENT))
 
     return ClosureReport(
-        base=tuple(base),
+        base=tuple(
+            (n, p.value, v.value if v else "inapplicable") for (n, p), v in verdicts.items()
+        ),
         checks=tuple(checks),
         all_ok=all(c.ok for c in checks),
     )

@@ -6,10 +6,12 @@ laplace (transform a measure), semigroup (transform-side semigroup check),
 table (several builtins side by side, plot-ready).
 
 Each subcommand driver `_run_X(ns)` returns (result, ok), the result having
-`to_tree()` (JSON) and `csv_rows()` (CSV).  `run` alone dispatches, writes
-through `_emit` (which renders only the chosen format) and sets the exit code:
-0 if ok, 1 if a check found a violation (the result is still written).  `main`
-exits 2 on a usage or domain error, a non-finite value included.
+`to_tree()` (JSON) and `csv_rows()` (CSV), which state each row once: a JSON
+row is its CSV row keyed by the CSV header (`_serialize.keyed`), or by a
+table's own row keys.  `run` alone dispatches, writes through `_emit` (which
+renders only the chosen format) and sets the exit code: 0 if ok, 1 if a
+check found a violation (the result is still written).  `main` exits 2 on a
+usage or domain error, a non-finite value included.
 
 Output is deterministic: identical configurations produce byte-identical
 files.  CSV uses comma separators, `.` decimals, LF line endings and UTF-8,
@@ -32,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from ._serialize import format17, format_cell, render_csv, render_json
+from ._serialize import format17, format_cell, keyed, render_csv, render_json
 from .cert import (
     CertProperty,
     CertSpec,
@@ -91,10 +93,17 @@ _MAX_CONV_PAIRS = 8192
 # builtin function registry
 
 
+def _parse_floats(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(",") if v.strip() != "")
+    except ValueError as exc:
+        raise InputError(f"expected comma-separated reals, got {text!r}") from exc
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     name: str       # CLI flag without the leading dashes
-    kind: str       # "float" | "int" | "floats"
+    type: Callable[[str], object]  # argparse type: float, int or _parse_floats
     default: object
     help: str
 
@@ -192,36 +201,36 @@ BUILTINS: dict[str, Builtin] = {
         Builtin("identity", (), _b_identity),
         Builtin(
             "constant",
-            (ParamSpec("value", "float", 1.0, "constant value"),),
+            (ParamSpec("value", float, 1.0, "constant value"),),
             _b_constant,
         ),
         Builtin("square", (), _b_square),
         Builtin(
             "reciprocal_shift",
-            (ParamSpec("shift", "float", 1.0, "denominator shift"),),
+            (ParamSpec("shift", float, 1.0, "denominator shift"),),
             _b_reciprocal_shift,
         ),
         Builtin(
             "exp_decay",
-            (ParamSpec("rate", "float", 1.0, "decay rate"),),
+            (ParamSpec("rate", float, 1.0, "decay rate"),),
             _b_exp_decay,
         ),
         Builtin(
             "eq_decay",
-            (ParamSpec("rate", "float", 1.0, "decay rate"),),
+            (ParamSpec("rate", float, 1.0, "decay rate"),),
             _b_eq_decay,
         ),
         Builtin(
             "one_minus_eq_decay",
-            (ParamSpec("rate", "float", 1.0, "decay rate"),),
+            (ParamSpec("rate", float, 1.0, "decay rate"),),
             _b_one_minus_eq_decay,
         ),
         Builtin("q_gamma", (), _b_q_gamma),
         Builtin(
             "q_gamma_jackson",
             (
-                ParamSpec("n-lo", "int", 200, "small-t lattice cutoff exponent"),
-                ParamSpec("n-hi", "int", 40, "large-t lattice cutoff exponent"),
+                ParamSpec("n-lo", int, 200, "small-t lattice cutoff exponent"),
+                ParamSpec("n-hi", int, 40, "large-t lattice cutoff exponent"),
             ),
             _b_q_gamma_jackson,
         ),
@@ -229,36 +238,36 @@ BUILTINS: dict[str, Builtin] = {
         Builtin("q_psi_prime", (), _b_q_psi_prime),
         Builtin(
             "q_psi_k",
-            (ParamSpec("k", "int", 1, "derivative order, k >= 1"),),
+            (ParamSpec("k", int, 1, "derivative order, k >= 1"),),
             _b_q_psi_k,
         ),
         Builtin(
             "polylog_qx",
-            (ParamSpec("s", "float", 2.0, "polylogarithm order"),),
+            (ParamSpec("s", float, 2.0, "polylogarithm order"),),
             _b_polylog_qx,
         ),
         Builtin("h_aux", (), _b_h_aux),
         Builtin(
             "f_abq",
             (
-                ParamSpec("alpha", "float", 0.5, "exponent alpha"),
-                ParamSpec("beta", "float", 1.0, "exponent beta (>= 0)"),
+                ParamSpec("alpha", float, 0.5, "exponent alpha"),
+                ParamSpec("beta", float, 1.0, "exponent beta (>= 0)"),
             ),
             _b_f_abq,
         ),
         Builtin(
             "g_ab",
             (
-                ParamSpec("alpha", "float", 0.5, "exponent alpha"),
-                ParamSpec("beta", "float", 1.0, "exponent beta"),
+                ParamSpec("alpha", float, 0.5, "exponent alpha"),
+                ParamSpec("beta", float, 1.0, "exponent beta"),
             ),
             _b_g_ab,
         ),
         Builtin(
             "g_ratio",
             (
-                ParamSpec("a", "floats", (1.0,), "numerator shifts, comma-separated"),
-                ParamSpec("b", "floats", (2.0,), "denominator shifts, comma-separated"),
+                ParamSpec("a", _parse_floats, (1.0,), "numerator shifts, comma-separated"),
+                ParamSpec("b", _parse_floats, (2.0,), "denominator shifts, comma-separated"),
             ),
             _b_g_ratio,
         ),
@@ -327,7 +336,8 @@ def _provenance(ns: argparse.Namespace) -> dict:
 @dataclass(frozen=True)
 class _Table:
     """A computed table under the report protocol.  Its JSON tree is `meta`
-    plus `rows`, each row keyed by `row_keys` (a plain list when None)."""
+    plus `rows`: each CSV row keyed by `row_keys` (`_serialize.keyed`), or
+    the rows as plain lists when `row_keys` is None."""
 
     meta: dict
     header: tuple[str, ...]
@@ -336,8 +346,7 @@ class _Table:
 
     def to_tree(self) -> dict:
         keys = self.row_keys
-        rows = self.rows if keys is None else [dict(zip(keys, r)) for r in self.rows]
-        return {**self.meta, "rows": rows}
+        return {**self.meta, "rows": self.rows if keys is None else keyed(keys, self.rows)}
 
     def csv_rows(self) -> tuple[tuple[str, ...], list[tuple]]:
         return self.header, self.rows
@@ -401,27 +410,13 @@ def _tol_rel(text: str) -> float:
     return value
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip() != "")
-    except ValueError as exc:
-        raise InputError(f"expected comma-separated reals, got {text!r}") from exc
-
-
 def _add_fn_params(sub: argparse.ArgumentParser) -> None:
-    seen: dict[str, str] = {}
+    seen: set[str] = set()
     for b in BUILTINS.values():
         for ps in b.params:
-            if ps.name in seen:
-                continue
-            seen[ps.name] = ps.kind
-            flag = "--" + ps.name
-            if ps.kind == "float":
-                sub.add_argument(flag, type=float, default=None, help=ps.help)
-            elif ps.kind == "int":
-                sub.add_argument(flag, type=int, default=None, help=ps.help)
-            else:
-                sub.add_argument(flag, type=_parse_floats, default=None, help=ps.help)
+            if ps.name not in seen:
+                seen.add(ps.name)
+                sub.add_argument("--" + ps.name, type=ps.type, default=None, help=ps.help)
 
 
 def build_parser() -> argparse.ArgumentParser:

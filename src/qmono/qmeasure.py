@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ._serialize import format17
+from ._serialize import format17, keyed
 from .qcore import (
     DomainError,
     EvaluationError,
@@ -59,7 +59,8 @@ class DiscreteMeasure:
     """Finitely supported nonnegative measure sum_i w_i * delta(t_i).
 
     Construction sorts the atoms, merges near-duplicate locations by weight
-    addition, and validates nonnegativity of both locations and weights.
+    addition, and validates locations and weights as finite and
+    nonnegative, the weights again after merging.
     """
 
     locations: tuple[float, ...]
@@ -82,6 +83,8 @@ class DiscreteMeasure:
         for t, w in pairs:
             if merged_t and t - merged_t[-1] <= MERGE_TOL * (1.0 + abs(merged_t[-1])):
                 merged_w[-1] += w
+                if not math.isfinite(merged_w[-1]):
+                    raise InputError(f"merged atom weight at t = {merged_t[-1]!r} overflows")
             else:
                 merged_t.append(t)
                 merged_w.append(w)
@@ -249,17 +252,7 @@ class SemigroupReport:
             "max_deviation": self.max_deviation,
             "worst": {"t": self.worst[0], "s": self.worst[1], "lambda": self.worst[2]},
             "passed": self.passed,
-            "entries": [
-                {
-                    "t": e.t,
-                    "s": e.s,
-                    "lambda": e.lam,
-                    "lhs": e.lhs,
-                    "rhs": e.rhs,
-                    "deviation": e.deviation,
-                }
-                for e in self.entries
-            ],
+            "entries": keyed(*self.csv_rows()),
         }
 
     def csv_rows(self) -> tuple[tuple[str, ...], list[tuple]]:

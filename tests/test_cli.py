@@ -17,7 +17,15 @@ from qmono import (
     q_factorial,
     q_gamma,
 )
-from qmono.cli import _MAX_CONV_PAIRS, _MAX_CONV_TIME, build_function, build_parser, main, run
+from qmono.cli import (
+    _MAX_CONV_PAIRS,
+    _MAX_CONV_TIME,
+    BUILTINS,
+    build_function,
+    build_parser,
+    main,
+    run,
+)
 
 Q5 = QParam(0.5)
 ROOT = Path(__file__).resolve().parent.parent
@@ -271,6 +279,13 @@ class TestLaplace:
         bad = atoms.split(",")[-1]
         assert f"error: unparsable number in atom {bad!r}" in capsys.readouterr().err
 
+    def test_overflowing_merged_atoms_are_named(self, capsys):
+        code = run_cli("laplace", "--atoms", "1:1.7e308,1:1.7e308", "--grid-count", "2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: merged atom weight at t = 1.0 overflows" in err
+        assert "refusing to serialize" not in err
+
     def test_log_grid_from_zero_is_usage_error(self, capsys):
         code = run_cli(
             "laplace", "--atoms", "1:1", "--grid-spacing", "log",
@@ -433,6 +448,17 @@ class TestTable:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("command", ["eval", "certify", "theorem", "table"])
+    def test_builtin_params_parse_with_their_spec_type(self, command):
+        parser = build_parser()
+        lead = ["theorem", "thm31"] if command == "theorem" else [command, "identity"]
+        for b in BUILTINS.values():
+            for ps in b.params:
+                ns = parser.parse_args(lead + [f"--{ps.name}", "2"])
+                value = getattr(ns, ps.name.replace("-", "_"))
+                assert value == ps.type("2")
+                assert type(value) is type(ps.default)
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QMONO_OUT_DIR", str(tmp_path))
         code = run_cli(

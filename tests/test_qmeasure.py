@@ -108,6 +108,18 @@ class TestDiscreteMeasure:
         with pytest.raises(InputError):
             DiscreteMeasure.from_pairs([(1.0, -0.5)])
 
+    def test_merged_weight_overflow_is_named(self):
+        with pytest.raises(InputError, match=r"merged atom weight at t = 1\.0 overflows"):
+            DiscreteMeasure((1.0, 1.0), (1.7e308, 1.7e308))
+        with pytest.raises(InputError, match=r"merged atom weight at t = 2\.0 overflows"):
+            DiscreteMeasure.from_pairs([(2.0, 1e308), (0.5, 1.0), (2.0 + 1e-13, 1e308)])
+        with pytest.raises(InputError, match=r"merged atom weight at t = 1\.0 overflows"):
+            measure_from_text("1 1.7e308\n1 1.7e308\n")
+
+    def test_merged_weight_at_the_float_limit_is_kept(self):
+        mu = DiscreteMeasure((1.0, 1.0), (8.9e307, 8.9e307))
+        assert mu.weights == (1.78e308,)
+
     def test_text_round_trip(self):
         mu = DiscreteMeasure.from_pairs([(0.1, 1 / 3), (math.pi, 2 / 7), (1e-9, 0.125)])
         text = measure_to_text(mu)
@@ -197,6 +209,13 @@ class TestQConvolve:
         assert conv.locations == (0.0, 1.0, 2.0)
         assert conv.weights == pytest.approx((0.25, 0.5, 0.25), abs=1e-15)
         assert conv.is_probability
+
+    def test_overflowing_merged_weight_is_input_error(self):
+        # (0, 1) * (1, 0): the products at 0 + 1 and 1 + 0 merge at t = 1
+        mu = DiscreteMeasure((0.0, 1.0), (1.0, 1.0))
+        nu = DiscreteMeasure((1.0, 0.0), (1e308, 1e308))
+        with pytest.raises(InputError, match=r"merged atom weight at t = 1\.0 overflows"):
+            q_convolve(mu, nu)
 
     def test_mass_multiplicativity(self):
         ms = random_measures(8)
