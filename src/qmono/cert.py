@@ -87,9 +87,13 @@ class Verdict(Enum):
 
 def _spaced(lo: float, hi: float, count: int, log: bool) -> tuple[float, ...]:
     """count points from lo to hi, evenly spaced in log x (log=True) or in x,
-    with the ends pinned to lo and hi."""
+    with the ends pinned to lo and hi; a count-1 grid is (lo,)."""
     if count < 1:
         raise DomainError(f"grid needs at least one point, got count={count}")
+    if log:
+        for end in (lo, hi)[:count]:  # a count-1 grid has no upper end
+            if not (math.isfinite(end) and end > 0.0):
+                raise DomainError(f"grid points must be finite and > 0, got {end!r}")
     if count < 2:
         return (lo,)
     a, b = (math.log(lo), math.log(hi)) if log else (lo, hi)
@@ -392,9 +396,12 @@ def difference_check(
 ) -> CertReport:
     """Certify x -> f(x) - f(x+a) as QCM.
 
-    The conclusion is only meaningful when f itself is nonnegative and q-CM;
-    certifying f first is the caller's duty.  Pass that report as f_report;
-    a skipped or failed precondition is recorded in the notes.
+    The conclusion follows when f is classically completely monotonic.  A
+    q-CM f is not enough: the shift x + a leaves the lattice {q^j x}, and
+    f = p/(x+1) with p(x) = 1 + sin(2 pi log x / log q)/2 is q-CM at q = 2
+    yet f(0.1) < f(0.6).  Certifying f as QCM first is the caller's duty
+    and a necessary check only.  Pass that report as f_report; a skipped or
+    failed precondition is recorded in the notes.
     """
     if not a > 0.0:
         raise InputError(f"difference shift must be positive, got a = {a!r}")
@@ -469,10 +476,16 @@ def closure_checks(
     Base pass: certify every function as QBERNSTEIN, QCM and (where positive)
     QLOGCM.  Closure pass, driven by the base verdicts:
 
-      * composition      g o f is QBERNSTEIN for every certified pair (f, g);
+      * composition      g o f is QBERNSTEIN for every certified pair (f, g)
+                         whose outer g is classically Bernstein;
       * logcm_implies_cm a QLOGCM-Consistent f must be QCM-Consistent;
       * power_stays_cm   E_q(1)^(-t f) is QCM for certified Bernstein f, t in ts;
       * decay_is_logcm   E_q(1)^(-f) is QLOGCM for certified Bernstein f.
+
+    The composition law needs a classical outer function: g's argument f(x)
+    leaves x's lattice, so an outer g that is only q-Bernstein can break it
+    (a row with ok False).  Nothing here checks that; the CLI corpus is all
+    classical.
 
     The first and third certify new targets; the other two are read off the
     base pass.  Log_q E_q(1)^(-f) is exactly -f, and the q-difference table

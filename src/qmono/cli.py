@@ -301,10 +301,12 @@ def build_function(name: str, q: QParam, params: dict) -> RealFunction:
 # run parameters and output plumbing (read from the parsed namespace)
 
 
+def _grid_points(ns: argparse.Namespace) -> tuple[float, ...]:
+    return _spaced(ns.grid_min, ns.grid_max, ns.grid_count, log=ns.grid_spacing == "log")
+
+
 def _grid(ns: argparse.Namespace) -> Grid:
-    if ns.grid_spacing == "log":
-        return Grid.log_spaced(ns.grid_min, ns.grid_max, ns.grid_count)
-    return Grid.linear(ns.grid_min, ns.grid_max, ns.grid_count)
+    return Grid(_grid_points(ns))
 
 
 def _spec(ns: argparse.Namespace, prop: CertProperty) -> CertSpec:
@@ -318,9 +320,8 @@ def _spec(ns: argparse.Namespace, prop: CertProperty) -> CertSpec:
 
 def _lambda_points(ns: argparse.Namespace) -> tuple[float, ...]:
     # transform grids may start at 0: keep the order check, not positivity
-    if ns.grid_spacing == "log":
-        return _grid(ns).points
-    return _increasing(_spaced(ns.grid_min, ns.grid_max, ns.grid_count, log=False))
+    # (a log-spaced grid checks its ends itself)
+    return _increasing(_grid_points(ns))
 
 
 def _provenance(ns: argparse.Namespace) -> dict:

@@ -7,11 +7,14 @@ difference table over n+1 samples with O(n^2) arithmetic.  On top of the
 table sit the q-partial Bell polynomials and the q-analogue composition
 (Faa di Bruno) rule for D_q^n of g(h(x)).
 
-One table covers a whole set of roots x_i (a certification grid, or the
-single x of `q_derive_n`): it samples f root by root and then forms each
-order for every root at once.  Tables are built per call and share
-nothing: a table depends only on f, q, its roots and the order, never on
-which tables were built before it.
+One table covers a whole set of roots x_i (a certification grid, the
+single x of `q_derive_n`, or the prefix roots x, qx, ..., q^(n-1) x of the
+composition rule): it forms the lattice q^j x_i once, samples f on it root
+by root and then forms each order for every root at once, dividing by the
+same lattice.  The Bell polynomials and the composition rule share one
+composition sum.  Tables are built per call and share nothing: a table
+depends only on f, q, its roots and the order, never on which tables were
+built before it.
 """
 
 from __future__ import annotations
@@ -87,37 +90,31 @@ class QDiffTable:
             raise DomainError(
                 f"table order {order} exceeds the cap {MAX_TABLE_ORDER}"
             )
+        # Column-major lattice: entry j*P + i is q^j x_i (iterated products),
+        # and entries j < order give the divisors q^j x_i (q - 1).  Sampling
+        # then replaces each entry by f there, so entry j*P + i is
+        # (D_q^0 f)(q^j x_i): each order is one pass over every root's
+        # entries, and each order has one column fewer than the last.
         qq = q.q
-        width = order + 1
-        samples: list[float] = []
-        for x in pts:
-            p = x
-            for _ in range(width):
-                v = f(p)
-                if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                    raise EvaluationError(f"function not finite at x = {p!r}: got {v!r}")
-                samples.append(float(v))
-                p = qq * p
-        # Column-major: entry j*P + i is (D_q^m f)(q^j x_i), so each order
-        # is one pass over every root's entries, each order has one column
-        # fewer than the last, and entry j*P + i divides by q^j x_i (q - 1)
-        # at every order.
         npts = len(pts)
-        lattice = list(pts)
-        for _ in range(order - 1):
-            lattice += [qq * p for p in lattice[-npts:]]
+        vals = list(pts)
+        for _ in range(order):
+            vals += [qq * p for p in vals[-npts:]]
         qm1 = qq - 1.0
-        dens = [p * qm1 for p in lattice]
-        if order and 0.0 in dens:
+        dens = [p * qm1 for p in vals[: order * npts]]
+        for i in range(npts):
+            for k in range(i, len(vals), npts):
+                v = f(vals[k])
+                if not (isinstance(v, (int, float)) and math.isfinite(v)):
+                    raise EvaluationError(f"function not finite at x = {vals[k]!r}: got {v!r}")
+                vals[k] = float(v)
+        if 0.0 in dens:
             j, i = divmod(dens.index(0.0), npts)
             raise DomainError(
                 f"q-derivative is undefined where the divisor q^j x (q - 1) underflows "
                 f"to 0: root x = {pts[i]!r}, j = {j} (q = {qq!r})"
             )
         abs_dens = [abs(d) for d in dens]
-        vals: list[float] = []
-        for j in range(width):
-            vals += samples[j::width]
         mags = [abs(v) for v in vals]
         rows = [tuple(vals[:npts])]
         mag_rows = [tuple(mags[:npts])]
@@ -180,17 +177,30 @@ def _qnum_qfact(n: int, q: QParam) -> tuple[list[float], list[float]]:
     return qnum, qfact
 
 
-def _composition_denom(comp: tuple[int, ...], qnum: list[float], qfact: list[float]) -> float:
-    """prod_j [b_1+...+b_j] * prod_j [b_j - 1]! for the composition b, in
-    that order: the q-factorial weight of q_bell and q_faa_di_bruno."""
-    denom = 1.0
-    prefix = 0
-    for b in comp:
-        prefix += b
-        denom *= qnum[prefix]
-    for b in comp:
-        denom *= qfact[b - 1]
-    return denom
+def _bell_sum(n: int, k: int, q: QParam, part: Callable[[int, int], float]) -> float:
+    """Sum over the compositions b_1 + ... + b_k = n (b_i >= 1) of
+
+        [n]! prod_j part(b_j, b_1+...+b_{j-1}) / ( prod_j [b_1+...+b_j] * prod_j [b_j - 1]! ),
+
+    each term formed as [n]! / denominator, then times each part in turn:
+    the composition sum of q_bell and q_faa_di_bruno."""
+    qnum, qfact = _qnum_qfact(n, q)
+    terms = []
+    for comp in _compositions(n, k):
+        denom = 1.0
+        prefix = 0
+        for b in comp:
+            prefix += b
+            denom *= qnum[prefix]
+        for b in comp:
+            denom *= qfact[b - 1]
+        term = qfact[n] / denom
+        prefix = 0
+        for b in comp:
+            term *= part(b, prefix)
+            prefix += b
+        terms.append(term)
+    return math.fsum(terms)
 
 
 def q_bell(n: int, k: int, q: QParam, xs: Sequence[float]) -> float:
@@ -208,14 +218,7 @@ def q_bell(n: int, k: int, q: QParam, xs: Sequence[float]) -> float:
         raise DomainError(
             f"q-Bell needs at least {n - k + 1} arguments, got {len(xs)}"
         )
-    qnum, qfact = _qnum_qfact(n, q)
-    terms = []
-    for comp in _compositions(n, k):
-        term = qfact[n] / _composition_denom(comp, qnum, qfact)
-        for b in comp:
-            term *= xs[b - 1]
-        terms.append(term)
-    return math.fsum(terms)
+    return _bell_sum(n, k, q, lambda b, prefix: xs[b - 1])
 
 
 def q_faa_di_bruno(
@@ -229,8 +232,11 @@ def q_faa_di_bruno(
 
     The caller supplies the outer derivatives as an indexed family
     gk(k) = D_q^k g; the inner derivatives D_q^{b_j} h are taken at the
-    prefix-shifted points q^{b_1+...+b_{j-1}} x via q_derive_n.  Each term
-    carries the same q-factorial weight as q_bell.
+    prefix-shifted points q^{b_1+...+b_{j-1}} x.  They all come from one
+    table of h over the prefix roots x, qx, ..., q^(n-1) x (iterated
+    products), whose entry rows[b][s] is (D_q^b h)(q^s x), with rows[0][0]
+    = h(x): n(n+1) evaluations of h.  Each term carries the same
+    q-factorial weight as q_bell.
 
     The formula is applied exactly as stated; for nonlinear inner h its
     agreement with a direct D_q^n of the composition is not guaranteed.
@@ -238,31 +244,14 @@ def q_faa_di_bruno(
     """
     if n < 1:
         raise DomainError(f"composition rule needs n >= 1, got {n}")
-    if x == 0.0:
-        raise DomainError("q-derivative is undefined at x = 0")
-    qnum, qfact = _qnum_qfact(n, q)
-    hx = h(x)
-    cache: dict[tuple[int, int], float] = {}
-
-    def dh(order: int, shift: int) -> float:
-        key = (order, shift)
-        if key not in cache:
-            cache[key] = q_derive_n(h, (q.q**shift) * x, q, order)
-        return cache[key]
-
-    terms = []
-    for k in range(1, n + 1):
-        gval = gk(k)(hx)
-        inner = []
-        for comp in _compositions(n, k):
-            num = qfact[n]
-            prefix = 0
-            for b in comp:
-                num *= dh(b, prefix)
-                prefix += b
-            inner.append(num / _composition_denom(comp, qnum, qfact))
-        terms.append(gval * math.fsum(inner))
-    return math.fsum(terms)
+    roots = [x]
+    for _ in range(n - 1):
+        roots.append(q.q * roots[-1])
+    rows = QDiffTable.build(h, roots, q, n).rows
+    return math.fsum(
+        gk(k)(rows[0][0]) * _bell_sum(n, k, q, lambda b, prefix: rows[b][prefix])
+        for k in range(1, n + 1)
+    )
 
 
 def q_faa_di_bruno_gap(

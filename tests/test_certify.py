@@ -87,6 +87,15 @@ class TestGrid:
         with pytest.raises(DomainError, match="at least one point"):
             build(0.1, 5.0, count)
 
+    @pytest.mark.parametrize(("lo", "hi", "bad"), [(0.0, 1.0, "0.0"), (-1.0, 1.0, "-1.0"), (1.0, -1.0, "-1.0")])
+    def test_log_spaced_names_the_bad_end(self, lo, hi, bad):
+        # the end is refused before its log is taken: no "math domain error"
+        with pytest.raises(DomainError, match=rf"^grid points must be finite and > 0, got {bad}$"):
+            Grid.log_spaced(lo, hi, 3)
+
+    def test_log_spaced_count_one_is_its_lower_end(self):
+        assert Grid.log_spaced(2.0, -1.0, 1).points == (2.0,)
+
 
 class TestCertSpec:
     def test_defaults(self):
@@ -666,6 +675,59 @@ class TestClosureChecks:
         rows = [c for c in rep.checks if c.kind == "logcm_implies_cm"]
         assert rows, "corpus must exercise the implication"
         assert all(c.ok for c in rows)
+
+
+def _lattice_constant(q: QParam):
+    """p(x) = 1 + 0.5 sin(2 pi log x / log q): p(q x) = p(x), so p is constant
+    on every lattice {q^j x} that D_q^n reads, yet not constant in x."""
+    log_q = math.log(q.q)
+    return lambda x: 1.0 + 0.5 * math.sin(2.0 * math.pi * math.log(x) / log_q)
+
+
+class TestLawsNeedClassicalFunctions:
+    """Two classical laws that do not carry over to q-patterned functions:
+    a factor p constant on each lattice keeps every q-pattern of f, but the
+    shift x + a and the argument of an outer function leave x's lattice."""
+
+    def test_difference_of_a_q_cm_function_can_be_negative(self):
+        q = QParam(2.0)
+        p = _lattice_constant(q)
+        f = lambda x: p(x) / (x + 1.0)
+        spec = CertSpec(QCM, max_order=6)
+        f_rep = certify(f, q, spec)
+        assert f_rep.verdict is Verdict.CONSISTENT
+        rep = difference_check(f, 0.5, q, spec, f_report=f_rep)
+        assert rep.verdict is Verdict.VIOLATED
+        assert rep.notes == ("precondition: supplied QCM report for f is Consistent",)
+        first = rep.counterexamples[0]
+        assert (first.x, first.n) == (0.1, 0)
+        # order 0 fails outright: f(0.1) < f(0.6), no band involved
+        assert f(0.1) == pytest.approx(0.5002, abs=1e-4)
+        assert f(0.6) == pytest.approx(0.9365, abs=1e-4)
+
+    @pytest.mark.parametrize(("qv", "first_n"), [(0.5, 3), (0.9, 3), (2.0, 2)])
+    def test_composition_needs_a_classical_outer_function(self, qv, first_n):
+        q = QParam(qv)
+        p = _lattice_constant(q)
+        big_f = lambda x: p(x) * -math.expm1(-x)  # q-Bernstein, not classically
+        big_g = lambda y: -math.expm1(-y)  # classically Bernstein
+        spec = CertSpec(QBERNSTEIN)
+        for h in (big_f, big_g, lambda x: big_g(big_f(x))):
+            assert certify(h, q, spec).verdict is Verdict.CONSISTENT
+        rep = certify(lambda x: big_f(big_g(x)), q, spec)
+        assert rep.verdict is Verdict.VIOLATED
+        assert rep.counterexamples[0].n == first_n
+
+    def test_closure_composition_row_fails_for_a_q_outer_function(self):
+        q = QParam(2.0)
+        p = _lattice_constant(q)
+        fs = {"F": lambda x: p(x) * -math.expm1(-x), "G": lambda y: -math.expm1(-y)}
+        rep = closure_checks(fs, q, CertSpec(QCM))
+        ok = {(c.f_name, c.g_name): c.ok for c in rep.checks if c.kind == "composition"}
+        # (f, g) names g o f: the law holds exactly where the outer g is G
+        assert ok == {("F", "F"): False, ("F", "G"): True, ("G", "F"): False, ("G", "G"): True}
+        # the laws that act on values along one lattice hold for both
+        assert all(c.ok for c in rep.checks if c.kind != "composition")
 
 
 def _cli_closure_corpus(q: QParam) -> dict:

@@ -104,6 +104,20 @@ class TestEval:
         assert "n_lo = 300" in err and "underflows" in err
         assert "math domain error" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "identity", "--grid-min", "0"),
+            ("eval", "identity", "--grid-min", "1", "--grid-max", "0"),
+            ("laplace", "--atoms", "1:1", "--grid-spacing", "log"),  # default --grid-min 0
+        ],
+    )
+    def test_log_grid_end_not_positive_is_named(self, capsys, argv):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert "grid points must be finite and > 0, got 0.0" in err
+        assert "math domain error" not in err
+
     @pytest.mark.parametrize("window", [("--n-hi", "2000"), ("--n-lo", "-1500", "--n-hi", "1600")])
     def test_jackson_window_overflow_is_named(self, capsys, window):
         # t = 0.5^-n_hi overflows a float; the error names the window, not ERANGE

@@ -1,5 +1,6 @@
 """q-differentiation table, Bell polynomials, composition rule."""
 
+import itertools
 import math
 
 import pytest
@@ -326,3 +327,61 @@ class TestQFaaDiBruno:
     def test_rejects_bad_order(self):
         with pytest.raises(DomainError):
             q_faa_di_bruno(lambda k: (lambda y: y), lambda x: x, 1.0, Q5, 0)
+
+
+def _reference_faa_di_bruno(gk, h, x, q, n):
+    """The composition rule with every (D_q^b h)(q^s x) read off the
+    entrywise triangle of h rooted at x (iterated lattice points); each term
+    is [n]! over its q-factorial weight, then times the inner derivatives in
+    composition order."""
+    rows, _ = reference_rows(h, x, q, n)
+    qnum = [q_number(float(m), q) for m in range(n + 1)]
+    qfact = [1.0]
+    for m in range(1, n + 1):
+        qfact.append(qfact[-1] * qnum[m])
+    terms = []
+    for k in range(1, n + 1):
+        inner = []
+        for cuts in itertools.combinations(range(1, n), k - 1):
+            ends = (*cuts, n)
+            comp = [b - a for a, b in zip((0, *cuts), ends)]
+            denom = 1.0
+            for e in ends:
+                denom *= qnum[e]
+            for b in comp:
+                denom *= qfact[b - 1]
+            term = qfact[n] / denom
+            for s, b in zip((0, *cuts), comp):
+                term *= rows[b][s]
+            inner.append(term)
+        terms.append(gk(k)(rows[0][0]) * math.fsum(inner))
+    return math.fsum(terms)
+
+
+class TestOneTableFaaDiBruno:
+    GK = staticmethod(lambda k: (lambda y: (k + 1.0) / (1.0 + y * y)))
+    INNER = {"linear": lambda x: 0.3 * x, "nonlinear": lambda x: math.exp(-x) + 0.2 * x * x}
+
+    @pytest.mark.parametrize("inner", sorted(INNER))
+    @pytest.mark.parametrize("qv", [0.3, 0.9, 1.7])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_entrywise_reference(self, n, qv, inner):
+        q, h = QParam(qv), self.INNER[inner]
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return h(x)
+
+        for x in (0.7, 1.3):
+            calls.clear()
+            value = q_faa_di_bruno(self.GK, counted, x, q, n)
+            # one table: n prefix roots, each sampled at order n
+            assert len(calls) == n * (n + 1)
+            assert repr(value) == repr(_reference_faa_di_bruno(self.GK, h, x, q, n))
+
+    def test_zero_root_and_order_cap(self):
+        with pytest.raises(DomainError, match=r"^q-derivative is undefined at x = 0$"):
+            q_faa_di_bruno(self.GK, lambda x: x, 0.0, Q5, 3)
+        with pytest.raises(DomainError, match=r"^table order 9 exceeds the cap 8$"):
+            q_faa_di_bruno(self.GK, lambda x: x, 1.0, Q5, 9)
