@@ -19,10 +19,17 @@ Each call builds one difference table over the whole grid and checks it
 in grid order, point by point, so identical inputs give byte-identical
 reports.  That `QDiffTable.build` is the one check that each sample is
 finite; the first bad sample in its root-by-root order is the one
-reported.  Every report here and `qmeasure.SemigroupReport` offers
-`to_tree()` (its JSON form) and `csv_rows() -> (header, rows)` (its CSV
-form); `_serialize` renders both.  A report states each row once: its JSON
-rows are its CSV rows keyed by the header (`_serialize.keyed`).
+reported.  `certify` is target -> table -> `_check`, the one check of a
+table against a property.  The composite checks sample each function
+once: `closure_checks` and `bernstein_iff_check` form one q-lattice per
+call, sample each f on it once (with the same checks, in the same order),
+read QBERNSTEIN and QCM off one table of f, and table Log_q f, g o f and
+E_q(1)^(-t f) from f's samples.  The samples live for that call only.
+
+Every report here and `qmeasure.SemigroupReport` offers `to_tree()` (its
+JSON form) and `csv_rows() -> (header, rows)` (its CSV form); `_serialize`
+renders both.  A report states each row once: its JSON rows are its CSV
+rows keyed by the header (`_serialize.keyed`).
 
 The theorem harnesses check each thing once.  `thm31_harness` and
 `thm32_harness` are the only gates on their hypotheses (the parameter
@@ -49,7 +56,7 @@ from .qcore import (
     _log_eq_base,
     eq_power,
 )
-from .qdiff import MAX_TABLE_ORDER, QDiffTable, RealFunction
+from .qdiff import MAX_TABLE_ORDER, QDiffTable, RealFunction, _Lattice
 from .qspecial import GammaParams, RatioParams, f_abq, g_ab, g_ratio
 
 __all__ = [
@@ -260,13 +267,18 @@ def certify(f: RealFunction, q: QParam, spec: CertSpec) -> CertReport:
     grid: the check at (x_i, n) reads rows[n][i] and mag_rows[n][i], which
     depend only on q^j x_i, j <= n, so raising N leaves it unchanged.
     """
-    g = _certification_target(f, q, spec.property)
+    target = _certification_target(f, q, spec.property)
+    return _check(QDiffTable.build(target, spec.grid.points, q, spec.max_order), spec)
+
+
+def _check(table: QDiffTable, spec: CertSpec) -> CertReport:
+    """The report of spec.property's sign pattern read off a table of the
+    certification target over spec.grid to order spec.max_order."""
     pts = spec.grid.points
     checks = _signs_and_orders(spec.property, spec.max_order)
     tol_rel = spec.tol_rel
     counterexamples: list[Counterexample] = []
     min_margin = math.inf
-    table = QDiffTable.build(g, pts, q, spec.max_order)
     rows, mag_rows = table.rows, table.mag_rows
     for i, x in enumerate(pts):
         for n, sign in checks:
@@ -282,7 +294,7 @@ def certify(f: RealFunction, q: QParam, spec: CertSpec) -> CertReport:
                 min_margin = margin
     return CertReport(
         property=spec.property,
-        q=q.q,
+        q=table.q.q,
         max_order=spec.max_order,
         tol_rel=spec.tol_rel,
         grid=pts,
@@ -342,10 +354,14 @@ def bernstein_iff_check(
 ) -> BernsteinIffReport:
     """Certify f as QBERNSTEIN, then each decay target x -> E_q(1)^(-t f(x)),
     t in ts, as QCM.  Every t must be > 0: InputError before f sees a call.
+    f is sampled once, on one lattice; both sides are tabled from those
+    samples.
     """
     ts = _positive_ts(ts)
-    f_report = certify(f, q, replace(spec, property=CertProperty.QBERNSTEIN))
-    cm_reports = _decay_reports(f, ts, q, spec)
+    lattice = _Lattice(spec.grid.points, q, spec.max_order)
+    fv = lattice.sample(f, list(lattice.points))
+    f_report = _check(lattice.table(fv), replace(spec, property=CertProperty.QBERNSTEIN))
+    cm_reports = _decay_reports(lattice, fv, ts, replace(spec, property=CertProperty.QCM))
     f_ok = f_report.verdict is Verdict.CONSISTENT
     cm_ok = all(r.verdict is Verdict.CONSISTENT for _, r in cm_reports)
     flagged: list[str] = []
@@ -378,12 +394,23 @@ def _positive_ts(ts: Sequence[float]) -> tuple[float, ...]:
 
 
 def _decay_reports(
-    f: RealFunction, ts: tuple[float, ...], q: QParam, spec: CertSpec
+    lattice: _Lattice, fv: list[float], ts: tuple[float, ...], cm_spec: CertSpec
 ) -> tuple[tuple[float, CertReport], ...]:
     """(t, QCM report of the decay target x -> E_q(1)^(-t f(x))) for each t,
-    in order; ts has been through `_positive_ts`."""
-    cm_spec = replace(spec, property=CertProperty.QCM)
-    return tuple((t, certify(lambda x, t=t: eq_power(-t * f(x), q), q, cm_spec)) for t in ts)
+    in order, tabled from f's samples fv on the lattice; ts has been through
+    `_positive_ts`."""
+    q = lattice.q
+    return tuple(
+        (t, _check(_table_of(lattice, lambda v, t=t: eq_power(-t * v, q), fv), cm_spec))
+        for t in ts
+    )
+
+
+def _table_of(lattice: _Lattice, g: RealFunction, fv: list[float]) -> QDiffTable:
+    """The table of g o f on the lattice, from f's samples fv (left as they
+    are): g is sampled at each of them, root by root, with the checks of
+    `QDiffTable.build`."""
+    return lattice.table(lattice.sample(g, list(fv)))
 
 
 def difference_check(
@@ -474,7 +501,8 @@ def closure_checks(
 
     Every t in ts must be > 0: InputError before any function sees a call.
     Base pass: certify every function as QBERNSTEIN, QCM and (where positive)
-    QLOGCM.  Closure pass, driven by the base verdicts:
+    QLOGCM; a function whose samples fail the finiteness check is
+    inapplicable under all three.  Closure pass, driven by the base verdicts:
 
       * composition      g o f is QBERNSTEIN for every certified pair (f, g)
                          whose outer g is classically Bernstein;
@@ -493,27 +521,45 @@ def closure_checks(
     E_q(1)^(-f) at n = 1..N are f's QBERNSTEIN checks at n = 1..N, bit for
     bit and with the same band: a QBERNSTEIN-Consistent f makes the row
     Consistent without a certification of its own.
+
+    Each function is sampled once, on one lattice for the whole call.  Its
+    QBERNSTEIN and QCM checks read one table; QLOGCM is tabled from Log_q
+    of its samples, g o f from g at f's samples and E_q(1)^(-t f) from
+    `eq_power(-t v)` at f's samples v.  So an outer g is called with
+    float(f(x)), and the reports are those of one `certify` call per
+    target, bit for bit.
     """
     ts = _positive_ts(ts)
     names = sorted(fs)
+    specs = {p: replace(spec, property=p) for p in CertProperty}
+    lattice = _Lattice(spec.grid.points, q, spec.max_order)
     verdicts: dict[tuple[str, CertProperty], Verdict | None] = {}
+    bernstein: dict[str, list[float]] = {}  # certified Bernstein name -> its samples
     for name in names:
-        f = fs[name]
-        for prop in (CertProperty.QBERNSTEIN, CertProperty.QCM, CertProperty.QLOGCM):
-            try:
-                verdicts[(name, prop)] = certify(f, q, replace(spec, property=prop)).verdict
-            except InputError:
+        try:
+            fv = lattice.sample(fs[name], list(lattice.points))
+        except InputError:
+            for prop in (CertProperty.QBERNSTEIN, CertProperty.QCM, CertProperty.QLOGCM):
                 verdicts[(name, prop)] = None
+            continue
+        table = lattice.table(fv)
+        for prop in (CertProperty.QBERNSTEIN, CertProperty.QCM):
+            verdicts[(name, prop)] = _check(table, specs[prop]).verdict
+        try:
+            log_table = _log_q_table(lattice, fv)
+        except InputError:
+            verdicts[(name, CertProperty.QLOGCM)] = None
+        else:
+            verdicts[(name, CertProperty.QLOGCM)] = _check(log_table, specs[CertProperty.QLOGCM]).verdict
+        if verdicts[(name, CertProperty.QBERNSTEIN)] is Verdict.CONSISTENT:
+            bernstein[name] = fv
 
-    bernstein_names = [
-        n for n in names if verdicts[(n, CertProperty.QBERNSTEIN)] is Verdict.CONSISTENT
-    ]
-    bernstein_spec = replace(spec, property=CertProperty.QBERNSTEIN)
     checks = [
         _law("composition", f_name,
-             certify(_compose(fs[g_name], fs[f_name]), q, bernstein_spec).verdict, g_name)
-        for f_name in bernstein_names
-        for g_name in bernstein_names
+             _check(_table_of(lattice, fs[g_name], fv), specs[CertProperty.QBERNSTEIN]).verdict,
+             g_name)
+        for f_name, fv in bernstein.items()
+        for g_name in bernstein
     ]
     checks += [
         # an inapplicable QCM base (None) fails the implication
@@ -521,10 +567,10 @@ def closure_checks(
         for name in names
         if verdicts[(name, CertProperty.QLOGCM)] is Verdict.CONSISTENT
     ]
-    for name in bernstein_names:
+    for name, fv in bernstein.items():
         checks += [
             _law("power_stays_cm", name, rep.verdict, t=t)
-            for t, rep in _decay_reports(fs[name], ts, q, spec)
+            for t, rep in _decay_reports(lattice, fv, ts, specs[CertProperty.QCM])
         ]
         checks.append(_law("decay_is_logcm", name, Verdict.CONSISTENT))
 
@@ -537,11 +583,13 @@ def closure_checks(
     )
 
 
-def _compose(g: RealFunction, f: RealFunction) -> RealFunction:
-    def composed(x: float) -> float:
-        return g(f(x))
-
-    return composed
+def _log_q_table(lattice: _Lattice, fv: list[float]) -> QDiffTable:
+    """The table of Log_q f from f's samples fv, by the arithmetic of
+    `_certification_target`: InputError unless every sample is > 0."""
+    if not min(fv) > 0.0:
+        raise InputError("Log_q needs a positive function")
+    base = _log_eq_base(lattice.q.q)
+    return _table_of(lattice, lambda v: math.log(v) / base, fv)
 
 
 #: Witness sweep for the gamma-based composite: 200 log-spaced points on (0, 50].

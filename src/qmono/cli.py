@@ -135,7 +135,14 @@ def _b_reciprocal_shift(q, p):
 
 def _b_exp_decay(q, p):
     c = p["rate"]
-    return lambda x: math.exp(-c * x)
+
+    def exp_decay(x):
+        try:
+            return math.exp(-c * x)
+        except OverflowError:
+            raise OverflowError(f"exp(-rate x) overflows a float at x = {x!r} (rate = {c!r})") from None
+
+    return exp_decay
 
 
 def _b_eq_decay(q, p):

@@ -539,8 +539,12 @@ def _log_eq_base(qval: float) -> float:
 
 
 def eq_power(x: float, q: QParam) -> float:
-    """The ordinary power E_q(1)^x of the constant E_q(1)."""
-    return math.exp(x * _log_eq_base(q.q))
+    """The ordinary power E_q(1)^x of the constant E_q(1).  OverflowError
+    naming x and q where it leaves the float range."""
+    try:
+        return math.exp(x * _log_eq_base(q.q))
+    except OverflowError:
+        raise OverflowError(f"E_q(1)^x overflows a float at x = {x!r} (q = {q.q!r})") from None
 
 
 def log_q(y: float, q: QParam) -> float:

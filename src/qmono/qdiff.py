@@ -12,7 +12,14 @@ single x of `q_derive_n`, or the prefix roots x, qx, ..., q^(n-1) x of the
 composition rule): it forms the lattice q^j x_i once, samples f on it root
 by root and then forms each order for every root at once, dividing by the
 same lattice.  The Bell polynomials and the composition rule share one
-composition sum.  Tables are built per call and share nothing: a table
+composition sum.
+
+One lattice per call: `QDiffTable.build` is three steps, the lattice, f's
+samples on it, the table of those samples (the private `_Lattice`).  A
+caller that needs several tables over one lattice (the certifier's
+composite checks) forms the lattice once, samples each function once, and
+tables a function of f, such as g o f, from f's samples.  Samples are
+shared within a call only; nothing is retained across calls, so a table
 depends only on f, q, its roots and the order, never on which tables were
 built before it.
 """
@@ -81,49 +88,9 @@ class QDiffTable:
         raises EvaluationError naming its point, and f sees no later point.
         A divisor q^j x_i (q - 1), j < order, that underflows to 0 raises
         DomainError naming x_i and j before any division."""
-        pts = tuple([float(x) for x in points])
-        if 0.0 in pts:
-            raise DomainError("q-derivative is undefined at x = 0")
-        if order < 0:
-            raise DomainError(f"table order must be nonnegative, got {order}")
-        if order > MAX_TABLE_ORDER:
-            raise DomainError(
-                f"table order {order} exceeds the cap {MAX_TABLE_ORDER}"
-            )
-        # Column-major lattice: entry j*P + i is q^j x_i (iterated products),
-        # and entries j < order give the divisors q^j x_i (q - 1).  Sampling
-        # then replaces each entry by f there, so entry j*P + i is
-        # (D_q^0 f)(q^j x_i): each order is one pass over every root's
-        # entries, and each order has one column fewer than the last.
-        qq = q.q
-        npts = len(pts)
-        vals = list(pts)
-        for _ in range(order):
-            vals += [qq * p for p in vals[-npts:]]
-        qm1 = qq - 1.0
-        dens = [p * qm1 for p in vals[: order * npts]]
-        for i in range(npts):
-            for k in range(i, len(vals), npts):
-                v = f(vals[k])
-                if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                    raise EvaluationError(f"function not finite at x = {vals[k]!r}: got {v!r}")
-                vals[k] = float(v)
-        if 0.0 in dens:
-            j, i = divmod(dens.index(0.0), npts)
-            raise DomainError(
-                f"q-derivative is undefined where the divisor q^j x (q - 1) underflows "
-                f"to 0: root x = {pts[i]!r}, j = {j} (q = {qq!r})"
-            )
-        abs_dens = [abs(d) for d in dens]
-        mags = [abs(v) for v in vals]
-        rows = [tuple(vals[:npts])]
-        mag_rows = [tuple(mags[:npts])]
-        for _ in range(order):
-            vals = [(b - a) / d for a, b, d in zip(vals, vals[npts:], dens)]
-            mags = [(b + a) / d for a, b, d in zip(mags, mags[npts:], abs_dens)]
-            rows.append(tuple(vals[:npts]))
-            mag_rows.append(tuple(mags[:npts]))
-        return cls(pts, q, tuple(rows), tuple(mag_rows))
+        lattice = _Lattice(points, q, order)
+        # the lattice is this call's alone: f's samples replace its points
+        return lattice.table(lattice.sample(f, lattice.points))
 
     @property
     def order(self) -> int:
@@ -132,6 +99,80 @@ class QDiffTable:
     def value(self, m: int, i: int = 0) -> float:
         """(D_q^m f)(x_i)."""
         return self.rows[m][i]
+
+
+class _Lattice:
+    """The q-lattice of a table over the roots x_0, ..., x_{P-1} to order N,
+    and the three steps of `QDiffTable.build`: this lattice, the samples on
+    it, the table of those samples.
+
+    Column-major: entry j*P + i of `points` is q^j x_i (iterated
+    products), and entries j < N give the divisors q^j x_i (q - 1).  A
+    sample list holds a value per entry, so each order is one pass over
+    every root's entries, and each order has one column fewer than the last.
+    Within one call every table over the same roots, q and N is formed from
+    one lattice, and a table of a function of f (g o f, Log_q f,
+    E_q(1)^(-t f)) from a copy of f's samples, without sampling f again.
+    A caller that keeps the lattice samples a copy of `points`.
+    """
+
+    __slots__ = ("roots", "q", "order", "npts", "points", "dens", "abs_dens")
+
+    def __init__(self, points: Sequence[float], q: QParam, order: int) -> None:
+        roots = tuple([float(x) for x in points])
+        if 0.0 in roots:
+            raise DomainError("q-derivative is undefined at x = 0")
+        if order < 0:
+            raise DomainError(f"table order must be nonnegative, got {order}")
+        if order > MAX_TABLE_ORDER:
+            raise DomainError(
+                f"table order {order} exceeds the cap {MAX_TABLE_ORDER}"
+            )
+        qq = q.q
+        npts = len(roots)
+        vals = list(roots)
+        for _ in range(order):
+            vals += [qq * p for p in vals[-npts:]]
+        qm1 = qq - 1.0
+        self.roots, self.q, self.order, self.npts, self.points = roots, q, order, npts, vals
+        self.dens = [p * qm1 for p in vals[: order * npts]]
+        self.abs_dens = list(map(abs, self.dens))
+
+    def sample(self, f: RealFunction, vals: list[float]) -> list[float]:
+        """Replace each entry vals[k], the argument of f at lattice point k
+        (the point itself, or an inner function's sample there), by f at it,
+        root by root, checking each value as it comes: the first one that is
+        not a finite number raises EvaluationError naming its lattice point,
+        and f sees no later argument.  Returns vals."""
+        points, npts = self.points, self.npts
+        for i in range(npts):
+            for k in range(i, len(vals), npts):
+                v = f(vals[k])
+                if not (isinstance(v, (int, float)) and math.isfinite(v)):
+                    raise EvaluationError(f"function not finite at x = {points[k]!r}: got {v!r}")
+                vals[k] = float(v)
+        return vals
+
+    def table(self, samples: list[float]) -> QDiffTable:
+        """The table of samples taken on this lattice.  DomainError naming
+        x_i and j where a divisor q^j x_i (q - 1) underflows to 0."""
+        dens, abs_dens, npts = self.dens, self.abs_dens, self.npts
+        if 0.0 in dens:
+            j, i = divmod(dens.index(0.0), npts)
+            raise DomainError(
+                f"q-derivative is undefined where the divisor q^j x (q - 1) underflows "
+                f"to 0: root x = {self.roots[i]!r}, j = {j} (q = {self.q.q!r})"
+            )
+        vals = samples
+        mags = list(map(abs, vals))
+        rows = [tuple(vals[:npts])]
+        mag_rows = [tuple(mags[:npts])]
+        for _ in range(self.order):
+            vals = [(b - a) / d for a, b, d in zip(vals, vals[npts:], dens)]
+            mags = [(b + a) / d for a, b, d in zip(mags, mags[npts:], abs_dens)]
+            rows.append(tuple(vals[:npts]))
+            mag_rows.append(tuple(mags[:npts]))
+        return QDiffTable(self.roots, self.q, tuple(rows), tuple(mag_rows))
 
 
 def q_derive(f: RealFunction, x: float, q: QParam) -> float:
@@ -241,6 +282,15 @@ def q_faa_di_bruno(
     The formula is applied exactly as stated; for nonlinear inner h its
     agreement with a direct D_q^n of the composition is not guaranteed.
     Use q_faa_di_bruno_gap to measure the discrepancy.
+
+    The value can also have the wrong sign, with nothing to flag it: the
+    composition sum can cancel, and unlike `certify` it carries no
+    condition row or numerical-zero band.  At n = 8,
+    q = 0.27714843014646184, x = 0.32647774193016144, h = 1/(1+x) and
+    gk(k) = y -> (k+1)/(1+y^2) it returns -42358.2, where the same sum at
+    50 digits is 1225.76; for a linear h, the rows b >= 2 it multiplies
+    are rounding noise rather than 0.  Check a value's sign against the
+    direct derivative with q_faa_di_bruno_gap before relying on it.
     """
     if n < 1:
         raise DomainError(f"composition rule needs n >= 1, got {n}")

@@ -3,15 +3,31 @@
 Everything here deliberately avoids the library code paths it is used to
 check: brute-force recursions, closed forms proved by hand, classical
 finite differences, and 50-digit mpmath evaluations of the defining series.
+The composite certifier checks have a reference here too: one `certify`
+call per target, each sampling its function afresh.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 
-from qmono import QParam, q_derive, q_number
+from qmono import (
+    BernsteinIffReport,
+    CertProperty,
+    ClosureCheck,
+    ClosureReport,
+    InputError,
+    QParam,
+    Verdict,
+    certify,
+    eq_power,
+    q_derive,
+    q_number,
+)
+from qmono._serialize import format17
 
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -352,3 +368,77 @@ def series_tolerance(x: float, q: QParam, magnitude: float) -> float:
     of its |terms|, plus the conditioning of q^(nx) = exp(n x log q) in the
     rounded exponent (relative error about |x log q| u in the leading term)."""
     return (1e-14 + 4.0 * UNIT_ROUNDOFF * abs(x * math.log(q.q))) * magnitude
+
+
+def _reference_ts(ts) -> tuple:
+    ts = tuple(ts)
+    for t in ts:
+        if not t > 0.0:
+            raise InputError(f"transform parameters must be positive, got t = {t!r}")
+    return ts
+
+
+def _reference_decay(f, ts, q: QParam, spec) -> tuple:
+    cm_spec = replace(spec, property=CertProperty.QCM)
+    return tuple((t, certify(lambda x, t=t: eq_power(-t * f(x), q), q, cm_spec)) for t in ts)
+
+
+def reference_bernstein_iff_check(f, ts, q: QParam, spec) -> BernsteinIffReport:
+    """`bernstein_iff_check` from one `certify` call per side: f is sampled
+    again for the QBERNSTEIN side and for every decay target."""
+    ts = _reference_ts(ts)
+    f_report = certify(f, q, replace(spec, property=CertProperty.QBERNSTEIN))
+    cm_reports = _reference_decay(f, ts, q, spec)
+    f_ok = f_report.verdict is Verdict.CONSISTENT
+    cm_ok = all(r.verdict is Verdict.CONSISTENT for _, r in cm_reports)
+    flagged = []
+    if not f_ok:
+        ce = f_report.counterexamples[0]
+        flagged.append(
+            f"qbernstein side violated at x={format17(ce.x)} n={ce.n} value={format17(ce.value)}"
+        )
+    for t, r in cm_reports:
+        if r.verdict is Verdict.VIOLATED:
+            ce = r.counterexamples[0]
+            flagged.append(f"qcm side violated at t={format17(t)} x={format17(ce.x)} n={ce.n}")
+    return BernsteinIffReport(f_report, cm_reports, f_ok == cm_ok, tuple(flagged))
+
+
+def reference_closure_checks(fs, q: QParam, spec, ts=(0.5, 1.0, 2.0)) -> ClosureReport:
+    """`closure_checks` from one `certify` call per member and property, per
+    composition g(f(x)) and per decay target: each samples afresh."""
+    ts = _reference_ts(ts)
+    names = sorted(fs)
+    verdicts = {}
+    for name in names:
+        for prop in (CertProperty.QBERNSTEIN, CertProperty.QCM, CertProperty.QLOGCM):
+            try:
+                verdicts[(name, prop)] = certify(fs[name], q, replace(spec, property=prop)).verdict
+            except InputError:
+                verdicts[(name, prop)] = None
+
+    def law(kind, f_name, verdict, g_name=None, t=None):
+        return ClosureCheck(kind, f_name, g_name, t, verdict, verdict is Verdict.CONSISTENT)
+
+    bern = [n for n in names if verdicts[(n, CertProperty.QBERNSTEIN)] is Verdict.CONSISTENT]
+    bern_spec = replace(spec, property=CertProperty.QBERNSTEIN)
+    checks = [
+        law("composition", f_name,
+            certify(lambda x, g=fs[g_name], f=fs[f_name]: g(f(x)), q, bern_spec).verdict, g_name)
+        for f_name in bern
+        for g_name in bern
+    ]
+    checks += [
+        law("logcm_implies_cm", name, verdicts[(name, CertProperty.QCM)] or Verdict.VIOLATED)
+        for name in names
+        if verdicts[(name, CertProperty.QLOGCM)] is Verdict.CONSISTENT
+    ]
+    for name in bern:
+        checks += [law("power_stays_cm", name, r.verdict, t=t)
+                   for t, r in _reference_decay(fs[name], ts, q, spec)]
+        checks.append(law("decay_is_logcm", name, Verdict.CONSISTENT))
+    return ClosureReport(
+        base=tuple((n, p.value, v.value if v else "inapplicable") for (n, p), v in verdicts.items()),
+        checks=tuple(checks),
+        all_ok=all(c.ok for c in checks),
+    )

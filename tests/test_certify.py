@@ -15,7 +15,10 @@ from _oracles import (
     UNIT_ROUNDOFF,
     classical_logcm_screen,
     mp_h_aux_q_derive,
+    outcome,
     reciprocal_q_derive_sign,
+    reference_bernstein_iff_check,
+    reference_closure_checks,
     reference_rows,
 )
 from qmono import (
@@ -766,6 +769,173 @@ class TestDecaySide:
         rows = [(c.t, c.verdict) for c in rep.checks if c.kind == "power_stays_cm"]
         assert rows == [(t, r.verdict) for t, r in iff.cm_reports]
         assert all(r.verdict is Verdict.CONSISTENT for _, r in iff.cm_reports)
+
+
+def _lattice_root_by_root(points, q: QParam, order: int) -> list:
+    """x_0, q x_0, ..., q^N x_0, then x_1, ...: iterated products, the
+    order in which a table samples f."""
+    out = []
+    for x in points:
+        for _ in range(order + 1):
+            out.append(x)
+            x = q.q * x
+    return out
+
+
+def _member(kind: str, c: float, q: QParam, bad: float | None):
+    """A corpus member: a closed form with parameter c; `patterned` is
+    p(x) (1 - e^(-c x)) with p constant on each lattice, and `nan_at` is
+    1/(x + c) except nan at the lattice point `bad`."""
+    if kind == "identity":
+        return lambda x: x
+    if kind == "constant":
+        return lambda x: c
+    if kind == "square":
+        return lambda x: x * x
+    if kind == "one_minus_x":
+        return lambda x: 1.0 - x
+    if kind == "reciprocal_shift":
+        return lambda x: 1.0 / (x + c)
+    if kind == "exp_decay":
+        return lambda x: math.exp(-c * x)
+    if kind == "eq_decay":
+        return lambda x: eq_power(-c * x, q)
+    if kind == "one_minus_eq_decay":
+        return lambda x: 1.0 - eq_power(-c * x, q)
+    if kind == "patterned":  # q-Bernstein, not classically: an outer g that breaks g o f
+        p = _lattice_constant(q)
+        return lambda x: p(x) * -math.expm1(-c * x)
+    assert kind == "nan_at"
+    return lambda x: math.nan if x == bad else 1.0 / (x + c)
+
+
+_KINDS = ("identity", "constant", "square", "one_minus_x", "reciprocal_shift", "exp_decay",
+          "eq_decay", "one_minus_eq_decay", "patterned", "nan_at")
+
+
+class TestOneSampleSet:
+    """closure_checks and bernstein_iff_check sample each f once per call
+    and table every target from those samples; their reports are those of
+    one `certify` call per target (tests/_oracles.py), bit for bit."""
+
+    # no two lattice points coincide at q = 0.5 or q = 2 to order 3
+    GRID = Grid.linear(0.7, 2.0, 4)
+
+    @staticmethod
+    def same(fast, reference, *args):
+        # repr shows every float exactly (and nan, -0.0); an exception
+        # compares by type and message
+        a, b = outcome(fast, *args), outcome(reference, *args)
+        assert a == b
+
+    @settings(deadline=None, max_examples=120)
+    @given(
+        qv=st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 3.0)),
+        order=st.integers(1, MAX_TABLE_ORDER),
+        lo=st.floats(0.05, 2.0),
+        span=st.floats(1.5, 20.0),
+        count=st.integers(1, 12),
+        members=st.lists(
+            st.tuples(st.sampled_from(_KINDS), st.floats(0.1, 3.0), st.integers(0, 10**6)),
+            min_size=1, max_size=5,
+        ),
+        ts=st.lists(st.floats(0.05, 3.0), max_size=3),
+        underflow=st.booleans(),
+    )
+    def test_reports_match_one_certify_per_target(
+        self, qv, order, lo, span, count, members, ts, underflow
+    ):
+        q = QParam(qv)
+        spec = CertSpec(QCM, max_order=order, grid=Grid.log_spaced(lo, lo * span, count))
+        lattice = _lattice_root_by_root(spec.grid.points, q, order)
+        corpus = {
+            f"{kind}{i}": _member(kind, c, q, lattice[k % len(lattice)])
+            for i, (kind, c, k) in enumerate(members)
+        }
+        if underflow:
+            # E_q(1)^(-1e4 x) is 0.0 on the lattice: QLOGCM inapplicable
+            corpus["eq_decay_underflows"] = _member("eq_decay", 1e4, q, None)
+        self.same(lambda: closure_checks(corpus, q, spec, ts=ts),
+                  lambda: reference_closure_checks(corpus, q, spec, ts=ts))
+        for f in corpus.values():
+            self.same(bernstein_iff_check, reference_bernstein_iff_check, f, ts, q, spec)
+
+    @pytest.mark.parametrize("qv", [0.5, 2.0])
+    @pytest.mark.parametrize("order", [1, 5, 8])
+    def test_cli_corpus_with_an_underflowing_and_a_nan_member(self, qv, order):
+        q = QParam(qv)
+        spec = CertSpec(QCM, max_order=order)
+        bad = _lattice_root_by_root(spec.grid.points, q, order)[order + 2]
+        corpus = _cli_closure_corpus(q)
+        corpus["eq_decay_underflows"] = _member("eq_decay", 1e4, q, None)
+        corpus["nan_at"] = _member("nan_at", 1.0, q, bad)
+        rep = closure_checks(corpus, q, spec)
+        base = {(n, p): v for n, p, v in rep.base}
+        assert base[("eq_decay_underflows", "qlogcm")] == "inapplicable"
+        assert base[("eq_decay_underflows", "qcm")] == "Consistent"
+        assert [base[("nan_at", p.value)] for p in CertProperty] == ["inapplicable"] * 3
+        assert repr(rep) == repr(reference_closure_checks(corpus, q, spec))
+
+    @pytest.mark.parametrize("qv", [0.5, 2.0])
+    def test_closure_samples_each_member_once(self, qv):
+        q = QParam(qv)
+        spec = CertSpec(QCM, max_order=3, grid=self.GRID)
+        lattice = _lattice_root_by_root(self.GRID.points, q, 3)
+        closed = _cli_closure_corpus(q)
+        # the member that is nan at q x_1 sees no point after it
+        closed["nan_at"] = _member("nan_at", 1.0, q, lattice[5])
+        seen = {name: [] for name in closed}
+
+        def counted(name):
+            f = closed[name]
+            return lambda x: seen[name].append(x) or f(x)
+
+        rep = closure_checks({name: counted(name) for name in closed}, q, spec)
+        bernstein = sorted(n for n, p, v in rep.base if p == "qbernstein" and v == "Consistent")
+        assert bernstein == ["constant", "identity", "one_minus_eq_decay"]
+        assert repr(seen.pop("nan_at")) == repr(lattice[:6])
+        for name, calls in seen.items():
+            # each lattice point once, root by root; then a certified
+            # Bernstein g is the outer function at each Bernstein f's
+            # samples, f in name order
+            expected = list(lattice)
+            if name in bernstein:
+                for f_name in bernstein:
+                    expected += [float(closed[f_name](x)) for x in lattice]
+            assert repr(calls) == repr(expected), name
+
+    @pytest.mark.parametrize("qv", [0.5, 2.0])
+    def test_bernstein_iff_samples_f_once(self, qv):
+        q = QParam(qv)
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 1.0 - eq_power(-x, q)
+
+        rep = bernstein_iff_check(f, (0.5, 1.0, 2.0), q, CertSpec(QCM, max_order=3, grid=self.GRID))
+        assert len(rep.cm_reports) == 3
+        assert repr(seen) == repr(_lattice_root_by_root(self.GRID.points, q, 3))
+
+    def test_bernstein_iff_names_the_first_bad_sample(self):
+        lattice = _lattice_root_by_root(self.GRID.points, Q5, 3)
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return math.nan if x == lattice[5] else x
+
+        with pytest.raises(EvaluationError, match=f"not finite at x = {lattice[5]!r}: got nan"):
+            bernstein_iff_check(f, (1.0,), Q5, CertSpec(QCM, max_order=3, grid=self.GRID))
+        assert seen == lattice[:6]
+
+    def test_an_overflowing_decay_target_names_its_argument(self):
+        # E_q(1)^(-t f) with f = -x: the decay side raises, as certify would
+        spec = CertSpec(QCM, max_order=2, grid=Grid.linear(1.0, 2.0, 2))
+        f = lambda x: -x
+        with pytest.raises(OverflowError, match=r"E_q\(1\)\^x overflows a float at x = 1000\.0 \(q = 0\.5\)"):
+            bernstein_iff_check(f, (1000.0,), Q5, spec)
+        self.same(bernstein_iff_check, reference_bernstein_iff_check, f, (1000.0,), Q5, spec)
 
 
 class TestDecayIsLogcm:

@@ -558,7 +558,23 @@ class TestArithmeticErrors:
 
     def test_overflow_is_usage_error(self, capsys):
         assert run_cli("eval", "exp_decay", "--rate", "-1000") == 2
-        assert "error: math range error" in capsys.readouterr().err
+        assert "error: exp(-rate x) overflows a float at x = 0.729" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("argv", "named"),
+        [
+            ("eval eq_decay --rate -1000 --grid-count 2", "E_q(1)^x overflows a float at x = 5000.0 (q = 0.5)"),
+            ("eval exp_decay --rate -1000 --grid-count 2", "exp(-rate x) overflows a float at x = 5.0 (rate = -1000.0)"),
+            # the decay target E_q(1)^(-t psi_q(x)) of the bernstein_iff side
+            ("theorem bernstein_iff --fn q_psi --q 0.5 --ts 1000 --grid-min 0.001 --grid-max 0.01 "
+             "--grid-count 3", "E_q(1)^x overflows a float at x = 1000072.6782835121 (q = 0.5)"),
+        ],
+    )
+    def test_overflow_names_its_argument(self, capsys, argv, named):
+        assert run_cli(*argv.split()) == 2
+        err = capsys.readouterr().err
+        assert f"error: {named}" in err
+        assert "math range error" not in err
 
     def test_zero_division_is_usage_error(self, capsys):
         code = run_cli(

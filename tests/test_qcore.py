@@ -713,6 +713,12 @@ class TestEqPowerLogQ:
         assert eq_power(0.0, Q5) == 1.0
         assert eq_power(1.0, Q5) == pytest.approx(q_exp(1.0, Q5, ExpKind.BIG_E), rel=1e-14)
 
+    @pytest.mark.parametrize(("x", "qv"), [(5000.0, 0.5), (1e6, 2.0)])
+    def test_overflow_names_x_and_q(self, x, qv):
+        with pytest.raises(OverflowError, match=rf"E_q\(1\)\^x overflows a float at x = {x!r} \(q = {qv!r}\)"):
+            eq_power(x, QParam(qv))
+        assert eq_power(-x, QParam(qv)) == 0.0  # underflow is 0, not an error
+
     def test_power_law(self):
         assert eq_power(2.0, Q5) == pytest.approx(eq_power(1.0, Q5) ** 2, rel=1e-12)
         for x, y in ((0.3, 1.1), (-2.0, 5.0), (4.5, -4.5)):
