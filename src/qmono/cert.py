@@ -535,6 +535,7 @@ def closure_checks(
     lattice = _Lattice(spec.grid.points, q, spec.max_order)
     verdicts: dict[tuple[str, CertProperty], Verdict | None] = {}
     bernstein: dict[str, list[float]] = {}  # certified Bernstein name -> its samples
+    log_of_sample = _certification_target(float, q, CertProperty.QLOGCM)
     for name in names:
         try:
             fv = lattice.sample(fs[name], list(lattice.points))
@@ -546,7 +547,7 @@ def closure_checks(
         for prop in (CertProperty.QBERNSTEIN, CertProperty.QCM):
             verdicts[(name, prop)] = _check(table, specs[prop]).verdict
         try:
-            log_table = _log_q_table(lattice, fv)
+            log_table = _table_of(lattice, log_of_sample, fv)
         except InputError:
             verdicts[(name, CertProperty.QLOGCM)] = None
         else:
@@ -581,15 +582,6 @@ def closure_checks(
         checks=tuple(checks),
         all_ok=all(c.ok for c in checks),
     )
-
-
-def _log_q_table(lattice: _Lattice, fv: list[float]) -> QDiffTable:
-    """The table of Log_q f from f's samples fv, by the arithmetic of
-    `_certification_target`: InputError unless every sample is > 0."""
-    if not min(fv) > 0.0:
-        raise InputError("Log_q needs a positive function")
-    base = _log_eq_base(lattice.q.q)
-    return _table_of(lattice, lambda v: math.log(v) / base, fv)
 
 
 #: Witness sweep for the gamma-based composite: 200 log-spaced points on (0, 50].
