@@ -53,6 +53,7 @@ from .qcore import (
     DomainError,
     InputError,
     QParam,
+    _eq_powers,
     _log_eq_base,
     eq_power,
 )
@@ -399,11 +400,24 @@ def _decay_reports(
     """(t, QCM report of the decay target x -> E_q(1)^(-t f(x))) for each t,
     in order, tabled from f's samples fv on the lattice; ts has been through
     `_positive_ts`."""
+    return tuple((t, _check(_decay_table(lattice, fv, t), cm_spec)) for t in ts)
+
+
+def _decay_table(lattice: _Lattice, fv: list[float], t: float) -> QDiffTable:
+    """The table of x -> E_q(1)^(-t f(x)) from f's samples fv, formed as one
+    `_eq_powers` list.  Where a value leaves the float range (OverflowError,
+    or inf or nan from a product -t v past it), the target is sampled as
+    `_table_of` does, which raises the error of the first such value in
+    root-by-root order."""
     q = lattice.q
-    return tuple(
-        (t, _check(_table_of(lattice, lambda v, t=t: eq_power(-t * v, q), fv), cm_spec))
-        for t in ts
-    )
+    try:
+        vals = _eq_powers(-t, fv, q)
+    except OverflowError:
+        pass
+    else:
+        if math.isfinite(sum(vals)):  # each value is >= 0, inf or nan
+            return lattice.table(vals)
+    return _table_of(lattice, lambda v: eq_power(-t * v, q), fv)
 
 
 def _table_of(lattice: _Lattice, g: RealFunction, fv: list[float]) -> QDiffTable:

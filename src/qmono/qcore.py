@@ -70,6 +70,15 @@ class EvaluationError(InputError):
     InputError, since a function that cannot be sampled is a bad target."""
 
 
+def _finite_number(v: object) -> bool:
+    """v is an int or float with a finite float value; False, not
+    OverflowError, for an int too large for a float."""
+    try:
+        return isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 class Regime(Enum):
     SUB_ONE = "sub_one"      # 0 < q < 1
     SUPER_ONE = "super_one"  # q > 1
@@ -87,7 +96,7 @@ class QParam:
 
     def __post_init__(self) -> None:
         q = self.q
-        if not (isinstance(q, (int, float)) and math.isfinite(q)):
+        if not _finite_number(q):
             raise DomainError(f"q must be a finite real, got {q!r}")
         if q <= 0.0 or q == 1.0:
             raise DomainError(f"q must satisfy q > 0 and q != 1, got {q}")
@@ -540,11 +549,23 @@ def _log_eq_base(qval: float) -> float:
 
 def eq_power(x: float, q: QParam) -> float:
     """The ordinary power E_q(1)^x of the constant E_q(1).  OverflowError
-    naming x and q where it leaves the float range."""
+    naming x and q where it leaves the float range.  Its list form over
+    x = s*v is `_eq_powers`."""
     try:
         return math.exp(x * _log_eq_base(q.q))
     except OverflowError:
         raise OverflowError(f"E_q(1)^x overflows a float at x = {x!r} (q = {q.q!r})") from None
+
+
+def _eq_powers(s: float, vs: list[float], q: QParam) -> list[float]:
+    """[eq_power(s * v, q) for v in vs], bit for bit, as one comprehension
+    with no call per v but math.exp.  Where one overflows, the OverflowError
+    is eq_power's for the first such v in list order."""
+    exp, base = math.exp, _log_eq_base(q.q)
+    try:
+        return [exp(s * v * base) for v in vs]
+    except OverflowError:
+        return [eq_power(s * v, q) for v in vs]
 
 
 def log_q(y: float, q: QParam) -> float:

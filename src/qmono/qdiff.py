@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .qcore import DomainError, EvaluationError, QParam, q_number
+from .qcore import DomainError, EvaluationError, QParam, _finite_number, q_number
 
 __all__ = [
     "RealFunction",
@@ -143,14 +143,16 @@ class _Lattice:
         (the point itself, or an inner function's sample there), by f at it,
         root by root, checking each value as it comes: the first one that is
         not a finite number raises EvaluationError naming its lattice point,
-        and f sees no later argument.  Returns vals."""
+        and f sees no later argument.  Returns vals.
+
+        A finite value of class exactly float is taken as it is, by one
+        inline test; any other value (an int or bool, a float subclass, a
+        non-number, inf or nan) goes through `_checked`."""
         points, npts = self.points, self.npts
         for i in range(npts):
             for k in range(i, len(vals), npts):
                 v = f(vals[k])
-                if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                    raise EvaluationError(f"function not finite at x = {points[k]!r}: got {v!r}")
-                vals[k] = float(v)
+                vals[k] = v if type(v) is float and v - v == 0.0 else _checked(v, points[k])
         return vals
 
     def table(self, samples: list[float]) -> QDiffTable:
@@ -173,6 +175,14 @@ class _Lattice:
             rows.append(tuple(vals[:npts]))
             mag_rows.append(tuple(mags[:npts]))
         return QDiffTable(self.roots, self.q, tuple(rows), tuple(mag_rows))
+
+
+def _checked(v: object, x: float) -> float:
+    """float(v) for a finite int or float v, sampled at x; EvaluationError
+    naming x otherwise, also for an int too large for a float."""
+    if _finite_number(v):
+        return float(v)
+    raise EvaluationError(f"function not finite at x = {x!r}: got {v!r}")
 
 
 def q_derive(f: RealFunction, x: float, q: QParam) -> float:

@@ -25,6 +25,7 @@ from .qcore import (
     ExpKind,
     InputError,
     QParam,
+    _finite_number,
     eq_power,
     q_exp,
 )
@@ -162,7 +163,7 @@ def jackson_integral_info(
     for n in range(n_lo, -n_hi - 1, -1):
         t = qq**n
         ft = f(t)
-        if not (isinstance(ft, (int, float)) and math.isfinite(ft)):
+        if not _finite_number(ft):
             raise EvaluationError(f"integrand not finite at t = q^{n} = {t!r}: got {ft!r}")
         term = one_minus * t * ft
         if not math.isfinite(term):
@@ -220,7 +221,7 @@ def semigroup_transform(
     if t < 0.0:
         raise DomainError(f"semigroup parameter must be nonnegative, got {t}")
     fl = f(lam)
-    if not (isinstance(fl, (int, float)) and math.isfinite(fl)):
+    if not _finite_number(fl):
         raise EvaluationError(f"exponent function not finite at lambda = {lam!r}: got {fl!r}")
     return eq_power(-t * fl, q)
 

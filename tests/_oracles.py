@@ -4,7 +4,8 @@ Everything here deliberately avoids the library code paths it is used to
 check: brute-force recursions, closed forms proved by hand, classical
 finite differences, and 50-digit mpmath evaluations of the defining series.
 The composite certifier checks have a reference here too: one `certify`
-call per target, each sampling its function afresh.
+call per target, each sampling its function afresh; so does a q-lattice's
+sampling loop: every value through isinstance, isfinite and float.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from qmono import (
     CertProperty,
     ClosureCheck,
     ClosureReport,
+    EvaluationError,
     InputError,
     QParam,
     Verdict,
@@ -77,6 +79,21 @@ def reference_rows(f, x0: float, q: QParam, order: int):
             tuple((pmag[j + 1] + pmag[j]) / abs(pts[j] * qm1) for j in range(len(pmag) - 1))
         )
     return tuple(rows), tuple(mags)
+
+
+def reference_sample(lattice, f, vals: list) -> list:
+    """A q-lattice's sampling loop with every value through isinstance,
+    isfinite and float: root by root, the first value that is not a finite
+    number raises EvaluationError naming its lattice point.  An int too
+    large for a float raises isfinite's OverflowError here."""
+    points, npts = lattice.points, lattice.npts
+    for i in range(npts):
+        for k in range(i, len(vals), npts):
+            v = f(vals[k])
+            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+                raise EvaluationError(f"function not finite at x = {points[k]!r}: got {v!r}")
+            vals[k] = float(v)
+    return vals
 
 
 def reciprocal_q_derive_sign(n: int, x: float, c: float, q: QParam) -> float:

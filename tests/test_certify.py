@@ -231,6 +231,15 @@ class TestOneSampleCheck:
         assert seen == [0.5, 0.25, 0.125]
 
     @pytest.mark.parametrize("prop", [QCM, QBERNSTEIN])
+    def test_int_too_large_for_a_float_is_named(self, prop):
+        # an EvaluationError like inf and nan, not isfinite's bare
+        # OverflowError; Log_q of it is a finite float, so QLOGCM takes it
+        with pytest.raises(EvaluationError, match=r"^function not finite at x = 0\.5: got 10{400}$"):
+            certify(lambda x: 10**400, Q5, CertSpec(prop, max_order=2, grid=self.GRID))
+        rep = closure_checks({"huge": lambda x: 10**400}, Q5, CertSpec(QCM, max_order=2))
+        assert [v for _, _, v in rep.base] == ["inapplicable"] * 3
+
+    @pytest.mark.parametrize("prop", [QCM, QBERNSTEIN])
     def test_minus_inf_is_an_evaluation_error(self, prop):
         with pytest.raises(EvaluationError, match="got -inf"):
             certify(lambda x: -math.inf, Q5, CertSpec(prop, max_order=2, grid=self.GRID))
@@ -680,11 +689,13 @@ class TestClosureChecks:
         assert all(c.ok for c in rows)
 
 
-def _lattice_constant(q: QParam):
-    """p(x) = 1 + 0.5 sin(2 pi log x / log q): p(q x) = p(x), so p is constant
-    on every lattice {q^j x} that D_q^n reads, yet not constant in x."""
+def _q_periodic(q: QParam, eps: float = 0.5, phi: float = 0.0):
+    """p(x) = 1 + eps sin(2 pi log x / log q + phi), |eps| < 1: p(q x) = p(x),
+    so p is a positive constant on every lattice {q^j x} that D_q^n reads,
+    yet not constant in x."""
     log_q = math.log(q.q)
-    return lambda x: 1.0 + 0.5 * math.sin(2.0 * math.pi * math.log(x) / log_q)
+    return lambda x: 1.0 + eps * math.sin(2.0 * math.pi * math.log(x) / log_q + phi)
+
 
 
 class TestLawsNeedClassicalFunctions:
@@ -694,7 +705,7 @@ class TestLawsNeedClassicalFunctions:
 
     def test_difference_of_a_q_cm_function_can_be_negative(self):
         q = QParam(2.0)
-        p = _lattice_constant(q)
+        p = _q_periodic(q)
         f = lambda x: p(x) / (x + 1.0)
         spec = CertSpec(QCM, max_order=6)
         f_rep = certify(f, q, spec)
@@ -711,7 +722,7 @@ class TestLawsNeedClassicalFunctions:
     @pytest.mark.parametrize(("qv", "first_n"), [(0.5, 3), (0.9, 3), (2.0, 2)])
     def test_composition_needs_a_classical_outer_function(self, qv, first_n):
         q = QParam(qv)
-        p = _lattice_constant(q)
+        p = _q_periodic(q)
         big_f = lambda x: p(x) * -math.expm1(-x)  # q-Bernstein, not classically
         big_g = lambda y: -math.expm1(-y)  # classically Bernstein
         spec = CertSpec(QBERNSTEIN)
@@ -723,7 +734,7 @@ class TestLawsNeedClassicalFunctions:
 
     def test_closure_composition_row_fails_for_a_q_outer_function(self):
         q = QParam(2.0)
-        p = _lattice_constant(q)
+        p = _q_periodic(q)
         fs = {"F": lambda x: p(x) * -math.expm1(-x), "G": lambda y: -math.expm1(-y)}
         rep = closure_checks(fs, q, CertSpec(QCM))
         ok = {(c.f_name, c.g_name): c.ok for c in rep.checks if c.kind == "composition"}
@@ -803,7 +814,7 @@ def _member(kind: str, c: float, q: QParam, bad: float | None):
     if kind == "one_minus_eq_decay":
         return lambda x: 1.0 - eq_power(-c * x, q)
     if kind == "patterned":  # q-Bernstein, not classically: an outer g that breaks g o f
-        p = _lattice_constant(q)
+        p = _q_periodic(q)
         return lambda x: p(x) * -math.expm1(-c * x)
     assert kind == "nan_at"
     return lambda x: math.nan if x == bad else 1.0 / (x + c)
@@ -937,6 +948,65 @@ class TestOneSampleSet:
             bernstein_iff_check(f, (1000.0,), Q5, spec)
         self.same(bernstein_iff_check, reference_bernstein_iff_check, f, (1000.0,), Q5, spec)
 
+    @staticmethod
+    def dipping(dips: dict):
+        """x, except the value dips[x] at the lattice points it names."""
+        return lambda x: dips.get(x, x)
+
+    @pytest.mark.parametrize("qv", [0.5, 0.9])
+    @pytest.mark.parametrize("order", [2, 3, 8])
+    def test_decay_overflow_names_the_first_sample_root_by_root(self, qv, order):
+        # q x_2 comes before q^N x_1 in the lattice's column-major list, after
+        # it root by root; E_q(1)^(-t v) first overflows at t = 1, at both
+        # points, and the error names v = -1000, not -1200
+        q = QParam(qv)
+        spec = CertSpec(QCM, max_order=order, grid=self.GRID)
+        lattice = _lattice_root_by_root(self.GRID.points, q, order)
+        f = self.dipping({lattice[2 * order + 1]: -1000.0, lattice[2 * (order + 1) + 1]: -1200.0})
+        msg = rf"^E_q\(1\)\^x overflows a float at x = 1000\.0 \(q = {qv!r}\)$"
+        with pytest.raises(OverflowError, match=msg):
+            bernstein_iff_check(f, (0.5, 1.0, 2.0), q, spec)
+        self.same(bernstein_iff_check, reference_bernstein_iff_check, f, (0.5, 1.0, 2.0), q, spec)
+
+    @pytest.mark.parametrize("qv", [0.5, 0.9])
+    @pytest.mark.parametrize("order", [1, 3, 8])
+    def test_closure_decay_overflow_matches_the_reference(self, qv, order):
+        # below 1 a dip at q^N x alone enters order N only, with the sign
+        # QBERNSTEIN asks there: the member is certified, and its decay
+        # target overflows at q^N x_1 (and at q^N x_3, later)
+        q = QParam(qv)
+        spec = CertSpec(QCM, max_order=order, grid=self.GRID)
+        lattice = _lattice_root_by_root(self.GRID.points, q, order)
+        corpus = {
+            "identity": lambda x: x,
+            "constant": lambda x: 2.0,
+            "dips": self.dipping({lattice[2 * order + 1]: -1000.0, lattice[4 * order + 3]: -2000.0}),
+        }
+        bern = replace(spec, property=QBERNSTEIN)
+        assert certify(corpus["dips"], q, bern).verdict is Verdict.CONSISTENT
+        msg = rf"^E_q\(1\)\^x overflows a float at x = 1000\.0 \(q = {qv!r}\)$"
+        with pytest.raises(OverflowError, match=msg):
+            closure_checks(corpus, q, spec)
+        self.same(lambda: closure_checks(corpus, q, spec),
+                  lambda: reference_closure_checks(corpus, q, spec))
+
+    @pytest.mark.parametrize(
+        ("ts", "value"),
+        [((math.inf,), 0.0), ((math.inf,), -1.0), ((1e300,), -1e10), ((1e300,), 1e10)],
+    )
+    def test_a_decay_argument_past_the_float_range(self, ts, value):
+        # -t v is nan or +-inf at q^3 x_1: E_q(1)^(-t v) is nan, inf or 0.0
+        # there, with no OverflowError; the per-sample check names the first
+        # non-finite one.  The certified dips (all but 1e10) reach the
+        # closure's decay targets too.
+        lattice = _lattice_root_by_root(self.GRID.points, Q5, 3)
+        f = self.dipping({lattice[7]: value})
+        spec = CertSpec(QCM, max_order=3, grid=self.GRID)
+        self.same(bernstein_iff_check, reference_bernstein_iff_check, f, ts, Q5, spec)
+        corpus = {"dips": f, "identity": lambda x: x}
+        self.same(lambda: closure_checks(corpus, Q5, spec, ts=ts),
+                  lambda: reference_closure_checks(corpus, Q5, spec, ts=ts))
+
 
 class TestDecayIsLogcm:
     """The decay_is_logcm row is read off the QBERNSTEIN base verdict; the
@@ -1036,6 +1106,56 @@ class TestBernsteinWidderOracle:
             CertSpec(QBERNSTEIN, max_order=max(order, 2), grid=grid),
         )
         assert [c.n for c in control.counterexamples if c.n < 3] == [2] * len(grid.points)
+
+
+class TestQPeriodicFamilies:
+    """The kernel of D_q as oracle and as sensitivity control.  D_q p = 0
+    exactly when p(q x) = p(x), so D_q^n (p g) = p D_q^n g: a positive
+    q-periodic p (`_q_periodic`) keeps every sign pattern g has at that q.
+    p/(x + c) is q-CM and q-log-CM (Log_q p is q-periodic too), and
+    p (1 - e^(-c x)) is q-Bernstein, although none of them is monotone, so
+    the classical transfer of TestBernsteinWidderOracle does not reach
+    them.  At another q' they lose the pattern: the certifier must see it.
+    The band absorbs the rounding of log x / log q at the lattice points."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        qv=st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 3.0)),
+        eps=st.floats(-0.99, 0.99),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        c=st.floats(0.1, 5.0),
+        order=st.integers(1, 8),
+        points=st.lists(st.floats(0.1, 5.0), min_size=1, max_size=16, unique=True),
+    )
+    def test_no_false_violation_at_the_own_q(self, qv, eps, phi, c, order, points):
+        q = QParam(qv)
+        p = _q_periodic(q, eps, phi)
+        grid = Grid(tuple(sorted(points)))
+        cm = lambda x: p(x) / (x + c)
+        for f, prop in ((cm, QCM), (cm, QLOGCM), (lambda x: p(x) * -math.expm1(-c * x), QBERNSTEIN)):
+            rep = certify(f, q, CertSpec(prop, max_order=order, grid=grid))
+            assert rep.verdict is Verdict.CONSISTENT, (prop, rep.counterexamples[:3])
+
+    @pytest.mark.parametrize(
+        ("qv", "prop", "first_n"),
+        [
+            (0.5, QCM, 1), (0.5, QLOGCM, 1), (0.5, QBERNSTEIN, 2),
+            (0.9, QCM, 2), (0.9, QLOGCM, 2), (0.9, QBERNSTEIN, 1),
+            (2.0, QCM, 1), (2.0, QLOGCM, 1), (2.0, QBERNSTEIN, 2),
+        ],
+    )
+    def test_another_q_is_violated(self, qv, prop, first_n):
+        # p built for q, certified at q' = sqrt(q) below 1 and q^1.5 above
+        q = QParam(qv)
+        p = _q_periodic(q)
+        g = (lambda x: -math.expm1(-x)) if prop is QBERNSTEIN else (lambda x: 1.0 / (x + 1.0))
+        f = lambda x: p(x) * g(x)
+        spec = CertSpec(prop, max_order=4)
+        assert certify(f, q, spec).verdict is Verdict.CONSISTENT
+        other = QParam(math.sqrt(qv) if qv < 1.0 else qv**1.5)
+        rep = certify(f, other, spec)
+        assert rep.verdict is Verdict.VIOLATED
+        assert rep.counterexamples[0].n == first_n
 
 
 class TestClassicalTransfer:

@@ -42,6 +42,7 @@ from qmono.qcore import (
     _MAX_TERMS,
     _NEAR_RADIUS,
     _entire_exp_neg,
+    _eq_powers,
     _exp_divisors,
     _exp_terms,
     _log_eq_base,
@@ -63,7 +64,7 @@ class TestQParam:
         assert QParam(0.5).is_sub_one
         assert not QParam(2.0).is_sub_one
 
-    @pytest.mark.parametrize("bad", [1.0, 0.0, -0.5, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [1.0, 0.0, -0.5, math.inf, math.nan, 10**400])
     def test_rejects_bad_q(self, bad):
         with pytest.raises(DomainError):
             QParam(bad)
@@ -718,6 +719,29 @@ class TestEqPowerLogQ:
         with pytest.raises(OverflowError, match=rf"E_q\(1\)\^x overflows a float at x = {x!r} \(q = {qv!r}\)"):
             eq_power(x, QParam(qv))
         assert eq_power(-x, QParam(qv)) == 0.0  # underflow is 0, not an error
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        qv=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 20.0)),
+        t=st.floats(1e-3, 1e3),
+        exponents=st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=20),
+        extra=st.lists(st.floats(-1e10, 1e10), max_size=4),
+    )
+    @example(qv=0.5, t=1.0, exponents=[-1.0, 709.0, 800.0, 710.0], extra=[])
+    @example(qv=2.0, t=2.0, exponents=[-800.0, -746.0], extra=[0.0, -0.0])
+    def test_list_form_is_mapped_eq_power(self, qv, t, exponents, extra):
+        # samples v of both signs whose powers E_q(1)^(-t v) reach past the
+        # overflow edge (exponent 709.78) and the underflow edge
+        q = QParam(qv)
+        base = _log_eq_base(qv)
+        vs = [-u / (t * base) for u in exponents] + extra
+        assert outcome(_eq_powers, -t, vs, q) == outcome(
+            lambda: [eq_power(-t * v, q) for v in vs]
+        )
+
+    def test_list_form_names_the_first_overflow(self):
+        with pytest.raises(OverflowError, match=r"at x = 1000\.0 \(q = 0\.5\)"):
+            _eq_powers(-1.0, [1.0, -1000.0, -2000.0], Q5)
 
     def test_power_law(self):
         assert eq_power(2.0, Q5) == pytest.approx(eq_power(1.0, Q5) ** 2, rel=1e-12)

@@ -2,14 +2,23 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import central_diff, monomial_q_derive_n, naive_q_derive_n, reference_rows
+from _oracles import (
+    central_diff,
+    monomial_q_derive_n,
+    naive_q_derive_n,
+    outcome,
+    reference_rows,
+    reference_sample,
+)
 from qmono import (
     DomainError,
+    EvaluationError,
     ExpKind,
     QDiffTable,
     QParam,
@@ -21,6 +30,7 @@ from qmono import (
     q_faa_di_bruno_gap,
     q_number,
 )
+from qmono.qdiff import _Lattice
 
 Q5 = QParam(0.5)
 
@@ -385,3 +395,78 @@ class TestOneTableFaaDiBruno:
             q_faa_di_bruno(self.GK, lambda x: x, 0.0, Q5, 3)
         with pytest.raises(DomainError, match=r"^table order 9 exceeds the cap 8$"):
             q_faa_di_bruno(self.GK, lambda x: x, 1.0, Q5, 9)
+
+
+class _FloatSub(float):
+    pass
+
+
+class TestSamplePath:
+    """A finite sample of class exactly float is taken as it is; any other
+    value goes through the checked path.  Either way the samples, or the
+    error and the points f saw, are those of the checked loop
+    (tests/_oracles.py), bit for bit."""
+
+    # no two lattice points coincide at q = 0.5 to order 3
+    LATTICE = _Lattice((0.7, 1.3, 2.0), Q5, 3)
+    VALUES = [
+        0.0, -0.0, 1.5, -2.75, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7e308, -1.7e308,
+        math.inf, -math.inf, math.nan,
+        True, False, 0, 7, -3, 2**53 + 1,
+        _FloatSub(2.5), None, 1 + 0j, Fraction(1, 3), "1.0",
+    ]
+
+    def sampled(self, f):
+        """(the outcome, the points f saw) of the fast and the checked loop."""
+        runs = []
+        for loop in (self.LATTICE.sample, lambda f, vals: reference_sample(self.LATTICE, f, vals)):
+            seen = []
+
+            def counted(x):
+                seen.append(x)
+                return f(x)
+
+            runs.append((outcome(loop, counted, list(self.LATTICE.points)), seen))
+        return runs
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    @pytest.mark.parametrize("at", [None, 0, 5, 11])
+    def test_matches_the_checked_loop(self, value, at):
+        # value at every point (at None) or only at lattice entry `at`
+        bad = None if at is None else self.LATTICE.points[at]
+        f = lambda x: value if bad is None or x == bad else 1.0 / (x + 1.0)
+        fast, checked = self.sampled(f)
+        assert fast == checked
+        result, _ = fast
+        if result[0] == "value":
+            samples = self.LATTICE.sample(f, list(self.LATTICE.points))
+            assert all(type(v) is float for v in samples)
+
+    def test_first_bad_sample_is_named_root_by_root(self):
+        # entry 4 is q x_1, entry 2 is x_2: root by root, q x_1 comes first
+        pts = self.LATTICE.points
+        f = lambda x: math.nan if x in (pts[2], pts[4]) else x
+        (fast, seen), checked = self.sampled(f)
+        assert (fast, seen) == checked
+        assert fast == (EvaluationError, f"function not finite at x = {pts[4]!r}: got nan")
+        # root x_0 (entries 0, 3, 6, 9), then x_1 up to its bad entry 4
+        assert seen == [pts[k] for k in (0, 3, 6, 9, 1, 4)]
+
+    @pytest.mark.parametrize("at", [None, 5])
+    def test_an_int_too_large_for_a_float_is_named(self, at):
+        pts = self.LATTICE.points
+        bad = pts[0] if at is None else pts[at]
+        f = lambda x: 10**400 if at is None or x == bad else x
+        (fast, seen), (checked, checked_seen) = self.sampled(f)
+        assert fast == (EvaluationError, f"function not finite at x = {bad!r}: got {10**400!r}")
+        # the checked loop raised isfinite's OverflowError at the same point
+        assert checked == (OverflowError, "int too large to convert to float")
+        assert seen == checked_seen
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=12, max_size=12))
+    def test_finite_floats_are_kept_bit_for_bit(self, values):
+        table = dict(zip(self.LATTICE.points, values))
+        fast, checked = self.sampled(table.__getitem__)
+        assert fast == checked
+        assert fast[0][0] == "value"

@@ -72,6 +72,12 @@ class TestJacksonIntegral:
         with pytest.raises(EvaluationError):
             jackson_integral(lambda t: math.inf, Q5, 5, 5)
 
+    def test_int_too_large_for_a_float_rejected(self):
+        # named like inf and nan, not isfinite's bare OverflowError
+        with pytest.raises(EvaluationError, match=r"^integrand not finite at t = q\^5 = 0\.03125: got 10{400}$"):
+            jackson_integral(lambda t: 10**400, Q5, 5, 5)
+        assert jackson_integral(lambda t: 2, Q5, 0, 0) == 1.0  # a finite int is a number
+
     def test_overflowing_term_rejected(self):
         # f is finite but (1-q) t f(t) is not from t = 2^29 on: an error, not
         # a non-finite sum
@@ -253,6 +259,11 @@ class TestSemigroup:
         v = semigroup_transform(lambda lam: lam, 1.0, 1.0, Q5)
         assert v == pytest.approx(1.0 / eq_power(1.0, Q5), rel=1e-12)
         assert v == pytest.approx(0.4194, abs=1e-3)
+
+    @pytest.mark.parametrize("value", [10**400, math.inf, math.nan, None])
+    def test_exponent_not_finite_is_named(self, value):
+        with pytest.raises(EvaluationError, match=r"^exponent function not finite at lambda = 0\.5: got "):
+            semigroup_transform(lambda lam: value, 1.0, 0.5, Q5)
 
     def test_transform_factorizes(self):
         f = lambda lam: lam
