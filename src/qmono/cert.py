@@ -54,7 +54,9 @@ from .qcore import (
     InputError,
     QParam,
     _eq_powers,
+    _finite_number,
     _log_eq_base,
+    _shown,
     eq_power,
 )
 from .qdiff import MAX_TABLE_ORDER, QDiffTable, RealFunction, _Lattice
@@ -132,13 +134,13 @@ class Grid:
     points: tuple[float, ...] = _DEFAULT_POINTS
 
     def __post_init__(self) -> None:
-        pts = tuple(float(p) for p in self.points)
+        pts = tuple(self.points)
         if not pts:
             raise DomainError("grid must be nonempty")
         for p in pts:
-            if not (math.isfinite(p) and p > 0.0):
-                raise DomainError(f"grid points must be finite and > 0, got {p!r}")
-        object.__setattr__(self, "points", _increasing(pts))
+            if not (_finite_number(p) and p > 0.0):
+                raise DomainError(f"grid points must be finite and > 0, got {_shown(p)}")
+        object.__setattr__(self, "points", _increasing(tuple(map(float, pts))))
 
     @classmethod
     def log_spaced(cls, lo: float, hi: float, count: int) -> "Grid":
@@ -175,9 +177,9 @@ class CertSpec:
 
 
 def _check_tol_rel(tol_rel: float) -> None:
-    """DomainError naming tol_rel unless 0 < tol_rel < inf."""
-    if not (0.0 < tol_rel < math.inf):
-        raise DomainError(f"tol_rel must be positive and finite, got {tol_rel!r}")
+    """DomainError naming tol_rel unless it is a positive, finite int or float."""
+    if not (_finite_number(tol_rel) and tol_rel > 0.0):
+        raise DomainError(f"tol_rel must be positive and finite, got {_shown(tol_rel)}")
 
 
 class Counterexample(NamedTuple):

@@ -15,8 +15,9 @@ usage or domain error, a non-finite value included.
 
 Output is deterministic: identical configurations produce byte-identical
 files.  CSV uses comma separators, `.` decimals, LF line endings and UTF-8,
-with a provenance footer (q, order, grid, tol_rel, library version) and
-no timestamps.  Relative --out paths resolve against $QMONO_OUT_DIR when set.
+with a provenance footer (q, grid and library version; certify and theorem
+add their order and tol_rel) and no timestamps.  Relative --out paths
+resolve against $QMONO_OUT_DIR when set.
 
 `main` builds its argument parser on the first call and reuses it for every
 later call in the same process; `build_parser` always returns a fresh one.
@@ -40,7 +41,6 @@ from .cert import (
     CertSpec,
     Grid,
     Verdict,
-    _check_tol_rel,
     _increasing,
     _spaced,
     bernstein_iff_check,
@@ -332,13 +332,10 @@ def _lambda_points(ns: argparse.Namespace) -> tuple[float, ...]:
 
 
 def _provenance(ns: argparse.Namespace) -> dict:
-    return {
-        "q": ns.q,
-        "order": ns.order,
-        "grid": f"{format17(ns.grid_min)}:{format17(ns.grid_max)}:{ns.grid_count}:{ns.grid_spacing}",
-        "tol_rel": ns.tol_rel,
-        "version": __version__,
-    }
+    grid = f"{format17(ns.grid_min)}:{format17(ns.grid_max)}:{ns.grid_count}:{ns.grid_spacing}"
+    if not hasattr(ns, "order"):  # a subcommand without certification flags
+        return {"q": ns.q, "grid": grid, "version": __version__}
+    return {"q": ns.q, "order": ns.order, "grid": grid, "tol_rel": ns.tol_rel, "version": __version__}
 
 
 @dataclass(frozen=True)
@@ -400,22 +397,15 @@ def _add_common(sub: argparse.ArgumentParser, *, grid_min=0.1, grid_max=5.0,
     sub.add_argument("--grid-max", type=float, default=grid_max)
     sub.add_argument("--grid-count", type=int, default=grid_count)
     sub.add_argument("--grid-spacing", choices=("linear", "log"), default=spacing)
-    sub.add_argument("--order", type=int, default=6, help="max q-derivative order N")
-    sub.add_argument("--tol-rel", type=_tol_rel, default=1e-7)
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default=None, help="output path (stdout when omitted)")
 
 
-def _tol_rel(text: str) -> float:
-    """--tol-rel as a float, refused at parse time (exit 2) unless positive
-    and finite, as a CertSpec would: every subcommand echoes it in its
-    provenance."""
-    try:
-        value = float(text)
-        _check_tol_rel(value)
-    except ValueError as exc:  # DomainError is one
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return value
+def _add_cert_flags(sub: argparse.ArgumentParser) -> None:
+    """--order and --tol-rel, which only certify and theorem read; their
+    CertSpec refuses a bad value before any work or output."""
+    sub.add_argument("--order", type=int, default=6, help="max q-derivative order N")
+    sub.add_argument("--tol-rel", type=float, default=1e-7, help="numerical-zero band")
 
 
 def _add_fn_params(sub: argparse.ArgumentParser) -> None:
@@ -450,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="qcm",
     )
     _add_common(p_cert)
+    _add_cert_flags(p_cert)
     _add_fn_params(p_cert)
 
     p_thm = subs.add_parser("theorem", help="run a named theorem harness")
@@ -464,6 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run thm31/thm32 with hypothesis-violating parameters on purpose",
     )
     _add_common(p_thm)
+    _add_cert_flags(p_thm)
     _add_fn_params(p_thm)
 
     p_lap = subs.add_parser("laplace", help="q-Laplace transform of a measure")
@@ -637,6 +629,8 @@ def _run_semigroup(ns: argparse.Namespace) -> tuple[object, bool]:
     ts = tuple(ns.ts)
     sums = sorted({t + s for i, t in enumerate(ts) for s in ts[i:]})
     needed = sorted(set(ts) | set(sums))
+    if ns.family != "conv" and ns.measure is not None:
+        raise InputError(f"--measure acts only with --family conv, not --family {ns.family}")
     if ns.family == "conv":
         if ns.measure is None:
             raise InputError("--family conv needs --measure FILE")

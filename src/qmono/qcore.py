@@ -79,6 +79,15 @@ def _finite_number(v: object) -> bool:
         return False
 
 
+def _shown(v: object) -> str:
+    """repr(v) for an error message; an int too long for str() (more
+    decimal digits than sys.get_int_max_str_digits()) is named by its size."""
+    try:
+        return repr(v)
+    except ValueError:
+        return f"an int of {v.bit_length()} bits"
+
+
 class Regime(Enum):
     SUB_ONE = "sub_one"      # 0 < q < 1
     SUPER_ONE = "super_one"  # q > 1
@@ -97,7 +106,7 @@ class QParam:
     def __post_init__(self) -> None:
         q = self.q
         if not _finite_number(q):
-            raise DomainError(f"q must be a finite real, got {q!r}")
+            raise DomainError(f"q must be a finite real, got {_shown(q)}")
         if q <= 0.0 or q == 1.0:
             raise DomainError(f"q must satisfy q > 0 and q != 1, got {q}")
         object.__setattr__(self, "q", float(q))

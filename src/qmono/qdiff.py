@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .qcore import DomainError, EvaluationError, QParam, _finite_number, q_number
+from .qcore import DomainError, EvaluationError, QParam, _finite_number, _shown, q_number
 
 __all__ = [
     "RealFunction",
@@ -182,7 +182,7 @@ def _checked(v: object, x: float) -> float:
     naming x otherwise, also for an int too large for a float."""
     if _finite_number(v):
         return float(v)
-    raise EvaluationError(f"function not finite at x = {x!r}: got {v!r}")
+    raise EvaluationError(f"function not finite at x = {x!r}: got {_shown(v)}")
 
 
 def q_derive(f: RealFunction, x: float, q: QParam) -> float:

@@ -26,6 +26,7 @@ from .qcore import (
     InputError,
     QParam,
     _finite_number,
+    _shown,
     eq_power,
     q_exp,
 )
@@ -68,17 +69,16 @@ class DiscreteMeasure:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        locs = tuple(float(t) for t in self.locations)
-        wts = tuple(float(w) for w in self.weights)
+        locs, wts = tuple(self.locations), tuple(self.weights)
         if len(locs) != len(wts):
             raise InputError("locations and weights must have equal length")
         for t in locs:
-            if not (math.isfinite(t) and t >= 0.0):
-                raise InputError(f"atom location must be finite and >= 0, got {t!r}")
+            if not (_finite_number(t) and t >= 0.0):
+                raise InputError(f"atom location must be finite and >= 0, got {_shown(t)}")
         for w in wts:
-            if not (math.isfinite(w) and w >= 0.0):
-                raise InputError(f"atom weight must be finite and >= 0, got {w!r}")
-        pairs = sorted(zip(locs, wts))
+            if not (_finite_number(w) and w >= 0.0):
+                raise InputError(f"atom weight must be finite and >= 0, got {_shown(w)}")
+        pairs = sorted(zip(map(float, locs), map(float, wts)))
         merged_t: list[float] = []
         merged_w: list[float] = []
         for t, w in pairs:
@@ -117,7 +117,7 @@ class DiscreteMeasure:
 
 
 class KernelKind(Enum):
-    JACKSON_E = "jackson_e"  # E_q(-lambda t): the representation kernel
+    JACKSON_E = "jackson_e"  # E_q(-lambda t): for q < 1 it changes sign at lambda t = 1/(1-q)
     POWER_E = "power_e"      # E_q(1)^(-lambda t): factorizes over t
 
 
@@ -164,7 +164,7 @@ def jackson_integral_info(
         t = qq**n
         ft = f(t)
         if not _finite_number(ft):
-            raise EvaluationError(f"integrand not finite at t = q^{n} = {t!r}: got {ft!r}")
+            raise EvaluationError(f"integrand not finite at t = q^{n} = {t!r}: got {_shown(ft)}")
         term = one_minus * t * ft
         if not math.isfinite(term):
             raise EvaluationError(f"Jackson sum term (1-q) t f(t) overflows at t = q^{n} = {t!r}")
@@ -222,7 +222,7 @@ def semigroup_transform(
         raise DomainError(f"semigroup parameter must be nonnegative, got {t}")
     fl = f(lam)
     if not _finite_number(fl):
-        raise EvaluationError(f"exponent function not finite at lambda = {lam!r}: got {fl!r}")
+        raise EvaluationError(f"exponent function not finite at lambda = {lam!r}: got {_shown(fl)}")
     return eq_power(-t * fl, q)
 
 
@@ -278,8 +278,8 @@ def semigroup_check(
     be finite and >= 0.  A family member missing at some t + s, or one that
     is not a DiscreteMeasure, is an input error.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise DomainError(f"semigroup tolerance must be finite and >= 0, got {tol!r}")
+    if not (_finite_number(tol) and tol >= 0.0):
+        raise DomainError(f"semigroup tolerance must be finite and >= 0, got {_shown(tol)}")
     get = family.__getitem__ if isinstance(family, Mapping) else family
 
     def member(t: float) -> DiscreteMeasure:

@@ -25,8 +25,10 @@ from .qcore import (
     _PI2_6,
     _UNIT_ROUNDOFF,
     _entire_exp_neg,
+    _finite_number,
     _log_qpow_poch,
     _log_qq_inf,
+    _shown,
     q_number,
 )
 from .qmeasure import JacksonIntegralResult, jackson_integral_info
@@ -62,7 +64,7 @@ class GammaParams:
     q: QParam
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+        if not (_finite_number(self.alpha) and _finite_number(self.beta)):
             raise DomainError("alpha and beta must be finite")
         if self.beta < 0.0:
             raise DomainError(f"beta must be nonnegative, got {self.beta}")
@@ -87,15 +89,14 @@ class RatioParams:
     b: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        a = tuple(float(v) for v in self.a)
-        b = tuple(float(v) for v in self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        a, b = tuple(self.a), tuple(self.b)
         if len(a) != len(b):
             raise DomainError("shift sequences must have equal length")
         for v in a + b:
-            if not (math.isfinite(v) and v > 0.0):
-                raise DomainError(f"shifts must be positive reals, got {v!r}")
+            if not (_finite_number(v) and v > 0.0):
+                raise DomainError(f"shifts must be positive reals, got {_shown(v)}")
+        object.__setattr__(self, "a", tuple(map(float, a)))
+        object.__setattr__(self, "b", tuple(map(float, b)))
 
     @property
     def hypothesis_ok(self) -> bool:

@@ -3,6 +3,7 @@
 import importlib
 import math
 import re
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -119,6 +120,44 @@ class TestCertSpec:
             CertSpec(QCM, max_order=9)
         with pytest.raises(DomainError):
             CertSpec(QCM, max_order=0)
+
+
+HUGE = 10**400  # an int too large for a float
+#: an int with more decimal digits than str() gives (sys.get_int_max_str_digits)
+TOO_LONG = 10**5000
+needs_int_str_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+
+
+class TestIntTooLargeForAFloat:
+    """Each site that takes a real refuses an int too large for a float with
+    its own message, not a bare OverflowError from float() or isfinite."""
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: qmono.DiscreteMeasure.from_pairs([(HUGE, 1.0)]), InputError,
+         "atom location must be finite and >= 0, got 10{400}"),
+        (lambda: qmono.DiscreteMeasure.from_pairs([(1.0, HUGE)]), InputError,
+         "atom weight must be finite and >= 0, got 10{400}"),
+        (lambda: Grid((HUGE,)), DomainError, "grid points must be finite and > 0, got 10{400}"),
+        (lambda: GammaParams(HUGE, 1.0, Q5), DomainError, "alpha and beta must be finite"),
+        (lambda: RatioParams((HUGE,), (1.0,)), DomainError, "shifts must be positive reals, got 10{400}"),
+        (lambda: qmono.semigroup_check({}, (1.0,), (0.5,), Q5, qmono.KernelKind.POWER_E, tol=HUGE),
+         DomainError, "semigroup tolerance must be finite and >= 0, got 10{400}"),
+        (lambda: CertSpec(QCM, tol_rel=HUGE), DomainError, "tol_rel must be positive and finite, got 10{400}"),
+    ], ids=["location", "weight", "grid", "gamma", "ratio", "semigroup_tol", "tol_rel"])
+    def test_refused_with_the_sites_message(self, build, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            build()
+
+    @needs_int_str_limit
+    def test_too_long_for_str_is_named_by_size(self):
+        # repr() of the value would itself raise ValueError("Exceeds the limit ...")
+        with pytest.raises(EvaluationError, match=r"^function not finite at x = 0\.1: got an int of 16610 bits$"):
+            certify(lambda x: TOO_LONG, Q5, CertSpec(QCM, max_order=2))
+        with pytest.raises(DomainError, match=r"^tol_rel must be positive and finite, got an int of 16610 bits$"):
+            CertSpec(QCM, tol_rel=-TOO_LONG)
+        with pytest.raises(DomainError, match=r"^q must be a finite real, got an int of 16610 bits$"):
+            QParam(TOO_LONG)
 
 
 class TestCertify:

@@ -386,6 +386,16 @@ class TestSemigroup:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("family", ["delta", "broken-delta"])
+    def test_measure_needs_conv_family(self, tmp_path, capsys, family):
+        # the file is neither read nor needed: the flag itself is refused
+        out = tmp_path / "out.csv"
+        code = run_cli("semigroup", "--family", family, "--measure", str(tmp_path / "missing.txt"),
+                       "--grid-count", "2", "--out", str(out))
+        assert code == 2
+        assert "--measure acts only with --family conv" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_conv_needs_integer_times(self, tmp_path):
         mfile = tmp_path / "p.txt"
         mfile.write_text("0 1\n", encoding="utf-8")
@@ -529,14 +539,48 @@ class TestPlumbing:
         ],
     )
     def test_bad_tol_rel_is_refused_up_front(self, tmp_path, capsys, argv, tol):
-        # every provenance echoes tol_rel, so no subcommand may start with one
-        # that is not positive and finite
+        # only certify and theorem take --tol-rel; their CertSpec refuses a
+        # value that is not positive and finite before any work or output
         out = tmp_path / "out.csv"
         assert run_cli(*argv, "--tol-rel", tol, "--out", str(out)) == 2
         captured = capsys.readouterr()
-        assert "error: argument --tol-rel: tol_rel must be positive and finite" in captured.err
+        if argv[0] in ("certify", "theorem"):
+            assert "error: tol_rel must be positive and finite" in captured.err
+        else:
+            assert "unrecognized arguments: --tol-rel" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "identity", "--grid-count", "2"),
+        ("table", "identity", "constant", "--grid-count", "2"),
+        ("laplace", "--atoms", "1:1", "--grid-count", "2"),
+        ("semigroup", "--grid-count", "2"),
+    ])
+    def test_order_is_certification_only(self, capsys, argv):
+        assert run_cli(*argv, "--order", "3") == 2
+        assert "unrecognized arguments: --order 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv, keys", [
+        (("eval", "identity"), ("q", "grid", "version")),
+        (("table", "identity", "constant"), ("q", "grid", "version")),
+        (("laplace", "--atoms", "1:1"), ("q", "grid", "version")),
+        (("semigroup",), ("q", "grid", "version")),
+        (("certify", "identity", "--order", "1"), ("q", "order", "grid", "tol_rel", "version")),
+        (("theorem", "closure", "--order", "1"), ("q", "order", "grid", "tol_rel", "version")),
+    ])
+    def test_provenance_keys(self, tmp_path, argv, keys, fmt):
+        # order and tol_rel are recorded only where they act
+        out = tmp_path / f"out.{fmt}"
+        assert run_cli(*argv, "--grid-count", "2", "--format", fmt, "--out", str(out)) in (0, 1)
+        if fmt == "json":
+            got = tuple(json.loads(out.read_text(encoding="utf-8"))["provenance"])
+        else:
+            *_, footer = read_csv(out)
+            assert len(footer) == 1
+            got = tuple(item.split("=", 1)[0] for item in footer[0][2:].split(" "))
+        assert got == keys
 
     def test_version_flag(self, capsys):
         assert run_cli("--version") == 0

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -77,6 +78,13 @@ class TestJacksonIntegral:
         with pytest.raises(EvaluationError, match=r"^integrand not finite at t = q\^5 = 0\.03125: got 10{400}$"):
             jackson_integral(lambda t: 10**400, Q5, 5, 5)
         assert jackson_integral(lambda t: 2, Q5, 0, 0) == 1.0  # a finite int is a number
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+    def test_int_too_long_for_str_is_named_by_size(self):
+        with pytest.raises(EvaluationError, match=r"^integrand not finite at t = q\^5 = 0\.03125: got an int of 16610 bits$"):
+            jackson_integral(lambda t: 10**5000, Q5, 5, 5)
+        with pytest.raises(EvaluationError, match=r"^exponent function not finite at lambda = 0\.5: got an int of 16610 bits$"):
+            semigroup_transform(lambda lam: 10**5000, 1.0, 0.5, Q5)
 
     def test_overflowing_term_rejected(self):
         # f is finite but (1-q) t f(t) is not from t = 2^29 on: an error, not
