@@ -97,13 +97,14 @@ class Verdict(Enum):
 
 def _spaced(lo: float, hi: float, count: int, log: bool) -> tuple[float, ...]:
     """count points from lo to hi, evenly spaced in log x (log=True) or in x,
-    with the ends pinned to lo and hi; a count-1 grid is (lo,)."""
+    with the ends pinned to lo and hi; a count-1 grid is (lo,).  The ends
+    must be finite, and > 0 on a log grid: DomainError otherwise."""
     if count < 1:
         raise DomainError(f"grid needs at least one point, got count={count}")
-    if log:
-        for end in (lo, hi)[:count]:  # a count-1 grid has no upper end
-            if not (math.isfinite(end) and end > 0.0):
-                raise DomainError(f"grid points must be finite and > 0, got {end!r}")
+    for end in (lo, hi)[:count]:  # a count-1 grid has no upper end
+        if not (_finite_number(end) and (end > 0.0 or not log)):
+            bound = " and > 0" if log else ""
+            raise DomainError(f"grid points must be finite{bound}, got {_shown(end)}")
     if count < 2:
         return (lo,)
     a, b = (math.log(lo), math.log(hi)) if log else (lo, hi)
@@ -388,11 +389,14 @@ def bernstein_iff_check(
 
 
 def _positive_ts(ts: Sequence[float]) -> tuple[float, ...]:
-    """ts as a tuple; InputError naming the first t that is not > 0."""
+    """ts as a tuple; InputError naming the first t that is not > 0 or is
+    an int too large for a float (t = inf is allowed)."""
     ts = tuple(ts)
     for t in ts:
         if not t > 0.0:
-            raise InputError(f"transform parameters must be positive, got t = {t!r}")
+            raise InputError(f"transform parameters must be positive, got t = {_shown(t)}")
+        if not (_finite_number(t) or t == math.inf):
+            raise InputError(f"transform parameters must fit a float, got t = {_shown(t)}")
     return ts
 
 
@@ -446,8 +450,8 @@ def difference_check(
     and a necessary check only.  Pass that report as f_report; a skipped or
     failed precondition is recorded in the notes.
     """
-    if not a > 0.0:
-        raise InputError(f"difference shift must be positive, got a = {a!r}")
+    if not (_finite_number(a) and a > 0.0):
+        raise InputError(f"difference shift must be finite and > 0, got a = {_shown(a)}")
     diff_spec = replace(spec, property=CertProperty.QCM)
 
     def diff(x: float) -> float:

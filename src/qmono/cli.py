@@ -5,6 +5,12 @@ sign-pattern certification on a builtin), theorem (run a named harness),
 laplace (transform a measure), semigroup (transform-side semigroup check),
 table (several builtins side by side, plot-ready).
 
+Each subcommand parses only flags its driver can read and refuses any
+other.  `theorem NAME` is one sub-parser per harness in `_THEOREMS`, so
+the harness name comes first and each harness has its own flags.  A
+builtin parameter flag (--rate, --alpha, ...) is an InputError unless a
+builtin the driver builds takes it (`_fn_params`).
+
 Each subcommand driver `_run_X(ns)` returns (result, ok), the result having
 `to_tree()` (JSON) and `csv_rows()` (CSV), which state each row once: a JSON
 row is its CSV row keyed by the CSV header (`_serialize.keyed`), or by a
@@ -327,7 +333,7 @@ def _spec(ns: argparse.Namespace, prop: CertProperty) -> CertSpec:
 
 def _lambda_points(ns: argparse.Namespace) -> tuple[float, ...]:
     # transform grids may start at 0: keep the order check, not positivity
-    # (a log-spaced grid checks its ends itself)
+    # (`_spaced` checks that the ends are finite, and > 0 on a log grid)
     return _increasing(_grid_points(ns))
 
 
@@ -408,10 +414,11 @@ def _add_cert_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol-rel", type=float, default=1e-7, help="numerical-zero band")
 
 
-def _add_fn_params(sub: argparse.ArgumentParser) -> None:
+def _add_fn_params(sub: argparse.ArgumentParser, names: Sequence[str] = tuple(BUILTINS)) -> None:
+    """The parameter flags of the builtins `names`, each once."""
     seen: set[str] = set()
-    for b in BUILTINS.values():
-        for ps in b.params:
+    for name in names:
+        for ps in BUILTINS[name].params:
             if ps.name not in seen:
                 seen.add(ps.name)
                 sub.add_argument("--" + ps.name, type=ps.type, default=None, help=ps.help)
@@ -444,19 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fn_params(p_cert)
 
     p_thm = subs.add_parser("theorem", help="run a named theorem harness")
-    p_thm.add_argument("name", choices=tuple(_THEOREMS))
-    p_thm.add_argument("--fn", default=None, help="target builtin (bernstein_iff, difference)")
-    p_thm.add_argument("--ts", type=_parse_floats, default=(0.5, 1.0, 2.0),
-                       help="transform parameters t, comma-separated")
-    p_thm.add_argument("--offset", type=float, default=1.0, help="difference shift a")
-    p_thm.add_argument(
-        "--negative-control",
-        action="store_true",
-        help="run thm31/thm32 with hypothesis-violating parameters on purpose",
-    )
-    _add_common(p_thm)
-    _add_cert_flags(p_thm)
-    _add_fn_params(p_thm)
+    harnesses = p_thm.add_subparsers(dest="name", required=True)
+    for name, (_, flags, builtins) in _THEOREMS.items():
+        # no prefix matching: thm31 would read thm32's --a as its --alpha
+        p_h = harnesses.add_parser(name, allow_abbrev=False)
+        for flag in flags:
+            p_h.add_argument(flag, **_THEOREM_FLAGS[flag])
+        _add_common(p_h)
+        _add_cert_flags(p_h)
+        _add_fn_params(p_h, builtins)
 
     p_lap = subs.add_parser("laplace", help="q-Laplace transform of a measure")
     src = p_lap.add_mutually_exclusive_group(required=True)
@@ -467,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_semi = subs.add_parser("semigroup", help="transform-side semigroup check")
     p_semi.add_argument("--family", choices=("delta", "broken-delta", "conv"), default="delta")
-    p_semi.add_argument("--speed", type=float, default=1.0, help="delta family location speed")
+    p_semi.add_argument("--speed", type=float, default=None,
+                        help="delta family location speed (default 1)")
     p_semi.add_argument("--measure", default=None, help="base measure file for --family conv")
     p_semi.add_argument("--ts", type=_parse_floats, default=(1.0, 2.0, 3.0))
     p_semi.add_argument("--kernel", choices=("power", "jackson"), default="power")
@@ -490,14 +494,17 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _fn_params(ns: argparse.Namespace) -> dict:
-    out = {}
-    for b in BUILTINS.values():
-        for ps in b.params:
-            attr = ps.name.replace("-", "_")
-            if hasattr(ns, attr) and getattr(ns, attr) is not None:
-                out[ps.name] = getattr(ns, attr)
-    return out
+def _fn_params(ns: argparse.Namespace, names: Sequence[str]) -> dict:
+    """The builtin parameter flags given on the command line; InputError for
+    one that none of the builtins `names` takes."""
+    takes = {flag for name in names for flag in _param_values(name, {})}
+    given = {ps.name: getattr(ns, ps.name.replace("-", "_"), None)
+             for b in BUILTINS.values() for ps in b.params}
+    given = {flag: value for flag, value in given.items() if value is not None}
+    for flag in given:
+        if flag not in takes:
+            raise InputError(f"--{flag} is not a parameter of {' or '.join(names)}")
+    return given
 
 
 # --------------------------------------------------------------------------
@@ -505,7 +512,7 @@ def _fn_params(ns: argparse.Namespace) -> dict:
 
 
 def _run_eval(ns: argparse.Namespace) -> tuple[object, bool]:
-    f = build_function(ns.function, QParam(ns.q), _fn_params(ns))
+    f = build_function(ns.function, QParam(ns.q), _fn_params(ns, (ns.function,)))
     rows = [(x, f(x)) for x in _grid(ns).points]
     meta = {"kind": "eval_table", "function": ns.function}
     return _Table(meta, ("x", ns.function), rows, ("x", "value")), True
@@ -513,7 +520,7 @@ def _run_eval(ns: argparse.Namespace) -> tuple[object, bool]:
 
 def _run_table(ns: argparse.Namespace) -> tuple[object, bool]:
     q = QParam(ns.q)
-    params = _fn_params(ns)
+    params = _fn_params(ns, ns.functions)
     fns = [(name, build_function(name, q, params)) for name in ns.functions]
     rows = [tuple([x] + [f(x) for _, f in fns]) for x in _grid(ns).points]
     header = ("x",) + tuple(name for name, _ in fns)
@@ -522,7 +529,7 @@ def _run_table(ns: argparse.Namespace) -> tuple[object, bool]:
 
 def _run_certify(ns: argparse.Namespace) -> tuple[object, bool]:
     q = QParam(ns.q)
-    f = build_function(ns.function, q, _fn_params(ns))
+    f = build_function(ns.function, q, _fn_params(ns, (ns.function,)))
     spec = _spec(ns, CertProperty(ns.prop))
     report = certify(f, q, spec)
     return report, report.verdict is Verdict.CONSISTENT
@@ -542,19 +549,13 @@ def _thm32(ns, q, spec, params):
     return report, report.verdict is Verdict.CONSISTENT
 
 
-def _target(ns, q, params) -> RealFunction:
-    if ns.fn is None:
-        raise InputError(f"{ns.name} needs --fn NAME")
-    return build_function(ns.fn, q, params)
-
-
 def _bernstein_iff(ns, q, spec, params):
-    rep = bernstein_iff_check(_target(ns, q, params), ns.ts, q, spec)
+    rep = bernstein_iff_check(build_function(ns.fn, q, params), ns.ts, q, spec)
     return rep, not rep.any_violation
 
 
 def _difference(ns, q, spec, params):
-    f = _target(ns, q, params)
+    f = build_function(ns.fn, q, params)
     f_rep = certify(f, q, spec)
     report = difference_check(f, ns.offset, q, spec, f_report=f_rep)
     # a violated precondition on f fails the run even when the difference holds
@@ -567,20 +568,37 @@ def _closure(ns, q, spec, params):
     return rep, rep.all_ok
 
 
-#: theorem harness drivers by name: (ns, q, spec, params) -> (report, ok)
+#: argparse settings of the flags that only theorem harnesses take
+_THEOREM_FLAGS = {
+    "--fn": dict(required=True, help="target builtin"),
+    "--ts": dict(type=_parse_floats, default=(0.5, 1.0, 2.0),
+                 help="transform parameters t, comma-separated"),
+    "--offset": dict(type=float, default=1.0, help="difference shift a"),
+    "--negative-control": dict(action="store_true",
+                               help="run with hypothesis-violating parameters on purpose"),
+}
+
+#: theorem harnesses by name: (driver, its own flags, the builtins whose
+#: parameter flags it takes).  `build_parser` makes one `theorem NAME`
+#: sub-parser per entry with these flags plus the common and certification
+#: ones, so a harness refuses every flag it does not read.  A `--fn`
+#: harness takes every builtin's flags, and `_fn_params` refuses those that
+#: the --fn builtin does not take.  A driver maps (ns, q, spec, params) to
+#: (report, ok).
 _THEOREMS = {
-    "thm31": _thm31,
-    "thm32": _thm32,
-    "bernstein_iff": _bernstein_iff,
-    "difference": _difference,
-    "closure": _closure,
+    "thm31": (_thm31, ("--negative-control",), ("f_abq",)),
+    "thm32": (_thm32, ("--negative-control",), ("g_ratio",)),
+    "bernstein_iff": (_bernstein_iff, ("--fn", "--ts"), tuple(BUILTINS)),
+    "difference": (_difference, ("--fn", "--offset"), tuple(BUILTINS)),
+    "closure": (_closure, ("--ts",), _CLOSURE_CORPUS),
 }
 
 
 def _run_theorem(ns: argparse.Namespace) -> tuple[object, bool]:
     q = QParam(ns.q)
     spec = _spec(ns, CertProperty.QCM)
-    return _THEOREMS[ns.name](ns, q, spec, _fn_params(ns))
+    driver, flags, builtins = _THEOREMS[ns.name]
+    return driver(ns, q, spec, _fn_params(ns, (ns.fn,) if "--fn" in flags else builtins))
 
 
 def _parse_atoms(text: str) -> DiscreteMeasure:
@@ -631,6 +649,9 @@ def _run_semigroup(ns: argparse.Namespace) -> tuple[object, bool]:
     needed = sorted(set(ts) | set(sums))
     if ns.family != "conv" and ns.measure is not None:
         raise InputError(f"--measure acts only with --family conv, not --family {ns.family}")
+    if ns.family == "conv" and ns.speed is not None:
+        raise InputError("--speed acts only with --family delta or broken-delta, not --family conv")
+    speed = 1.0 if ns.speed is None else ns.speed
     if ns.family == "conv":
         if ns.measure is None:
             raise InputError("--family conv needs --measure FILE")
@@ -654,11 +675,11 @@ def _run_semigroup(ns: argparse.Namespace) -> tuple[object, bool]:
             powers.append(q_convolve(powers[-1], base))
         family = {float(t): powers[round(t) - 1] for t in needed}
     elif ns.family == "delta":
-        family = {float(t): DiscreteMeasure.delta(ns.speed * t) for t in needed}
+        family = {float(t): DiscreteMeasure.delta(speed * t) for t in needed}
     else:  # broken-delta: correct on the input times, offset on the sums
         family = {
             float(t): DiscreteMeasure.delta(
-                ns.speed * t + (0.0 if t in ts else 0.1)
+                speed * t + (0.0 if t in ts else 0.1)
             )
             for t in needed
         }

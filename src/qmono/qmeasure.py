@@ -195,8 +195,8 @@ def q_laplace(
     mass.  Only the POWER_E kernel factorizes over t; the JACKSON_E kernel
     generally does not, which is why every call names its kernel.
     """
-    if lam < 0.0:
-        raise DomainError(f"transform parameter must be nonnegative, got {lam}")
+    if not (_finite_number(lam) and lam >= 0.0):
+        raise DomainError(f"transform parameter must be finite and >= 0, got {_shown(lam)}")
     return math.fsum(w * _kernel_value(lam, t, q, kernel) for t, w in mu.pairs())
 
 
@@ -218,8 +218,8 @@ def semigroup_transform(
 ) -> float:
     """E_q(1)^(-t f(lambda)): the transform value of a convolution-semigroup
     member.  As an ordinary power it factorizes exactly over t."""
-    if t < 0.0:
-        raise DomainError(f"semigroup parameter must be nonnegative, got {t}")
+    if not (_finite_number(t) and t >= 0.0):
+        raise DomainError(f"semigroup parameter must be finite and >= 0, got {_shown(t)}")
     fl = f(lam)
     if not _finite_number(fl):
         raise EvaluationError(f"exponent function not finite at lambda = {lam!r}: got {_shown(fl)}")

@@ -127,6 +127,8 @@ HUGE = 10**400  # an int too large for a float
 TOO_LONG = 10**5000
 needs_int_str_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+ONE_ATOM = qmono.DiscreteMeasure.from_pairs([(1.0, 1.0)])
+SMALL_SPEC = CertSpec(QCM, max_order=2, grid=Grid((0.5, 1.0)))
 
 
 class TestIntTooLargeForAFloat:
@@ -148,6 +150,36 @@ class TestIntTooLargeForAFloat:
     def test_refused_with_the_sites_message(self, build, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             build()
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Grid.log_spaced(HUGE, 2.0, 3), DomainError, "grid points must be finite and > 0, got 10{400}"),
+        (lambda: Grid.linear(0.1, HUGE, 3), DomainError, "grid points must be finite, got 10{400}"),
+        (lambda: Grid.linear(math.nan, 1.0, 3), DomainError, "grid points must be finite, got nan"),
+        (lambda: Grid.linear(0.1, math.inf, 3), DomainError, "grid points must be finite, got inf"),
+        (lambda: qmono.semigroup_transform(lambda x: x, HUGE, 0.5, Q5), DomainError,
+         "semigroup parameter must be finite and >= 0, got 10{400}"),
+        (lambda: qmono.semigroup_transform(lambda x: x, math.nan, 0.5, Q5), DomainError,
+         "semigroup parameter must be finite and >= 0, got nan"),
+        (lambda: qmono.q_laplace(ONE_ATOM, HUGE, Q5, qmono.KernelKind.POWER_E),
+         DomainError, "transform parameter must be finite and >= 0, got 10{400}"),
+        (lambda: qmono.q_laplace(ONE_ATOM, math.nan, Q5, qmono.KernelKind.JACKSON_E),
+         DomainError, "transform parameter must be finite and >= 0, got nan"),
+        (lambda: bernstein_iff_check(lambda x: x, (HUGE,), Q5, SMALL_SPEC),
+         InputError, "transform parameters must fit a float, got t = 10{400}"),
+        (lambda: closure_checks({"identity": lambda x: x}, Q5, SMALL_SPEC, ts=(1.0, HUGE)),
+         InputError, "transform parameters must fit a float, got t = 10{400}"),
+        (lambda: difference_check(lambda x: x, HUGE, Q5, SMALL_SPEC),
+         InputError, "difference shift must be finite and > 0, got a = 10{400}"),
+        (lambda: difference_check(lambda x: 1.0 / (x + 1.0), math.inf, Q5, SMALL_SPEC),
+         InputError, "difference shift must be finite and > 0, got a = inf"),
+    ], ids=["log_grid", "linear_grid", "linear_grid_nan", "linear_grid_inf", "semigroup_t",
+            "semigroup_t_nan", "laplace_lambda", "laplace_lambda_nan", "iff_t", "closure_t",
+            "difference_a", "difference_a_inf"])
+    def test_real_input_is_checked_before_the_arithmetic(self, call, error, message):
+        # each raised a bare OverflowError, returned nan, or (a = inf)
+        # certified f itself, before its site checked the value
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
 
     @needs_int_str_limit
     def test_too_long_for_str_is_named_by_size(self):

@@ -176,6 +176,25 @@ class TestCertify:
         assert a.read_bytes() == b.read_bytes()
 
 
+#: the common and certification flags, which every theorem harness takes
+CERT_FLAGS = ("--q", "--grid-min", "--grid-max", "--grid-count", "--grid-spacing",
+              "--format", "--out", "--order", "--tol-rel")
+ALL_PARAMS = tuple(dict.fromkeys("--" + ps.name for b in BUILTINS.values() for ps in b.params))
+#: each theorem harness's flags besides CERT_FLAGS
+HARNESS_FLAGS = {
+    "thm31": ("--negative-control", "--alpha", "--beta"),
+    "thm32": ("--negative-control", "--a", "--b"),
+    "bernstein_iff": ("--fn", "--ts") + ALL_PARAMS,
+    "difference": ("--fn", "--offset") + ALL_PARAMS,
+    "closure": ("--ts", "--value", "--rate", "--shift"),
+}
+FN_HARNESSES = ("bernstein_iff", "difference")
+#: a value other than the default (and than the lead's --fn identity) for
+#: each flag that the value "2" does not fit
+FLAG_VALUES = {"--grid-spacing": "linear", "--format": "json", "--out": "x.csv", "--fn": "square",
+               "--ts": "3", "--tol-rel": "1e-8"}
+
+
 class TestTheorem:
     def test_thm31_exit_zero(self, tmp_path):
         out = tmp_path / "t31.csv"
@@ -244,8 +263,48 @@ class TestTheorem:
         assert code == 2
         assert "must be positive" in capsys.readouterr().err
 
-    def test_missing_fn_is_usage_error(self):
-        assert run_cli("theorem", "bernstein_iff") == 2
+    def test_missing_fn_is_usage_error(self, capsys):
+        for name in FN_HARNESSES:
+            assert run_cli("theorem", name, "--grid-count", "2") == 2
+            assert "the following arguments are required: --fn" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, flag", [
+        ("thm31", "--ts"),
+        ("thm32", "--fn"),
+        ("bernstein_iff", "--offset"),
+        ("difference", "--negative-control"),
+        ("closure", "--alpha"),
+    ])
+    def test_harness_refuses_a_flag_it_does_not_read(self, capsys, name, flag):
+        fn = ["--fn", "identity"] if name in FN_HARNESSES else []
+        value = [] if flag == "--negative-control" else ["1"]
+        assert run_cli("theorem", name, *fn, flag, *value, "--grid-count", "2") == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(HARNESS_FLAGS))
+    def test_harness_takes_exactly_its_own_flags(self, capsys, name):
+        # every flag some harness takes: accepted by this one iff it is its own
+        own = CERT_FLAGS + HARNESS_FLAGS[name]
+        lead = ["theorem", name] + (["--fn", "identity"] if name in FN_HARNESSES else [])
+        for flag in sorted(set(CERT_FLAGS).union(*HARNESS_FLAGS.values())):
+            value = [] if flag == "--negative-control" else [FLAG_VALUES.get(flag, "2")]
+            if flag not in own:
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(lead + [flag, *value])
+                assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+                continue
+            ns = build_parser().parse_args(lead + [flag, *value])
+            default = build_parser().parse_args(lead)
+            dest = flag[2:].replace("-", "_")
+            dest = {"format": "fmt"}.get(dest, dest)
+            assert getattr(ns, dest) != getattr(default, dest), flag
+
+    def test_accepted_flag_count(self):
+        assert sum(len(CERT_FLAGS) + len(own) for own in HARNESS_FLAGS.values()) == 81
+
+    def test_harness_name_comes_first(self, capsys):
+        assert run_cli("theorem", "--q", "0.5", "thm31") == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestLaplace:
@@ -396,6 +455,14 @@ class TestSemigroup:
         assert "--measure acts only with --family conv" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_speed_needs_a_delta_family(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = run_cli("semigroup", "--family", "conv", "--measure", str(MEASURE), "--speed", "99",
+                       "--grid-count", "2", "--out", str(out))
+        assert code == 2
+        assert "--speed acts only with --family delta or broken-delta" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_conv_needs_integer_times(self, tmp_path):
         mfile = tmp_path / "p.txt"
         mfile.write_text("0 1\n", encoding="utf-8")
@@ -475,13 +542,37 @@ class TestPlumbing:
     @pytest.mark.parametrize("command", ["eval", "certify", "theorem", "table"])
     def test_builtin_params_parse_with_their_spec_type(self, command):
         parser = build_parser()
-        lead = ["theorem", "thm31"] if command == "theorem" else [command, "identity"]
+        # a --fn harness takes every parameter flag; thm31 only --alpha, --beta
+        lead = (["theorem", "bernstein_iff", "--fn", "identity"] if command == "theorem"
+                else [command, "identity"])
         for b in BUILTINS.values():
             for ps in b.params:
                 ns = parser.parse_args(lead + [f"--{ps.name}", "2"])
                 value = getattr(ns, ps.name.replace("-", "_"))
                 assert value == ps.type("2")
                 assert type(value) is type(ps.default)
+
+    @pytest.mark.parametrize("argv, names", [
+        (("eval", "identity"), "identity"),
+        (("certify", "identity"), "identity"),
+        (("table", "identity", "square"), "identity or square"),
+        (("theorem", "bernstein_iff", "--fn", "identity"), "identity"),
+        (("theorem", "difference", "--fn", "reciprocal_shift"), "reciprocal_shift"),
+    ])
+    def test_builtin_param_needs_a_builtin_that_takes_it(self, tmp_path, capsys, argv, names):
+        out = tmp_path / "out.csv"
+        assert run_cli(*argv, "--rate", "2", "--grid-count", "2", "--out", str(out)) == 2
+        assert f"error: --rate is not a parameter of {names}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_table_param_acts_when_one_column_takes_it(self, capsys):
+        assert run_cli("table", "identity", "exp_decay", "--rate", "2", "--grid-count", "2") == 0
+        x, _, value = capsys.readouterr().out.splitlines()[1].split(",")
+        assert float(value) == math.exp(-2.0 * float(x))
+
+    def test_unknown_function_is_named_before_its_params(self, capsys):
+        assert run_cli("eval", "nosuch", "--rate", "2") == 2
+        assert "error: unknown function 'nosuch'" in capsys.readouterr().err
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QMONO_OUT_DIR", str(tmp_path))
@@ -655,6 +746,25 @@ class TestGridCount:
         assert run_cli(*argv, "--grid-count", "3", "--out", str(out)) == 2
         assert "grid points must be strictly increasing" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestNonFiniteInput:
+    """A non-finite grid end or shift is named where it is read, before
+    any work."""
+
+    def test_nan_lambda_grid_end_is_named(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = run_cli("laplace", "--atoms", "1:1", "--grid-min", "nan", "--grid-max", "1",
+                       "--grid-count", "2", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == "error: grid points must be finite, got nan\n"
+        assert not out.exists()
+
+    def test_infinite_difference_shift_is_named(self, capsys):
+        code = run_cli("theorem", "difference", "--fn", "reciprocal_shift", "--offset", "inf",
+                       "--grid-count", "2", "--order", "2")
+        assert code == 2
+        assert "error: difference shift must be finite and > 0, got a = inf" in capsys.readouterr().err
 
 
 class TestNonFinite:
