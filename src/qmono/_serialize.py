@@ -27,8 +27,25 @@ def format17(v: float) -> str:
     return "%.17g" % (v,)
 
 
+def _quoted(s: str) -> str:
+    escaped = s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'
+
+
 def _render(obj, out: list[str]) -> None:
-    if isinstance(obj, bool):
+    # exact float, str, dict and list first: the cells and containers of a
+    # report tree.  Every other object, a subclass of those four included,
+    # goes down the isinstance chain.
+    cls = type(obj)
+    if cls is float:
+        out.append(format17(obj))
+    elif cls is str:
+        out.append(_quoted(obj))
+    elif cls is dict:
+        _render_dict(obj, out)
+    elif cls is list:
+        _render_list(obj, out)
+    elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif obj is None:
         out.append("null")
@@ -37,26 +54,33 @@ def _render(obj, out: list[str]) -> None:
     elif isinstance(obj, float):
         out.append(format17(obj))
     elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        out.append(f'"{escaped}"')
+        out.append(_quoted(obj))
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            _render(str(k), out)
-            out.append(": ")
-            _render(v, out)
-        out.append("}")
+        _render_dict(obj, out)
     elif isinstance(obj, (list, tuple)) and not hasattr(obj, "_fields"):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _render(v, out)
-        out.append("]")
+        _render_list(obj, out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _render_dict(obj: dict, out: list[str]) -> None:
+    out.append("{")
+    for i, (k, v) in enumerate(obj.items()):
+        if i:
+            out.append(", ")
+        out.append(_quoted(str(k)))
+        out.append(": ")
+        _render(v, out)
+    out.append("}")
+
+
+def _render_list(obj, out: list[str]) -> None:
+    out.append("[")
+    for i, v in enumerate(obj):
+        if i:
+            out.append(", ")
+        _render(v, out)
+    out.append("]")
 
 
 def render_json(obj) -> str:

@@ -426,6 +426,13 @@ def _table_of(lattice: _Lattice, g: RealFunction, fv: list[float]) -> QDiffTable
     return lattice.table(lattice.sample(g, list(fv)))
 
 
+def _check_shift(a: float) -> None:
+    """InputError unless the difference shift a is finite and > 0; a caller
+    that certifies f first checks a before that pass."""
+    if not (_finite_number(a) and a > 0.0):
+        raise InputError(f"difference shift must be finite and > 0, got a = {_shown(a)}")
+
+
 def difference_check(
     f: RealFunction,
     a: float,
@@ -443,8 +450,7 @@ def difference_check(
     and a necessary check only.  Pass that report as f_report; a skipped or
     failed precondition is recorded in the notes.
     """
-    if not (_finite_number(a) and a > 0.0):
-        raise InputError(f"difference shift must be finite and > 0, got a = {_shown(a)}")
+    _check_shift(a)
     diff_spec = spec._replace(property=CertProperty.QCM)
 
     def diff(x: float) -> float:

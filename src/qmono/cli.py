@@ -46,6 +46,7 @@ from .cert import (
     CertSpec,
     Grid,
     Verdict,
+    _check_shift,
     _increasing,
     _spaced,
     bernstein_iff_check,
@@ -60,9 +61,9 @@ from .qdiff import RealFunction
 from .qmeasure import (
     DiscreteMeasure,
     KernelKind,
+    _q_laplace_row,
     measure_from_text,
     q_convolve,
-    q_laplace,
     semigroup_check,
 )
 from .qspecial import (
@@ -556,6 +557,7 @@ def _bernstein_iff(ns, q, spec, params):
 
 
 def _difference(ns, q, spec, params):
+    _check_shift(ns.offset)  # before the QCM pass over f
     f = build_function(ns.fn, q, params)
     f_rep = certify(f, q, spec)
     report = difference_check(f, ns.offset, q, spec, f_report=f_rep)
@@ -636,7 +638,7 @@ def _run_laplace(ns: argparse.Namespace) -> tuple[object, bool]:
     mu = _load_measure(ns)
     kernel = _kernel_of(ns.kernel)
     lams = _lambda_points(ns)
-    rows = [(lam, q_laplace(mu, lam, q, kernel)) for lam in lams]
+    rows = list(zip(lams, _q_laplace_row(mu, lams, q, kernel)))
     meta = {"kind": "laplace_table", "kernel": kernel.value, "mass": mu.mass}
     header = ("lambda", "value")
     return _Table(meta, header, rows, header), True

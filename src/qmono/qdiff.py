@@ -84,6 +84,8 @@ class QDiffTable(NamedTuple):
         """Sample f root by root, x_i then q*x_i up to q^order*x_i, checking
         each sample as it comes: the first one that is not a finite number
         raises EvaluationError naming its point, and f sees no later point.
+        A root that is not a finite int or float raises DomainError naming
+        it before f sees any sample.
         A divisor q^j x_i (q - 1), j < order, that underflows to 0 raises
         DomainError naming x_i and j before any division."""
         lattice = _Lattice(points, q, order)
@@ -117,7 +119,7 @@ class _Lattice:
     __slots__ = ("roots", "q", "order", "npts", "points", "dens", "abs_dens")
 
     def __init__(self, points: Sequence[float], q: QParam, order: int) -> None:
-        roots = tuple([float(x) for x in points])
+        roots = tuple([x if type(x) is float and x - x == 0.0 else _root(x) for x in points])
         if 0.0 in roots:
             raise DomainError("q-derivative is undefined at x = 0")
         if order < 0:
@@ -173,6 +175,14 @@ class _Lattice:
             rows.append(tuple(vals[:npts]))
             mag_rows.append(tuple(mags[:npts]))
         return QDiffTable(self.roots, self.q, tuple(rows), tuple(mag_rows))
+
+
+def _root(x: object) -> float:
+    """float(x) for a finite int or float root; DomainError naming x
+    otherwise, before f sees any sample."""
+    if _finite_number(x):
+        return float(x)
+    raise DomainError(f"table roots must be finite, got {_shown(x)}")
 
 
 def _checked(v: object, x: float) -> float:

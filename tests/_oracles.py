@@ -5,7 +5,9 @@ check: brute-force recursions, closed forms proved by hand, classical
 finite differences, and 50-digit mpmath evaluations of the defining series.
 The composite certifier checks have a reference here too: one `certify`
 call per target, each sampling its function afresh; so does a q-lattice's
-sampling loop: every value through isinstance, isfinite and float.
+sampling loop: every value through isinstance, isfinite and float.  The
+q-Laplace transform is summed atom by atom with a kernel call per atom,
+and JSON is rendered by the plain isinstance chain.
 """
 
 from __future__ import annotations
@@ -19,16 +21,22 @@ from qmono import (
     CertProperty,
     ClosureCheck,
     ClosureReport,
+    DomainError,
     EvaluationError,
+    ExpKind,
     InputError,
+    KernelKind,
     QParam,
     Verdict,
     certify,
     eq_power,
+    q_convolve,
     q_derive,
+    q_exp,
     q_number,
 )
 from qmono._serialize import format17
+from qmono.qcore import _finite_number, _shown
 
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -135,6 +143,13 @@ def outcome(fn, *args):
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         return type(exc), str(exc)
     return "value", value.hex() if isinstance(value, float) else repr(value)
+
+
+def list_outcome(fn, *args):
+    """outcome() of a function returning a list of floats, each value by
+    float.hex, so that equal outcomes mean bit-identical lists."""
+    got = outcome(fn, *args)
+    return ("value", [v.hex() for v in fn(*args)]) if got[0] == "value" else got
 
 
 def mp_q_psi(x: float, q: QParam, k: int = 0) -> tuple[float, float]:
@@ -458,3 +473,74 @@ def reference_closure_checks(fs, q: QParam, spec, ts=(0.5, 1.0, 2.0)) -> Closure
         checks=tuple(checks),
         all_ok=all(c.ok for c in checks),
     )
+
+
+def reference_q_laplace(mu, lam: float, q: QParam, kernel) -> float:
+    """The transform as math.fsum of w * K(lambda, t) over the atoms, each
+    kernel value from its own q_exp or eq_power call, consumed one atom at a
+    time: the first error met, fsum's own overflow included, is the one
+    raised."""
+    if not (_finite_number(lam) and lam >= 0.0):
+        raise DomainError(f"transform parameter must be finite and >= 0, got {_shown(lam)}")
+
+    def kernel_value(t):
+        if kernel is KernelKind.JACKSON_E:
+            return q_exp(-lam * t, q, ExpKind.BIG_E)
+        return eq_power(-lam * t, q)
+
+    return math.fsum(w * kernel_value(t) for t, w in mu.pairs())
+
+
+def reference_semigroup_entries(family, ts, lams, q: QParam, kernel) -> list[tuple]:
+    """(t, s, lambda, lhs, rhs, deviation) per unordered pair and lambda,
+    lambda by lambda, the convolution's transform before the target's."""
+    entries = []
+    for i, t in enumerate(ts):
+        for s in ts[i:]:
+            conv = q_convolve(family[t], family[s])
+            target = family[t + s]
+            for lam in lams:
+                lhs = reference_q_laplace(conv, lam, q, kernel)
+                rhs = reference_q_laplace(target, lam, q, kernel)
+                entries.append((t, s, lam, lhs, rhs, abs(lhs - rhs)))
+    return entries
+
+
+def _reference_render(obj, out: list) -> None:
+    if isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(format17(obj))
+    elif isinstance(obj, str):
+        escaped = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+        out.append(f'"{escaped}"')
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                out.append(", ")
+            _reference_render(str(k), out)
+            out.append(": ")
+            _reference_render(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)) and not hasattr(obj, "_fields"):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(", ")
+            _reference_render(v, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_render_json(obj) -> str:
+    """JSON text by one isinstance chain, recursing into every element."""
+    out: list = []
+    _reference_render(obj, out)
+    out.append("\n")
+    return "".join(out)

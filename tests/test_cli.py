@@ -1,5 +1,7 @@
 """Command-line front end: exit codes, file formats, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -9,14 +11,20 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import mp_f_abq, mp_h_aux, mp_q_psi
+import qmono.cli
+from _oracles import mp_f_abq, mp_h_aux, mp_q_psi, reference_q_laplace
 from qmono import (
+    DiscreteMeasure,
+    KernelKind,
     QParam,
     polylog,
     q_factorial,
     q_gamma,
 )
+from qmono.cert import _spaced
 from qmono.cli import (
     _MAX_CONV_PAIRS,
     _MAX_CONV_TIME,
@@ -31,6 +39,9 @@ Q5 = QParam(0.5)
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 MEASURE = GOLDEN / "measure_two_atom.txt"
+# eleven atoms each, up to t = 30 and to t = 2.85 = 0.95 q/(q-1) at q = 1.5
+ATOMS_Q09 = "0:0.05,0.3:0.05,0.7:0.1,1.3:0.1,2.1:0.1,3.4:0.1,5.5:0.1,8.9:0.1,14.4:0.1,23.3:0.1,30:0.1"
+ATOMS_Q15 = "0:0.05,0.2:0.05,0.45:0.1,0.8:0.1,1.1:0.1,1.5:0.1,1.9:0.1,2.2:0.1,2.5:0.1,2.7:0.1,2.85:0.1"
 
 
 def run_cli(*args):
@@ -342,6 +353,48 @@ class TestLaplace:
         assert code == 0
         [row] = json.loads(out.read_text(encoding="utf-8"))["rows"]
         assert row["value"] == pytest.approx(5.0484082037937963e-8, rel=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        qv=st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 4.0)),
+        kernel=st.sampled_from(["power", "jackson"]),
+        atoms=st.lists(
+            st.tuples(st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 40.0), st.floats(0.0, 1e15)),
+                      st.floats(1e-3, 1.0)),
+            min_size=1, max_size=8, unique_by=lambda a: a[0],
+        ),
+        lo=st.one_of(st.floats(0.0, 1.0), st.just(-1.0)),
+        span=st.floats(0.01, 2.0),
+        count=st.integers(1, 6),
+    )
+    def test_rows_match_per_atom_sums(self, qv, kernel, atoms, lo, span, count):
+        # each row is the per-atom sum, bit for bit (the JSON cells carry 17
+        # digits); where a (lambda, atom) pair fails, the run exits 2 with
+        # the error of the first in lambda-then-atom order
+        mu = DiscreteMeasure.from_pairs(atoms)
+        hi = lo + span if count > 1 else lo
+        lams = _spaced(lo, hi, count, log=False)
+        q = QParam(qv)
+        kind = KernelKind.POWER_E if kernel == "power" else KernelKind.JACKSON_E
+        argv = ["laplace", "--kernel", kernel, "--q", repr(qv),
+                "--atoms", ",".join(f"{t!r}:{w!r}" for t, w in atoms),
+                f"--grid-min={lo!r}", f"--grid-max={hi!r}", "--grid-count", str(count),
+                "--format", "json"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(*argv)
+        try:
+            want = [reference_q_laplace(mu, lam, q, kind) for lam in lams]
+        except (ValueError, ArithmeticError) as exc:
+            assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {exc}\n")
+            return
+        if not all(map(math.isfinite, want)):  # the serializer refuses the row
+            assert code == 2 and "refusing to serialize" in err.getvalue()
+            return
+        assert code == 0
+        rows = json.loads(out.getvalue())["rows"]
+        assert [float(r["lambda"]) for r in rows] == list(lams)
+        assert [float(r["value"]).hex() for r in rows] == [v.hex() for v in want]
 
     def test_bad_atoms_usage_error(self):
         assert run_cli("laplace", "--atoms", "nonsense") == 2
@@ -771,6 +824,26 @@ class TestNonFiniteInput:
         assert capsys.readouterr().err == "error: grid points must be finite, got nan\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("offset", ["-1", "0", "inf", "nan"])
+    def test_difference_shift_is_checked_before_f(self, monkeypatch, capsys, offset):
+        calls = []
+
+        def counting(name, q, params):
+            calls.append(name)
+            return lambda x: 1.0 / (x + 1.0)
+
+        monkeypatch.setattr(qmono.cli, "build_function", counting)
+        code = run_cli("theorem", "difference", "--fn", "reciprocal_shift", "--offset", offset,
+                       "--grid-count", "2", "--order", "2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: difference shift must be finite and > 0, got a = {float(offset)!r}\n"
+        assert calls == []
+        # the same counting builtin is sampled once a shift is accepted
+        assert run_cli("theorem", "difference", "--fn", "reciprocal_shift", "--offset", "1",
+                       "--grid-count", "2", "--order", "2") == 0
+        assert calls == ["reciprocal_shift"]
+
     def test_infinite_difference_shift_is_named(self, capsys):
         code = run_cli("theorem", "difference", "--fn", "reciprocal_shift", "--offset", "inf",
                        "--grid-count", "2", "--order", "2")
@@ -923,6 +996,23 @@ class TestGoldenOutputs:
             ("laplace_measure.json",
              ["laplace", "--measure", str(MEASURE), "--kernel", "jackson", "--q", "1.5",
               "--grid-max", "1", "--grid-count", "5", "--format", "json"]),
+            # the Jackson kernel's product paths: E_0.9 past 20 log 2 takes
+            # the entire kind's product, E_1.5 (radius 3) its reciprocal
+            # product near -radius
+            ("laplace_jackson_q09.csv", ["laplace", "--kernel", "jackson", "--q", "0.9",
+                                         "--atoms", ATOMS_Q09, "--grid-count", "11"]),
+            ("laplace_jackson_q09.json", ["laplace", "--kernel", "jackson", "--q", "0.9",
+                                          "--atoms", ATOMS_Q09, "--grid-count", "11",
+                                          "--format", "json"]),
+            ("laplace_jackson_q15.csv", ["laplace", "--kernel", "jackson", "--q", "1.5",
+                                         "--atoms", ATOMS_Q15, "--grid-max", "1",
+                                         "--grid-count", "11"]),
+            ("laplace_jackson_q15.json", ["laplace", "--kernel", "jackson", "--q", "1.5",
+                                          "--atoms", ATOMS_Q15, "--grid-max", "1",
+                                          "--grid-count", "11", "--format", "json"]),
+            ("semigroup_jackson_q15.json",
+             ["semigroup", "--family", "delta", "--speed", "0.24", "--ts", "1,2,3",
+              "--kernel", "jackson", "--q", "1.5", "--format", "json"]),
         ],
     )
     def test_matches_golden(self, tmp_path, name, argv):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,40 @@ class TestQDiffTable:
             for j in range(6):
                 direct = naive_q_derive_n(f, 0.5**j * 1.5, Q5, m)
                 assert t.value(m, j) == pytest.approx(direct, rel=1e-12)
+
+
+class TestRootsAreChecked:
+    """A root that is not a finite int or float is named by a DomainError
+    before f sees any sample, like a grid point."""
+
+    @pytest.mark.parametrize(
+        "root, shown",
+        [
+            (10**400, "1" + "0" * 400),
+            (math.nan, "nan"),
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            ("a", "'a'"),
+            ("1.5", "'1.5'"),
+            (None, "None"),
+        ],
+        ids=["int_too_large", "nan", "inf", "-inf", "str", "numeric_str", "None"],
+    )
+    def test_bad_root_is_named_before_any_sample(self, root, shown):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x
+
+        with pytest.raises(DomainError, match=f"^table roots must be finite, got {re.escape(shown)}$"):
+            QDiffTable.build(f, [1.0, root], Q5, 2)
+        assert seen == []
+
+    def test_int_and_float_subclass_roots_become_floats(self):
+        lattice = _Lattice((2, _FloatSub(0.5), True), Q5, 1)
+        assert [type(x) for x in lattice.roots] == [float] * 3
+        assert lattice.roots == (2.0, 0.5, 1.0)
 
 
 class TestUnderflowingDivisor:

@@ -5,7 +5,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from _oracles import list_outcome, outcome, reference_q_laplace, reference_semigroup_entries
 from qmono import (
     DiscreteMeasure,
     DomainError,
@@ -26,6 +29,7 @@ from qmono import (
     semigroup_check,
     semigroup_transform,
 )
+from qmono.qmeasure import _q_laplace_row
 
 Q5 = QParam(0.5)
 
@@ -335,3 +339,96 @@ class TestSemigroup:
         family = lambda t: DiscreteMeasure.delta(t)
         report = semigroup_check(family, (1.0,), self.LAMS, Q5, KernelKind.POWER_E, 0.0)
         assert report.tol == 0.0
+
+
+_QS = st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 4.0))
+# small atoms sum the E_q series; t up to 40 takes the entire kind's product
+# (lambda t past 20 log 2) and the finite kind's near and past its radius;
+# t up to 1e15 and weights up to 1e308 reach overflow, in the kernel and in
+# fsum
+_ATOMS = st.lists(
+    st.tuples(
+        st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 40.0), st.floats(0.0, 1e15)),
+        st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e308)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+_LAMS = st.lists(
+    st.one_of(st.floats(0.0, 2.5), st.sampled_from([-1.0, math.nan, math.inf])),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _measure(pairs) -> DiscreteMeasure:
+    try:
+        return DiscreteMeasure.from_pairs(pairs)
+    except InputError:  # merged weights that overflow
+        assume(False)
+
+
+def _entries_hex(entries):
+    return [tuple(v.hex() for v in e) for e in entries]
+
+
+class TestRowForm:
+    """The transform at each lambda of a row, with the kernels of all atoms
+    from one list form, against math.fsum of w * K(lambda, t) with a kernel
+    call per atom: bit for bit, and where a (lambda, atom) pair fails, the
+    first error in lambda-then-atom order."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(qv=_QS, kernel=st.sampled_from(list(KernelKind)), pairs=_ATOMS, lams=_LAMS)
+    def test_matches_per_atom_sum(self, qv, kernel, pairs, lams):
+        mu, q = _measure(pairs), QParam(qv)
+        for lam in lams:
+            assert outcome(q_laplace, mu, lam, q, kernel) == outcome(
+                reference_q_laplace, mu, lam, q, kernel
+            )
+        assert list_outcome(_q_laplace_row, mu, lams, q, kernel) == list_outcome(
+            lambda: [reference_q_laplace(mu, lam, q, kernel) for lam in lams]
+        )
+
+    def test_fsum_overflow_before_a_failing_atom_comes_first(self):
+        # the first two terms sum past the float range; the third atom's
+        # kernel E_0.5(-1e20) overflows on its own
+        mu = DiscreteMeasure((0.0, 1e-6, 1e20), (1e308, 1e308, 1.0))
+        for lams in ((1.0,), (0.5, 1.0)):
+            with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+                _q_laplace_row(mu, lams, Q5, KernelKind.JACKSON_E)
+        with pytest.raises(OverflowError, match=r"at x = -1e\+20$"):
+            q_laplace(DiscreteMeasure((0.0, 1e20), (1.0, 1.0)), 1.0, Q5, KernelKind.JACKSON_E)
+
+    def test_first_failing_lambda_names_the_error(self):
+        mu = DiscreteMeasure((1.0, 2.0), (0.5, 0.5))
+        q = QParam(1.5)  # E_q has radius 3
+        with pytest.raises(DomainError, match=r"got x=-4\.0$"):
+            _q_laplace_row(mu, (1.0, 2.0, -1.0), q, KernelKind.JACKSON_E)
+        with pytest.raises(DomainError, match="transform parameter must be finite and >= 0, got -1.0"):
+            _q_laplace_row(mu, (1.0, -1.0, 2.0), q, KernelKind.JACKSON_E)
+
+    def test_empty_row(self):
+        assert _q_laplace_row(DiscreteMeasure.delta(1.0), (), Q5, KernelKind.POWER_E) == []
+
+    @settings(deadline=None, max_examples=150)
+    @given(qv=_QS, kernel=st.sampled_from(list(KernelKind)), data=st.data())
+    def test_semigroup_entries_match_per_lambda_sums(self, qv, kernel, data):
+        ts = data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+                                min_size=1, max_size=3, unique=True))
+        needed = sorted(set(ts) | {t + s for i, t in enumerate(ts) for s in ts[i:]})
+        family = {t: _measure(data.draw(_ATOMS.map(lambda ps: ps[:3]))) for t in needed}
+        lams = data.draw(_LAMS)
+        q = QParam(qv)
+        got = outcome(lambda: _entries_hex(
+            semigroup_check(family, ts, lams, q, kernel, 1e-12).entries))
+        want = outcome(lambda: _entries_hex(
+            reference_semigroup_entries(family, ts, lams, q, kernel)))
+        assert got == want
+
+    def test_semigroup_error_in_lambda_then_pair_order(self):
+        # conv = delta(4) fails only at lambda = 1 (E_1.5 has radius 3), the
+        # target delta(7) already at lambda = 0.5, which comes first
+        family = {1.0: DiscreteMeasure.delta(2.0), 2.0: DiscreteMeasure.delta(7.0)}
+        with pytest.raises(DomainError, match=r"got x=-3\.5$"):
+            semigroup_check(family, (1.0,), (0.5, 1.0), QParam(1.5), KernelKind.JACKSON_E, 1e-12)

@@ -1,6 +1,11 @@
 """The row rule: a report's JSON rows are its CSV rows keyed by the header."""
 
+import math
+from typing import NamedTuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmono import (
     CertProperty,
@@ -15,6 +20,7 @@ from qmono import (
     closure_checks,
     semigroup_check,
 )
+from _oracles import outcome, reference_render_json
 from qmono._serialize import keyed, render_csv, render_json
 
 Q5 = QParam(0.5)
@@ -46,6 +52,76 @@ class TestRecordsAreRefused:
     def test_renders_plain_tuples_and_lists(self):
         tree = {"rows": [(1, 0.5), [None, True]]}
         assert render_json(tree) == '{"rows": [[1, 0.5], [null, true]]}\n'
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Pair(NamedTuple):
+    a: float
+    b: float
+
+
+_LEAVES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(_Float),
+    st.text(max_size=6),
+    st.text(max_size=6).map(_Str),
+    st.booleans(),
+    st.integers(),
+    st.integers().map(_Int),
+    st.none(),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(_List),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers(), st.booleans()), children,
+                        max_size=4),
+        st.dictionaries(st.text(max_size=4), children, max_size=4).map(_Dict),
+    ),
+    max_leaves=25,
+)
+
+
+class TestRenderOracle:
+    """render_json tests the exact types float, str, dict and list first;
+    every tree renders as the plain isinstance chain renders it, and the
+    same trees with a record or a non-finite float in them fail alike."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(tree=_TREES)
+    def test_matches_isinstance_chain(self, tree):
+        assert outcome(render_json, tree) == outcome(reference_render_json, tree)
+
+    @pytest.mark.parametrize("bad", [_Pair(1.0, 2.0), math.inf, _Float(math.nan), -math.inf])
+    @pytest.mark.parametrize("wrap", [lambda v: v, lambda v: {"rows": [1.0, {"x": v}]},
+                                      lambda v: _List([_Dict(a=v)]), lambda v: (v,)])
+    def test_refusals_match(self, bad, wrap):
+        tree = wrap(bad)
+        want = TypeError if isinstance(bad, tuple) else ValueError
+        got = outcome(render_json, tree)
+        assert got[0] is want
+        assert got == outcome(reference_render_json, tree)
 
 
 def _matches(report, expected: dict) -> None:
