@@ -61,9 +61,9 @@ from .qdiff import RealFunction
 from .qmeasure import (
     DiscreteMeasure,
     KernelKind,
-    _q_laplace_row,
     measure_from_text,
     q_convolve,
+    q_laplace,
     semigroup_check,
 )
 from .qspecial import (
@@ -638,7 +638,7 @@ def _run_laplace(ns: argparse.Namespace) -> tuple[object, bool]:
     mu = _load_measure(ns)
     kernel = _kernel_of(ns.kernel)
     lams = _lambda_points(ns)
-    rows = list(zip(lams, _q_laplace_row(mu, lams, q, kernel)))
+    rows = [(lam, q_laplace(mu, lam, q, kernel)) for lam in lams]
     meta = {"kind": "laplace_table", "kernel": kernel.value, "mass": mu.mass}
     header = ("lambda", "value")
     return _Table(meta, header, rows, header), True

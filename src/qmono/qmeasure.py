@@ -5,10 +5,9 @@ transforms under the two kernels in use (the q-exponential E_q(-lambda t)
 and the ordinary power E_q(1)^(-lambda t)), the q-convolution product, and
 a semigroup checker for families pi_t with pi_t * pi_s = pi_{t+s}.
 
-A transform costs one pass over the atoms per lambda (`_q_laplace_row`
-takes a whole row of lambdas per call): POWER_E costs one exp per atom,
-JACKSON_E a q_exp series per atom (a factor product far out), which is why
-it dominates.
+A transform costs one pass over the atoms per lambda: POWER_E costs one exp
+per atom, JACKSON_E a q_exp series per atom (a factor product far out),
+which is why it dominates.
 
 Measures are immutable after construction; every operation returns a new
 value.  Atom locations are arbitrary nonnegative reals: pairwise sums of
@@ -26,14 +25,13 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._serialize import format17, keyed
 from .qcore import (
-    ConvergenceError,
     DomainError,
     EvaluationError,
     ExpKind,
     InputError,
     QParam,
-    _finite_number,
     _eq_powers,
+    _finite_number,
     _shown,
     eq_power,
     q_exp,
@@ -197,36 +195,21 @@ def q_laplace(
 
     At lambda = 0 both kernels are 1, so the transform returns the total
     mass.  Only the POWER_E kernel factorizes over t; the JACKSON_E kernel
-    generally does not, which is why every call names its kernel.  This is
-    the one-lambda case of the row form `_q_laplace_row`.
+    generally does not, which is why every call names its kernel.
+
+    The sum is one math.fsum of w_i K(lambda, t_i) in atom order.  POWER_E
+    takes every atom's kernel from the list form `_eq_powers`, which never
+    fails at lambda >= 0; JACKSON_E calls q_exp per atom as fsum asks for the
+    term, so the error raised is the first the sum meets: fsum's own overflow
+    on the terms before a failing atom, or that atom's.
     """
-    return _q_laplace_row(mu, (lam,), q, kernel)[0]
-
-
-def _q_laplace_row(
-    mu: DiscreteMeasure,
-    lams: Sequence[float],
-    q: QParam,
-    kernel: KernelKind,
-) -> list[float]:
-    """[q_laplace(mu, lam, q, kernel) for lam in lams], bit for bit: per
-    lambda, math.fsum of the w_i K(lambda, t_i) in atom order.  POWER_E
-    takes the kernels of all atoms from the list form `_eq_powers`, which
-    never fails at lambda >= 0; JACKSON_E calls q_exp per atom as fsum asks
-    for the term, so the error raised is the first that the sum meets:
-    fsum's own overflow on the terms before a failing atom, or that atom's."""
-    locs, wts = mu.locations, mu.weights
-    fsum = math.fsum
-    row = []
-    for lam in lams:
-        if not (_finite_number(lam) and lam >= 0.0):
-            raise DomainError(f"transform parameter must be finite and >= 0, got {_shown(lam)}")
-        if kernel is KernelKind.POWER_E:
-            ks = _eq_powers(-lam, locs, q)
-        else:
-            ks = map(q_exp, [-lam * t for t in locs], repeat(q), repeat(ExpKind.BIG_E))
-        row.append(fsum(map(mul, wts, ks)))
-    return row
+    if not (_finite_number(lam) and lam >= 0.0):
+        raise DomainError(f"transform parameter must be finite and >= 0, got {_shown(lam)}")
+    if kernel is KernelKind.POWER_E:
+        ks = _eq_powers(-lam, mu.locations, q)
+    else:
+        ks = map(q_exp, [-lam * t for t in mu.locations], repeat(q), repeat(ExpKind.BIG_E))
+    return math.fsum(map(mul, mu.weights, ks))
 
 
 def q_convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
@@ -323,16 +306,9 @@ def semigroup_check(
         for s in ts[i:]:
             conv = q_convolve(member(t), member(s))
             target = member(t + s)
-            try:
-                lhs_row = _q_laplace_row(conv, lams, q, kernel)
-                rhs_row = _q_laplace_row(target, lams, q, kernel)
-            except (ValueError, ArithmeticError, ConvergenceError):
-                # the error that lambda by lambda, conv before target, meets first
-                for lam in lams:
-                    q_laplace(conv, lam, q, kernel)
-                    q_laplace(target, lam, q, kernel)
-                raise
-            for lam, lhs, rhs in zip(lams, lhs_row, rhs_row):
+            for lam in lams:
+                lhs = q_laplace(conv, lam, q, kernel)
+                rhs = q_laplace(target, lam, q, kernel)
                 entries.append(SemigroupEntry(t, s, lam, lhs, rhs, abs(lhs - rhs)))
     if not entries:
         raise InputError("semigroup check needs at least one (t, s) pair")

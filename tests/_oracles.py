@@ -145,13 +145,6 @@ def outcome(fn, *args):
     return "value", value.hex() if isinstance(value, float) else repr(value)
 
 
-def list_outcome(fn, *args):
-    """outcome() of a function returning a list of floats, each value by
-    float.hex, so that equal outcomes mean bit-identical lists."""
-    got = outcome(fn, *args)
-    return ("value", [v.hex() for v in fn(*args)]) if got[0] == "value" else got
-
-
 def mp_q_psi(x: float, q: QParam, k: int = 0) -> tuple[float, float]:
     """q_psi (k = 0) or q_psi_k at 50 digits, as (value, sum of the |terms|
     it is assembled from).

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import list_outcome, outcome, reference_q_laplace, reference_semigroup_entries
+from _oracles import outcome, reference_q_laplace, reference_semigroup_entries
 from qmono import (
     DiscreteMeasure,
     DomainError,
@@ -29,7 +29,6 @@ from qmono import (
     semigroup_check,
     semigroup_transform,
 )
-from qmono.qmeasure import _q_laplace_row
 
 Q5 = QParam(0.5)
 
@@ -372,11 +371,11 @@ def _entries_hex(entries):
     return [tuple(v.hex() for v in e) for e in entries]
 
 
-class TestRowForm:
-    """The transform at each lambda of a row, with the kernels of all atoms
-    from one list form, against math.fsum of w * K(lambda, t) with a kernel
-    call per atom: bit for bit, and where a (lambda, atom) pair fails, the
-    first error in lambda-then-atom order."""
+class TestPerAtomSum:
+    """The transform, with the kernels of all atoms from one list form (or
+    q_exp mapped over them), against math.fsum of w * K(lambda, t) with a
+    kernel call per atom: bit for bit, and where an atom fails, the first
+    error in atom order."""
 
     @settings(deadline=None, max_examples=300)
     @given(qv=_QS, kernel=st.sampled_from(list(KernelKind)), pairs=_ATOMS, lams=_LAMS)
@@ -386,30 +385,21 @@ class TestRowForm:
             assert outcome(q_laplace, mu, lam, q, kernel) == outcome(
                 reference_q_laplace, mu, lam, q, kernel
             )
-        assert list_outcome(_q_laplace_row, mu, lams, q, kernel) == list_outcome(
-            lambda: [reference_q_laplace(mu, lam, q, kernel) for lam in lams]
-        )
 
     def test_fsum_overflow_before_a_failing_atom_comes_first(self):
         # the first two terms sum past the float range; the third atom's
         # kernel E_0.5(-1e20) overflows on its own
         mu = DiscreteMeasure((0.0, 1e-6, 1e20), (1e308, 1e308, 1.0))
-        for lams in ((1.0,), (0.5, 1.0)):
-            with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
-                _q_laplace_row(mu, lams, Q5, KernelKind.JACKSON_E)
+        with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+            q_laplace(mu, 1.0, Q5, KernelKind.JACKSON_E)
         with pytest.raises(OverflowError, match=r"at x = -1e\+20$"):
             q_laplace(DiscreteMeasure((0.0, 1e20), (1.0, 1.0)), 1.0, Q5, KernelKind.JACKSON_E)
 
-    def test_first_failing_lambda_names_the_error(self):
-        mu = DiscreteMeasure((1.0, 2.0), (0.5, 0.5))
+    def test_first_failing_atom_names_the_error(self):
+        mu = DiscreteMeasure((1.0, 2.0, 3.0), (0.5, 0.25, 0.25))
         q = QParam(1.5)  # E_q has radius 3
         with pytest.raises(DomainError, match=r"got x=-4\.0$"):
-            _q_laplace_row(mu, (1.0, 2.0, -1.0), q, KernelKind.JACKSON_E)
-        with pytest.raises(DomainError, match="transform parameter must be finite and >= 0, got -1.0"):
-            _q_laplace_row(mu, (1.0, -1.0, 2.0), q, KernelKind.JACKSON_E)
-
-    def test_empty_row(self):
-        assert _q_laplace_row(DiscreteMeasure.delta(1.0), (), Q5, KernelKind.POWER_E) == []
+            q_laplace(mu, 2.0, q, KernelKind.JACKSON_E)
 
     @settings(deadline=None, max_examples=150)
     @given(qv=_QS, kernel=st.sampled_from(list(KernelKind)), data=st.data())
