@@ -426,13 +426,6 @@ def _table_of(lattice: _Lattice, g: RealFunction, fv: list[float]) -> QDiffTable
     return lattice.table(lattice.sample(g, list(fv)))
 
 
-def _check_shift(a: float) -> None:
-    """InputError unless the difference shift a is finite and > 0; a caller
-    that certifies f first checks a before that pass."""
-    if not (_finite_number(a) and a > 0.0):
-        raise InputError(f"difference shift must be finite and > 0, got a = {_shown(a)}")
-
-
 def difference_check(
     f: RealFunction,
     a: float,
@@ -450,7 +443,8 @@ def difference_check(
     and a necessary check only.  Pass that report as f_report; a skipped or
     failed precondition is recorded in the notes.
     """
-    _check_shift(a)
+    if not (_finite_number(a) and a > 0.0):
+        raise InputError(f"difference shift must be finite and > 0, got a = {_shown(a)}")
     diff_spec = spec._replace(property=CertProperty.QCM)
 
     def diff(x: float) -> float:
@@ -616,7 +610,9 @@ def thm31_harness(
     Requires the hypothesis 2*alpha <= 1 <= beta unless negative_control is
     set.  When the hypothesis holds, the elementary witness g_ab is also
     swept over 200 log-spaced points on (0, 50]; a nonpositive witness value
-    is appended as a counterexample row with order -1.
+    is appended as a counterexample row with order -1.  Where g_ab leaves the
+    float range (beta past about 14), the sweep reads g's sign from
+    g(t) e^(-(beta-1)t) instead.
     """
     if not (p.hypothesis_ok or negative_control):
         raise InputError(
@@ -631,7 +627,10 @@ def thm31_harness(
     extra: list[Counterexample] = []
     if p.hypothesis_ok:
         for t in _WITNESS_POINTS:
-            g = g_ab(t, p.alpha, p.beta)
+            try:
+                g = g_ab(t, p.alpha, p.beta)
+            except OverflowError:  # g e^(-(beta-1)t) has g's sign and stays in range
+                g = t * math.exp((1.0 - p.beta) * t) + ((p.beta - p.alpha) * t - 1.0) * math.expm1(t)
             if not g > 0.0:
                 extra.append(Counterexample(t, -1, g, 1.0))
         if extra:

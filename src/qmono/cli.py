@@ -46,13 +46,11 @@ from .cert import (
     CertSpec,
     Grid,
     Verdict,
-    _check_shift,
     _increasing,
     _spaced,
     bernstein_iff_check,
     certify,
     closure_checks,
-    difference_check,
     thm31_harness,
     thm32_harness,
 )
@@ -556,15 +554,6 @@ def _bernstein_iff(ns, q, spec, params):
     return rep, not rep.any_violation
 
 
-def _difference(ns, q, spec, params):
-    _check_shift(ns.offset)  # before the QCM pass over f
-    f = build_function(ns.fn, q, params)
-    f_rep = certify(f, q, spec)
-    report = difference_check(f, ns.offset, q, spec, f_report=f_rep)
-    # a violated precondition on f fails the run even when the difference holds
-    return report, Verdict.VIOLATED not in (report.verdict, f_rep.verdict)
-
-
 def _closure(ns, q, spec, params):
     corpus = {name: build_function(name, q, params) for name in _CLOSURE_CORPUS}
     rep = closure_checks(corpus, q, spec, ts=ns.ts)
@@ -576,7 +565,6 @@ _THEOREM_FLAGS = {
     "--fn": dict(required=True, help="target builtin"),
     "--ts": dict(type=_parse_floats, default=(0.5, 1.0, 2.0),
                  help="transform parameters t, comma-separated"),
-    "--offset": dict(type=float, default=1.0, help="difference shift a"),
     "--negative-control": dict(action="store_true",
                                help="run with hypothesis-violating parameters on purpose"),
 }
@@ -592,7 +580,6 @@ _THEOREMS = {
     "thm31": (_thm31, ("--negative-control",), ("f_abq",)),
     "thm32": (_thm32, ("--negative-control",), ("g_ratio",)),
     "bernstein_iff": (_bernstein_iff, ("--fn", "--ts"), tuple(BUILTINS)),
-    "difference": (_difference, ("--fn", "--offset"), tuple(BUILTINS)),
     "closure": (_closure, ("--ts",), _CLOSURE_CORPUS),
 }
 

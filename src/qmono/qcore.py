@@ -569,13 +569,11 @@ def eq_power(x: float, q: QParam) -> float:
 
 def _eq_powers(s: float, vs: list[float], q: QParam) -> list[float]:
     """[eq_power(s * v, q) for v in vs], bit for bit, as one comprehension
-    with no call per v but math.exp.  Where one overflows, the OverflowError
-    is eq_power's for the first such v in list order."""
+    with no call per v but math.exp.  Where one overflows, math.exp's bare
+    OverflowError: q_laplace (s <= 0, v >= 0) never meets it, and
+    cert._decay_table re-samples through eq_power, which names x and q."""
     exp, base = math.exp, _log_eq_base(q.q)
-    try:
-        return [exp(s * v * base) for v in vs]
-    except OverflowError:
-        return [eq_power(s * v, q) for v in vs]
+    return [exp(s * v * base) for v in vs]
 
 
 def log_q(y: float, q: QParam) -> float:

@@ -141,8 +141,11 @@ def log_q_gamma(x: float, q: QParam) -> float:
 
 def q_gamma(x: float, q: QParam) -> float:
     """q-analogue of the gamma function; satisfies Gamma_q(x+1) = [x] Gamma_q(x)
-    and Gamma_q(n+1) = [n]!."""
-    return math.exp(log_q_gamma(x, q))
+    and Gamma_q(n+1) = [n]!.  OverflowError naming x and q past the float range."""
+    try:
+        return math.exp(log_q_gamma(x, q))
+    except OverflowError:
+        raise OverflowError(f"Gamma_q(x) overflows a float at x = {x!r} (q = {q.q!r})") from None
 
 
 def q_gamma_jackson_info(
@@ -369,12 +372,13 @@ def polylog(s: float, z: float) -> float:
 
     Arguments on or outside the unit circle are rejected; the package only
     ever needs z in (0, 1).  The series has ratio z, so it is slow as z -> 1;
-    ConvergenceError after _POLYLOG_MAX_TERMS terms.
+    ConvergenceError after _POLYLOG_MAX_TERMS terms.  Where k^s leaves the
+    float range before the series settles (at z = 1/2: s <= -128 or
+    s >= 1024), it is summed again by `_polylog_by_logs`, which raises
+    OverflowError naming s and z where the value leaves the float range.
     """
     if not abs(z) < 1.0:
         raise DomainError(f"polylogarithm series needs |z| < 1, got z={z!r}")
-    if z == 0.0:
-        return 0.0
 
     def terms():
         acc = 0.0
@@ -390,7 +394,33 @@ def polylog(s: float, z: float) -> float:
             f"polylogarithm series did not settle within {_POLYLOG_MAX_TERMS} terms"
         )
 
-    return math.fsum(terms())
+    try:
+        return math.fsum(terms())
+    except (OverflowError, ZeroDivisionError):
+        return _polylog_by_logs(s, z)
+
+
+def _polylog_by_logs(s: float, z: float) -> float:
+    """polylog's series with each term z^k / k^s formed as
+    sign(z)^k exp(k log|z| - s log k), for s where k^s leaves the float
+    range while the terms need not.  The whole series is summed this way:
+    a k^s that underflows to 0 has passed through the subnormals, where
+    the plain terms lose their digits.  OverflowError naming s and z where
+    a term or the sum leaves the float range."""
+    lz, sign = math.log(abs(z)), math.copysign(1.0, z)
+    terms, acc = [z], z
+    try:
+        for k in range(2, _POLYLOG_MAX_TERMS + 1):
+            term = sign**k * math.exp(k * lz - s * math.log(k))
+            terms.append(term)
+            acc += term
+            if not abs(acc) < math.inf:  # s = -inf, or a sum past the float range
+                raise OverflowError
+            if abs(term) <= REL_TERM_TOL * abs(acc):
+                return math.fsum(terms)
+    except OverflowError:
+        raise OverflowError(f"polylogarithm overflows a float at s = {s!r}, z = {z!r}") from None
+    raise ConvergenceError(f"polylogarithm series did not settle within {_POLYLOG_MAX_TERMS} terms")
 
 
 def h_aux(x: float, q: QParam) -> float:
@@ -455,11 +485,16 @@ def g_ab(t: float, alpha: float, beta: float) -> float:
 
     The exponential difference is evaluated as e^((beta-1)t) expm1(t): near
     t = 0 the whole expression cancels down to O(t^2), which the naive form
-    buries under exp() rounding noise.
+    buries under exp() rounding noise.  OverflowError naming t (as x, the
+    CLI's argument) and the exponents where e^((beta-1)t) overflows.
     """
     if not t > 0.0:
         raise DomainError(f"positivity witness needs t > 0, got {t!r}")
-    return t + ((beta - alpha) * t - 1.0) * math.exp((beta - 1.0) * t) * math.expm1(t)
+    try:
+        return t + ((beta - alpha) * t - 1.0) * math.exp((beta - 1.0) * t) * math.expm1(t)
+    except OverflowError:
+        raise OverflowError(f"positivity witness overflows a float at x = {t!r} "
+                            f"(alpha = {alpha!r}, beta = {beta!r})") from None
 
 
 def g_ratio(x: float, rp: RatioParams, q: QParam) -> float:

@@ -1,9 +1,11 @@
 """q-gamma, q-digamma, polylogarithm and the composite functions."""
 
 import math
+import re
 import time
 import tracemalloc
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -76,6 +78,15 @@ class TestQGamma:
         assert q_gamma(4.0, q) == pytest.approx(6.0, rel=0.01)
         for x in (1.0, 1.5, 2.0, 2.5, 3.0):
             assert q_gamma(x, q) == pytest.approx(math.gamma(x), rel=0.01)
+
+    @pytest.mark.parametrize(("x", "qv"), [(1e300, 0.5), (5.0, 1e300)])
+    def test_overflow_names_x_and_q(self, x, qv):
+        q = QParam(qv)
+        with pytest.raises(OverflowError, match=re.escape(
+                f"Gamma_q(x) overflows a float at x = {x!r} (q = {qv!r})")):
+            q_gamma(x, q)
+        # below the edge the value is exp(log Gamma_q) itself
+        assert q_gamma(0.1, q) == math.exp(log_q_gamma(0.1, q))
 
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
@@ -476,6 +487,34 @@ class TestPolylog:
             with pytest.raises(DomainError):
                 polylog(2.0, z)
 
+    @pytest.mark.parametrize("s", [1100.0, -140.0])
+    def test_order_past_the_power_range_matches_mpmath(self, s):
+        # 2^1100 overflows though Li_1100(1/2) = 1/2; k^-140 turns subnormal
+        # near the largest terms (k ~ 200) and then 0
+        want = mp.polylog(s, 0.5)
+        assert abs(polylog(s, 0.5) / want - 1) <= 1e-12
+
+    def test_value_past_the_float_range_names_s_and_z(self):
+        # Li_-180(1/2) = 1.3e358
+        with pytest.raises(OverflowError, match=r"^polylogarithm overflows a float at s = -180\.0, z = 0\.5$"):
+            polylog(-180.0, 0.5)
+
+    @settings(deadline=None, max_examples=300)
+    @given(s=st.one_of(st.floats(-200.0, 2000.0), st.floats(-1e10, 1e10)), z=st.floats(-0.99, 0.99))
+    @example(s=1100.0, z=0.5)
+    @example(s=-140.0, z=0.5)
+    @example(s=-180.0, z=-0.5)
+    def test_plain_terms_kept_wherever_they_return(self, s, z):
+        # where the plain terms k^s fail, a value or the named overflow;
+        # everywhere else the same outcome, bit for bit
+        want = outcome(_reference_polylog, s, z)
+        got = outcome(polylog, s, z)
+        if want[0] in (OverflowError, ZeroDivisionError):
+            assert got[0] == "value" or got == (
+                OverflowError, f"polylogarithm overflows a float at s = {s!r}, z = {z!r}")
+        else:
+            assert got == want
+
 
 class TestHAux:
     def test_decays_at_large_x(self):
@@ -571,6 +610,13 @@ class TestGAb:
     def test_domain(self):
         with pytest.raises(DomainError):
             g_ab(0.0, 0.5, 1.0)
+
+    def test_overflow_names_t_and_exponents(self):
+        with pytest.raises(OverflowError, match=re.escape(
+                "positivity witness overflows a float at x = 50.0 (alpha = 0.5, beta = 20.0)")):
+            g_ab(50.0, 0.5, 20.0)
+        want = 50.0 + ((14.0 - 0.5) * 50.0 - 1.0) * math.exp(13.0 * 50.0) * math.expm1(50.0)
+        assert g_ab(50.0, 0.5, 14.0) == want  # finite near the edge, the same expression
 
 
 class TestRatioParams:
