@@ -874,7 +874,8 @@ class TestParserReuse:
 
 #: (golden file, argv): every subcommand, in both formats, as a reference
 #: version wrote it byte for byte; `--out` is appended.  The CI step
-#: "Installed entry point" runs the installed `qmono` on each entry too.
+#: "Goldens through the installed entry point" runs the installed `qmono`
+#: on each entry too.
 GOLDENS = [
     ("laplace_jackson.csv",
      ["laplace", "--atoms", "0:0.25,0.5:0.25,1.5:0.5", "--kernel", "jackson",
