@@ -58,7 +58,8 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A truncated series failed its stopping rule within its term cap."""
+    """A truncated series failed its stopping rule within its term cap, or
+    its float sum cancelled below its own rounding error."""
 
 
 class InputError(ValueError):
@@ -176,14 +177,13 @@ class ExpKind(Enum):
     BIG_E = "E"    # E_q(x) = sum q^C(n,2) x^n/[n]! (entire for q < 1)
 
 
-#: Both q-exponentials alternate for x < 0, and a summed series carries an
-#: absolute rounding error of about u times the sum of its |terms|, e(|x|).
-#: For the entire kind (E_q for q < 1, e_q for q > 1) that is at most
-#: e^|x|; past this |x| (where e^|x| = 2^20) q_exp evaluates the factor
-#: product instead, which keeps its relative accuracy.  The kind with a
-#: finite radius has no zeros, and its relative error u e(|x|) / e(x) is at
-#: most u exp(2|x| / (1 - v)), v = |x| / radius; q_exp takes its reciprocal
-#: product where that bound exceeds 2^20 u.
+#: The entire q-exponential (E_q for q < 1, e_q for q > 1) alternates for
+#: x < 0, and its summed series carries an absolute rounding error of about
+#: u times the sum of its |terms|, which is at most e^|x|; past this |x|
+#: (where e^|x| = 2^20) q_exp evaluates the factor product instead, which
+#: keeps its relative accuracy.  The kind with a finite radius is never
+#: summed at x < 0: q_exp takes the reciprocal of the entire kind at -x
+#: (see `_SETTLED_BY_TABLE`).
 _ALTERNATING_LIMIT = 20.0 * _LN2
 
 #: For x > 0 the ratio of that kind's series tends to v = x / radius: it
@@ -195,6 +195,20 @@ _NEAR_RADIUS = 40.0 / _MAX_TERMS  # where ~37 / (1 - v) terms near _MAX_TERMS
 #: Length of the divisor table of `_exp_terms`: a series that runs further
 #: computes the rest inline.
 _EXP_STEPS_CAP = 64
+
+#: The entire kind at y = -x > 0 has positive terms
+#: t_n = p^C(n,2) y^n / ([1]_p ... [n]_p), p = q or 1/q below 1, and the
+#: AM-GM bound [k]_p = 1 + p + ... + p^(k-1) >= k p^((k-1)/2) gives
+#: t_n <= y^n p^(n(n-1)/4) / n!.  Its sum is at least 1, so the series has
+#: settled within the divisor table (t_64 <= REL_TERM_TOL) wherever
+#: y p^_SETTLED_POWER <= _SETTLED_BY_TABLE (13.9; 0.999 of it, for the
+#: rounding of the terms); a table cut short by q^n overflowing (q above
+#: ~6.6e4) holds terms that fall faster still.  There y < 26 and the sum is
+#: at most e^y, so neither it nor its reciprocal leaves the float range.
+_SETTLED_POWER = (_EXP_STEPS_CAP - 1) / 4.0
+_SETTLED_BY_TABLE = 0.999 * math.exp(
+    (math.lgamma(_EXP_STEPS_CAP + 1.0) + math.log(REL_TERM_TOL)) / _EXP_STEPS_CAP
+)
 
 
 @lru_cache(maxsize=128)
@@ -267,8 +281,9 @@ def _exp_terms(x: float, qq: float, big: bool):
 
 def q_exp(x: float, q: QParam, kind: ExpKind) -> float:
     """q-exponential of either kind from its truncated series (far out on
-    the negative axis, the entire kind from its factor product; near its
-    radius, the other kind from its reciprocal product).
+    the negative axis, the entire kind from its factor product; at x < 0,
+    the other kind as the entire kind's reciprocal; near its radius, the
+    other kind from its reciprocal product).
 
     e_q carries the term ratio x/[n]; E_q carries an extra factor q^(n-1) so
     its n-th term is q^(n(n-1)/2) x^n/[n]!.  Since E_q(x) = e_{1/q}(x), the
@@ -280,13 +295,17 @@ def q_exp(x: float, q: QParam, kind: ExpKind) -> float:
     digit, and for x > 0 where the series overflows, which a term can do
     before its weight q^(n-1) brings it back (E_{1e-6}(1e56) is ~1e290); it
     raises OverflowError when the product leaves the float range.
-    The kind with a finite radius is e_p(x) = 1 / prod_{j>=0} (1 - (1-p) p^j x);
-    for x < 0 q_exp returns that reciprocal product (`_finite_exp`)
-    wherever the series' relative error could exceed 2^20 u, which it
-    approaches as x -> -radius (see `_ALTERNATING_LIMIT`), for x > 0 near
-    the radius (see `_NEAR_RADIUS`), and for E_q with q > 1 also where a
-    divisor [n] of the series overflows first, on either side of 0
-    (DomainError where x > 0 lies at or past the radius of p = 1/q rounded).
+    The kind with a finite radius is e_p(x) = 1 / prod_{j>=0} (1 - (1-p) p^j x).
+    For x < 0, e_q(x) E_q(-x) = 1 makes it the reciprocal of the entire
+    kind's series at -x > 0, of the same q, whose terms are all positive:
+    q_exp sums that series wherever it settles within the divisor table
+    (see `_SETTLED_BY_TABLE`), and elsewhere (p -> 1), or where a divisor
+    of it overflows (q above ~1e154), returns the reciprocal product
+    (`_finite_exp`).  For x > 0 it takes that product near the radius (see
+    `_NEAR_RADIUS`), wherever the series does not settle within
+    `_MAX_TERMS` terms, and for E_q with q > 1 also where a divisor [n] of
+    the series overflows first (DomainError where x lies at or past the
+    radius of p = 1/q rounded).
     A series whose terms sum past the float range raises OverflowError.
     The series is `_exp_terms`, which reads the divisors [n] from the per-q
     table `_exp_divisors`; it, and a product, stop at `_MAX_TERMS`.
@@ -295,6 +314,7 @@ def q_exp(x: float, q: QParam, kind: ExpKind) -> float:
         raise DomainError(f"q-exponential argument must be finite, got {x!r}")
     qq = q.q
     big = kind is ExpKind.BIG_E
+    entire = big == (qq < 1.0)
     if not big and qq < 1.0:
         radius = 1.0 / (1.0 - qq)
         if not abs(x) < radius:
@@ -308,11 +328,17 @@ def q_exp(x: float, q: QParam, kind: ExpKind) -> float:
                 f"E_q series (q > 1) diverges for |x| >= q/(q-1) = {radius}, got x={x}"
             )
     p = qq if qq < 1.0 else 1.0 / qq
-    if x < -_ALTERNATING_LIMIT and big == (qq < 1.0):
-        return _entire_exp(x, p)
-    if x < 0.0 and big != (qq < 1.0) and -2.0 * x > _ALTERNATING_LIMIT * (1.0 + x / radius):
+    if entire:
+        if x < -_ALTERNATING_LIMIT:
+            return _entire_exp(x, p)
+    elif x < 0.0:
+        if -x * p**_SETTLED_POWER <= _SETTLED_BY_TABLE:
+            try:
+                return 1.0 / math.fsum(_exp_terms(-x, qq, not big))
+            except OverflowError:
+                pass  # a divisor [n] = (q^n - 1)/(q - 1) left the float range
         return _finite_exp(x, p)
-    if x > 0.0 and big != (qq < 1.0) and 1.0 - x / radius < max(0.25 * (1.0 - p), _NEAR_RADIUS):
+    elif 1.0 - x / radius < max(0.25 * (1.0 - p), _NEAR_RADIUS):
         return _finite_exp(x, p)
     gen = _exp_terms(x, qq, big)
     try:
@@ -321,7 +347,7 @@ def q_exp(x: float, q: QParam, kind: ExpKind) -> float:
         if gen.gi_frame is not None:
             # fsum's own overflow: finite terms whose sum leaves the float range
             raise OverflowError(f"q-exponential overflows a float at x = {x!r}") from exc
-        if big == (qq < 1.0):
+        if entire:
             # the entire kind at x > 0, where a term can overflow before its
             # weight q^(n-1) or its divisor brings it back into range
             return _entire_exp(x, p)
@@ -330,6 +356,12 @@ def q_exp(x: float, q: QParam, kind: ExpKind) -> float:
             # the reciprocal product has no divisors and raises on overflow
             return _finite_exp(x, p)
         raise
+    except ConvergenceError:
+        if entire:
+            raise
+        # the finite kind at x > 0 whose ratio, above x/radius, is too close
+        # to 1 for _MAX_TERMS terms
+        return _finite_exp(x, p)
 
 
 #: Length of the divisor table of `_log_tail`: |w| <= 1/2 stops within 55

@@ -118,7 +118,9 @@ def log_q_gamma(x: float, q: QParam) -> float:
     exponent form plus the log tail series (qcore._log_qpow_poch), about
     log 2 / |log q| + 55 terms, with no digits lost as x -> 0.  The x-free
     product log (q;q)_inf (likewise) depends on q alone and is cached.  All
-    the parts are added by one math.fsum.
+    the parts are added by one math.fsum.  For q > 1 it is inf where the
+    term x(x-1)/2 log q alone passes the float range (x past ~1e154 at
+    q = 2), a term that outweighs every other part by far.
     """
     if not x > 0.0:
         raise DomainError(f"q-gamma needs x > 0, got {x!r}")
@@ -128,24 +130,24 @@ def log_q_gamma(x: float, q: QParam) -> float:
     if q.is_sub_one:
         p_head, p_tail = _log_qpow_poch(x, lq)
         return math.fsum((c_head, c_tail, -p_head, -p_tail, (1.0 - x) * math.log1p(-qq)))
+    quad = 0.5 * x * (x - 1.0) * lq
+    if quad == math.inf:
+        return math.inf
     p_head, p_tail = _log_qpow_poch(x, -lq)
-    return math.fsum((
-        c_head,
-        c_tail,
-        -p_head,
-        -p_tail,
-        (1.0 - x) * math.log(qq - 1.0),
-        0.5 * x * (x - 1.0) * lq,
-    ))
+    return math.fsum((c_head, c_tail, -p_head, -p_tail, (1.0 - x) * math.log(qq - 1.0), quad))
 
 
 def q_gamma(x: float, q: QParam) -> float:
     """q-analogue of the gamma function; satisfies Gamma_q(x+1) = [x] Gamma_q(x)
-    and Gamma_q(n+1) = [n]!.  OverflowError naming x and q past the float range."""
+    and Gamma_q(n+1) = [n]!.  OverflowError naming x and q past the float
+    range, where exp overflows and where the log itself is inf."""
     try:
-        return math.exp(log_q_gamma(x, q))
+        value = math.exp(log_q_gamma(x, q))
     except OverflowError:
-        raise OverflowError(f"Gamma_q(x) overflows a float at x = {x!r} (q = {q.q!r})") from None
+        value = math.inf
+    if value == math.inf:
+        raise OverflowError(f"Gamma_q(x) overflows a float at x = {x!r} (q = {q.q!r})")
+    return value
 
 
 def q_gamma_jackson_info(
@@ -366,6 +368,13 @@ def q_psi_k(x: float, q: QParam, k: int) -> float:
 #: stays until polylog sums near z = 1 by its expansion in log z.
 _POLYLOG_MAX_TERMS = 400_000
 
+#: At z < 0 the polylogarithm series alternates, and its float sum carries
+#: an absolute rounding error of a few u times the sum of its |terms|.
+#: Where the sum is below this fraction of that sum of |terms|, fewer than
+#: 20 of its bits are left, and polylog raises rather than return noise:
+#: Li_-60(-1/2) is -1.57e71, but its terms, up to ~1e81, summed to 2.98e74.
+_POLYLOG_CANCELLATION = 2.0**20 * _UNIT_ROUNDOFF
+
 
 def polylog(s: float, z: float) -> float:
     """Polylogarithm Li_s(z) = sum_{k>=1} z^k / k^s on |z| < 1.
@@ -376,6 +385,8 @@ def polylog(s: float, z: float) -> float:
     float range before the series settles (at z = 1/2: s <= -128 or
     s >= 1024), it is summed again by `_polylog_by_logs`, which raises
     OverflowError naming s and z where the value leaves the float range.
+    At z < 0 the terms alternate: ConvergenceError naming s and z where
+    they cancel past `_POLYLOG_CANCELLATION`.
     """
     if not abs(z) < 1.0:
         raise DomainError(f"polylogarithm series needs |z| < 1, got z={z!r}")
@@ -395,9 +406,28 @@ def polylog(s: float, z: float) -> float:
         )
 
     try:
-        return math.fsum(terms())
+        value = math.fsum(terms())
     except (OverflowError, ZeroDivisionError):
         return _polylog_by_logs(s, z)
+    if z < 0.0:
+        # the same terms again, for their magnitudes: memory stays flat
+        return _uncancelled(value, map(abs, terms()), s, z)
+    return value
+
+
+def _uncancelled(value: float, magnitudes, s: float, z: float) -> float:
+    """value, the sum of polylog's terms at s and z; ConvergenceError
+    naming s and z where |value| is below _POLYLOG_CANCELLATION times the
+    sum of their magnitudes (inf where that sum leaves the float range)."""
+    try:
+        total = math.fsum(magnitudes)
+    except OverflowError:
+        total = math.inf
+    if abs(value) < _POLYLOG_CANCELLATION * total:
+        raise ConvergenceError(
+            f"polylogarithm series cancels below its rounding error at s = {s!r}, z = {z!r}"
+        )
+    return value
 
 
 def _polylog_by_logs(s: float, z: float) -> float:
@@ -406,7 +436,8 @@ def _polylog_by_logs(s: float, z: float) -> float:
     range while the terms need not.  The whole series is summed this way:
     a k^s that underflows to 0 has passed through the subnormals, where
     the plain terms lose their digits.  OverflowError naming s and z where
-    a term or the sum leaves the float range."""
+    a term or the sum leaves the float range, and ConvergenceError where
+    the terms cancel (`_uncancelled`)."""
     lz, sign = math.log(abs(z)), math.copysign(1.0, z)
     terms, acc = [z], z
     try:
@@ -417,7 +448,7 @@ def _polylog_by_logs(s: float, z: float) -> float:
             if not abs(acc) < math.inf:  # s = -inf, or a sum past the float range
                 raise OverflowError
             if abs(term) <= REL_TERM_TOL * abs(acc):
-                return math.fsum(terms)
+                return _uncancelled(math.fsum(terms), map(abs, terms), s, z)
     except OverflowError:
         raise OverflowError(f"polylogarithm overflows a float at s = {s!r}, z = {z!r}") from None
     raise ConvergenceError(f"polylogarithm series did not settle within {_POLYLOG_MAX_TERMS} terms")

@@ -187,7 +187,9 @@ def mp_entire_exp(x: float, p: float) -> tuple[float, float, float]:
     E_p(|x|) is the sum of the |terms| of the power series at x.  With
     v_j = (1-p) p^j |x|, c = sum_j (j+2) v_j / |1 - v_j| bounds the relative
     error the product picks up from its factors when v_j is formed by j
-    roundings from a rounded v_0.
+    roundings from a rounded v_0.  A factor that is exactly 0 (p = 1/2 and
+    x = -2^(j+1), the only zeros of E_p at a float p and x) has v_j formed
+    without rounding, so the product is 0 as well; it adds nothing to c.
     """
     with mp.workdps(50):
         pp = mp.mpf(p)
@@ -199,7 +201,8 @@ def mp_entire_exp(x: float, p: float) -> tuple[float, float, float]:
         while v >= mp.mpf("1e-55"):  # the rest moves no kept digit
             value *= 1 + sign * v
             abs_value *= 1 + v
-            c += (j + 2) * v / abs(1 - v)
+            if v != 1:
+                c += (j + 2) * v / abs(1 - v)
             v *= pp
             j += 1
         return float(value), float(abs_value), float(c)
@@ -254,6 +257,83 @@ def mp_finite_exp(x: float, p: float) -> tuple[float, float, float]:
         if x > 0:
             return abs_value, abs_value, float(c + log_abs)
         return float(mp.exp(log_value)), abs_value, float(c - log_value)
+
+
+def mp_reciprocal_entire(x: float, q: float) -> tuple[float, float]:
+    """The q-exponential with a finite radius at x < 0, e_q(x) for q < 1 or
+    E_q(x) for q > 1, as 1 / (the entire kind at y = -x) of the same float
+    q, summed at 50 digits: y^n q^C(n,2) / [n]_q! (E_q, q < 1) or
+    y^n / [n]_q! (e_q, q > 1), where [n]_q = (q^n - 1)/(q - 1) exactly.
+    Returns (value, r): r bounds, as a multiple of u, the relative error of
+    1 / math.fsum of that series with the library's rounded terms.
+
+    Term n is term n-1 times y / [n] (and times q^(n-1)).  The divisor
+    fl(expm1(fl(n fl(log q))) / fl(q - 1)) is within (7 + 3 n |log q|) u
+    of [n] for q > 1, and 7 u for q < 1: 2 u for log, u for n log q, 2 u
+    for expm1, 2 u for q - 1 and the division; the argument error,
+    3 u n |log q|, moves expm1(a) by at most 3 u (1 + n |log q|)
+    relatively for a > 0 and 3 u for a < 0.  Each step rounds y / [n] and
+    the product (2 u); for q < 1 the weight q^(n-1), itself n - 2
+    roundings, and its product add n u.  So term n is within
+    delta_n = (9 n + 1.5 n (n+1) |log q|) u (q > 1) or
+    (9 n + n (n+1) / 2) u (q < 1) of its exact value, and, the terms being
+    positive, the sum within sum_n t_n delta_n / sum_n t_n.  The stop rule
+    drops a tail below ~2 REL_TERM_TOL relative, fsum and the reciprocal
+    round once each: r = 4 + sum_n t_n delta_n / sum_n t_n, in u.
+    """
+    with mp.workdps(50):
+        value, r = _mp_reciprocal_entire(x, q)
+        return float(value), float(r)
+
+
+def _mp_reciprocal_entire(x: float, q: float) -> tuple[mp.mpf, mp.mpf]:
+    """mp_reciprocal_entire at the working precision, unrounded."""
+    qq = mp.mpf(q)
+    y = -mp.mpf(x)
+    lq = abs(math.log(q))
+    s = t = mp.mpf(1)
+    weighted = mp.mpf(0)
+    n = 0
+    while True:
+        n += 1
+        t = t * y / ((qq**n - 1) / (qq - 1))
+        if q < 1.0:
+            t *= qq ** (n - 1)
+            delta = 9 * n + n * (n + 1) / 2
+        else:
+            delta = 9 * n + 1.5 * n * (n + 1) * lq
+        s += t
+        weighted += t * delta
+        if t < s * mp.mpf("1e-55"):
+            break
+    return 1 / s, 4 + weighted / s
+
+
+def mp_jackson_transform(pairs, lam: float, q: float) -> float:
+    """sum_i w_i E_q(-lambda t_i) for q > 1 at 50 digits, each kernel at
+    the float argument -lambda t_i that q_laplace passes to q_exp."""
+    with mp.workdps(50):
+        return float(mp.fsum(mp.mpf(w) * _mp_reciprocal_entire(-lam * t, q)[0] for t, w in pairs))
+
+
+def mp_polylog_series(s: float, z: float) -> tuple[float, float]:
+    """Li_s(z) = sum_{k>=1} z^k / k^s for 0 < |z| < 1, summed term by term at
+    50 digits, as (value, the sum of its |terms|, which is Li_s(|z|)).
+    mpmath's own polylog leaves the real line at z < 0 for some non-integer
+    s (Li_s(-0.9375) at s = 2.8e-261)."""
+    with mp.workdps(50):
+        zz, ss = mp.mpf(z), mp.mpf(s)
+        # past k_peak the |terms| fall by at least |z|^(1/2) per step
+        k_peak = 2 * max(0.0, -s) / -math.log(abs(z)) + 2
+        value = total = mp.mpf(0)
+        k = 0
+        while True:
+            k += 1
+            term = zz**k / mp.mpf(k) ** ss
+            value += term
+            total += abs(term)
+            if k > k_peak and abs(term) < total * mp.mpf("1e-45"):
+                return float(value), float(total)
 
 
 def mp_entire_exp_near_one(x: float, p: float) -> float:

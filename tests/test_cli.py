@@ -15,12 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmono.cli
-from _oracles import mp_f_abq, mp_h_aux, mp_q_psi, reference_q_laplace
+from _oracles import (
+    UNIT_ROUNDOFF,
+    mp_f_abq,
+    mp_h_aux,
+    mp_jackson_transform,
+    mp_q_psi,
+    reference_q_laplace,
+)
 from qmono import (
     DiscreteMeasure,
     KernelKind,
     QParam,
     polylog,
+    q_convolve,
     q_factorial,
     q_gamma,
 )
@@ -767,6 +775,8 @@ class TestArithmeticErrors:
              "--grid-count 3", "E_q(1)^x overflows a float at x = 1000072.6782835121 (q = 0.5)"),
             ("eval q_gamma --grid-max 1e300 --grid-count 2", "Gamma_q(x) overflows a float at x = 1e+300 (q = 0.5)"),
             ("eval q_gamma --q 1e300 --grid-count 2", "Gamma_q(x) overflows a float at x = 5.0 (q = 1e+300)"),
+            ("eval q_gamma --q 2 --grid-min 1 --grid-max 1e160 --grid-count 2",
+             "Gamma_q(x) overflows a float at x = 1e+160 (q = 2.0)"),
             ("eval g_ab --beta 20 --grid-max 50 --grid-count 2",
              "positivity witness overflows a float at x = 50.0 (alpha = 0.5, beta = 20.0)"),
         ],
@@ -986,6 +996,52 @@ class TestGoldenOutputs:
         out = tmp_path / name
         assert run_cli(*argv, "--out", str(out)) == (1 if name in VIOLATED else 0)
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def _atom_pairs(text):
+    return [tuple(map(float, atom.split(":"))) for atom in text.split(",")]
+
+
+def _golden_rows(name):
+    """(lambda, value) for each row of a laplace golden, CSV or JSON."""
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    if name.endswith(".json"):
+        return [(r["lambda"], r["value"]) for r in json.loads(text)["rows"]]
+    lines = [line for line in text.splitlines()[1:] if not line.startswith("#")]
+    return [tuple(map(float, line.split(","))) for line in lines]
+
+
+class TestJacksonGoldensAgainstMpmath:
+    """Every value of the goldens that take the q > 1 Jackson kernel
+    E_q(-lambda t) = 1 / e_q(lambda t) is within 4 u of the transform
+    summed at 50 digits, each kernel at the float argument q_laplace forms."""
+
+    @pytest.mark.parametrize("name, pairs", [
+        ("laplace_jackson.json", _atom_pairs("0.25:1,1:2")),
+        ("laplace_measure.json",
+         [tuple(map(float, line.split())) for line in MEASURE.read_text().splitlines()
+          if not line.startswith("#")]),
+        ("laplace_jackson_q15.csv", _atom_pairs(ATOMS_Q15)),
+        ("laplace_jackson_q15.json", _atom_pairs(ATOMS_Q15)),
+    ])
+    def test_laplace_values(self, name, pairs):
+        rows = _golden_rows(name)
+        assert len(rows) in (5, 11)
+        for lam, value in rows:
+            want = mp_jackson_transform(pairs, lam, 1.5)
+            assert abs(value - want) <= 4.0 * UNIT_ROUNDOFF * want, (lam, value, want)
+
+    def test_semigroup_values(self):
+        # the delta family: one atom at 0.24 t, and the convolution's at
+        # 0.24 t + 0.24 s, each of weight 1
+        tree = json.loads((GOLDEN / "semigroup_jackson_q15.json").read_text(encoding="utf-8"))
+        assert len(tree["entries"]) == 30
+        for e in tree["entries"]:
+            t, s, lam = e["t"], e["s"], e["lambda"]
+            conv = q_convolve(DiscreteMeasure.delta(0.24 * t), DiscreteMeasure.delta(0.24 * s))
+            for value, pairs in ((e["lhs"], conv.pairs()), (e["rhs"], [(0.24 * (t + s), 1.0)])):
+                want = mp_jackson_transform(pairs, lam, 1.5)
+                assert abs(value - want) <= 4.0 * UNIT_ROUNDOFF * want, (t, s, lam, value, want)
 
 
 def _readme_cli_lines():

@@ -17,6 +17,7 @@ from _oracles import (
     mp_finite_exp,
     mp_log_eq_one,
     mp_qpoch_inf,
+    mp_reciprocal_entire,
     outcome,
 )
 from qmono import (
@@ -35,12 +36,15 @@ from qmono import (
     q_pochhammer,
     qpoch_inf,
 )
+from qmono import qcore
 from qmono.qcore import (
     _ALTERNATING_LIMIT,
     REL_TERM_TOL,
     _EXP_STEPS_CAP,
     _MAX_TERMS,
     _NEAR_RADIUS,
+    _SETTLED_BY_TABLE,
+    _SETTLED_POWER,
     _entire_exp_neg,
     _eq_powers,
     _exp_divisors,
@@ -201,10 +205,28 @@ class TestQExp:
         q_exp(100.0, q2, ExpKind.SMALL_E)  # e_q entire for q > 1
 
     def test_convergence_cap(self):
-        # a finite value (~5.0e291 by the product) just outside the product
-        # band near the radius, whose series ratio is too close to 1
-        with pytest.raises(ConvergenceError, match="within 10000 terms"):
-            q_exp(412.1376166861753, QParam(0.9975835910984506), ExpKind.SMALL_E)
+        # just outside the product band near the radius, the series' ratio
+        # is too close to 1 to settle within _MAX_TERMS (10,002 terms):
+        # q_exp takes the reciprocal product there as well
+        x, qv = 412.1376166861753, 0.9975835910984506
+        assert outcome(_reference_q_exp, x, QParam(qv), ExpKind.SMALL_E)[0] is ConvergenceError
+        got = q_exp(x, QParam(qv), ExpKind.SMALL_E)
+        assert got == pytest.approx(mp_finite_exp(x, qv)[0], rel=1e-12)
+
+    def test_negative_axis_sums_the_entire_kind(self, monkeypatch):
+        # E_2(-1.5) = 1 / e_2(1.5): the positive series settles in 12 terms,
+        # where the alternating one took 138
+        counts = []
+
+        def counted(x, qq, big):
+            terms = list(_exp_terms(x, qq, big))
+            counts.append(len(terms))
+            return iter(terms)
+
+        monkeypatch.setattr(qcore, "_exp_terms", counted)
+        got = q_exp(-1.5, QParam(2.0), ExpKind.BIG_E)
+        assert len(counts) == 1 and counts[0] <= 20
+        assert got == pytest.approx(mp_reciprocal_entire(-1.5, 2.0)[0], rel=1e-15)
 
     @pytest.mark.parametrize(
         "x, qv, kind",
@@ -262,32 +284,37 @@ def _reference_q_exp(x, q, kind):
 
 
 def _sums_series(x, qv, kind):
-    """False where q_exp returns a factor product instead of summing its
-    series: the entire q-exponential (E_q for q < 1, e_q for q > 1) below
-    x = -20 log 2, and the kind with a finite radius, of base p = q or 1/q
-    below 1, at x < 0 wherever the series' relative error bound
-    u exp(2|x| / (1 - |x|/radius)) exceeds 2^20 u, and at x > 0 where
-    1 - x/radius < max((1 - p)/4, _NEAR_RADIUS).  (E_q for q > 1 also
-    takes the product when a divisor q^n - 1 of its series overflows; that
-    is decided while summing.)"""
+    """False where q_exp does not sum the series of the kind asked for: the
+    entire q-exponential (E_q for q < 1, e_q for q > 1) below x = -20 log 2,
+    where it returns the factor product, and the kind with a finite radius,
+    of base p = q or 1/q below 1, at x < 0, where it returns the reciprocal
+    of the entire kind's series at -x or the reciprocal product
+    (TestFiniteExpOracle), and at x > 0 where
+    1 - x/radius < max((1 - p)/4, _NEAR_RADIUS).  (Where its series does
+    not settle within _MAX_TERMS terms, and for E_q with q > 1 where a
+    divisor q^n - 1 overflows, q_exp takes the product as well; that is
+    decided while summing.)"""
     if (kind is ExpKind.BIG_E) == (qv < 1.0):
         return not -math.inf < x < -_ALTERNATING_LIMIT
     radius = 1.0 / (1.0 - qv) if qv < 1.0 else qv / (qv - 1.0)
     p = qv if qv < 1.0 else 1.0 / qv
     if 0.0 < x < radius:
         return not 1.0 - x / radius < max(0.25 * (1.0 - p), _NEAR_RADIUS)
-    return not (-radius < x < 0.0 and -2.0 * x > _ALTERNATING_LIMIT * (1.0 + x / radius))
+    return not -radius < x < 0.0
 
 
 def _assert_matches_reference(x, q, kind):
     """q_exp gives the outcome of the reference loop, bit for bit, except
-    where a divisor [n] overflows before E_q (q > 1) settles: there the
+    where a divisor [n] overflows before E_q (q > 1) settles, or where the
+    series of the kind with a finite radius runs out of terms: there the
     reference raises and q_exp returns the reciprocal product instead,
     checked against mpmath, or raises where that product diverges (x at or
     past the radius 1/(1-p) of the rounded p = 1/q)."""
     want = outcome(_reference_q_exp, x, q, kind)
-    if want[0] is OverflowError and kind is ExpKind.BIG_E and q.q > 1.0:
-        value, _, cond = mp_finite_exp(x, 1.0 / q.q)
+    finite = (kind is ExpKind.BIG_E) == (q.q > 1.0)
+    if (want[0] is OverflowError and kind is ExpKind.BIG_E and q.q > 1.0
+            or want[0] is ConvergenceError and finite):
+        value, _, cond = mp_finite_exp(x, q.q if q.q < 1.0 else 1.0 / q.q)
         if math.isinf(value):
             with pytest.raises((OverflowError, DomainError)):
                 q_exp(x, q, kind)
@@ -423,6 +450,8 @@ class TestQExpOracle:
     @example(pv=0.9, x=-60.0, kind=ExpKind.BIG_E)
     @example(pv=0.5, x=-_ALTERNATING_LIMIT, kind=ExpKind.BIG_E)
     @example(pv=0.5, x=math.nextafter(-_ALTERNATING_LIMIT, -math.inf), kind=ExpKind.BIG_E)
+    @example(pv=0.5, x=-2.0, kind=ExpKind.SMALL_E)  # zeros of E_1/2, on the series
+    @example(pv=0.5, x=-16.0, kind=ExpKind.BIG_E)  # and on the product
     def test_matches_mpmath(self, pv, x, kind):
         q = QParam(pv if kind is ExpKind.BIG_E else 1.0 / pv)
         p = q.q if kind is ExpKind.BIG_E else 1.0 / q.q  # the float base of the product
@@ -501,18 +530,26 @@ class TestFiniteExpOracle:
     """The q-exponential with a finite radius, e_p(x), p = q < 1 (e_q) or
     p = 1/q < 1 (E_q), against 50-digit mpmath over x in (-radius, radius).
 
-    Its series alternates for x < 0 with a relative rounding error of about
-    u e_p(|x|) / e_p(x), which grows without bound as x -> -radius; where
-    that could pass 2^20 u, q_exp takes the reciprocal product, a few u
-    times the factor conditioning c of _oracles.mp_finite_exp.  The summed
-    series returned 4.74e-5 for e_0.95(-19) (true 1.534e-7) and was off by
-    5e-7 relative at E_1.1(-10.5).  For x > 0 near the radius the series
-    would run out of terms (e_0.5(1.998)) or lose its tail (2e-14 relative
-    at e_0.5(1.99)), and q_exp takes the product there too."""
+    For x < 0, e_q(x) E_q(-x) = 1: q_exp returns the reciprocal of the
+    entire kind's series at -x, whose terms are all positive, wherever it
+    settles within the divisor table, within the rounding bound of
+    _oracles.mp_reciprocal_entire; elsewhere (p -> 1) the reciprocal
+    product, a few u times the factor conditioning c of
+    _oracles.mp_finite_exp.  The alternating series it replaced returned
+    4.74e-5 for e_0.95(-19) (true 1.534e-7), was off by 5e-7 relative at
+    E_1.1(-10.5), and by 2,640 u at E_q(-4.913426353272418),
+    q = 1.0584686363549078.  For x > 0 near the radius the series would
+    run out of terms (e_0.5(1.998)) or lose its tail (2e-14 relative at
+    e_0.5(1.99)), and q_exp takes the product there too."""
 
-    @settings(deadline=None, max_examples=200)
+    @settings(deadline=None, max_examples=300)
     @given(
-        pv=st.one_of(st.floats(0.05, 0.99), st.floats(0.99, 0.999)),
+        pv=st.one_of(
+            st.floats(0.05, 0.99),
+            st.floats(0.99, 0.999),
+            st.floats(1.0 / 4.0, 1.0 / 1.05),  # q in [1.05, 4] for E_q
+            st.floats(1e-300, 1e-4),  # E_q's divisor [2] overflows past q ~ 1.3e154
+        ),
         frac=st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.9, 0.999999)),
         kind=st.sampled_from(list(ExpKind)),
     )
@@ -522,18 +559,20 @@ class TestFiniteExpOracle:
     @example(pv=0.999, frac=0.5, kind=ExpKind.BIG_E)
     @example(pv=0.9921875, frac=0.9999999999999998, kind=ExpKind.BIG_E)  # past 1/(1-p)
     @example(pv=0.0546875, frac=0.859375, kind=ExpKind.BIG_E)  # q^n - 1 overflows first
+    # q = 1.0584686363549078, x = -4.913426353272418 (frac times the radius)
+    @example(pv=1.0 / 1.0584686363549078, frac=0.2714122354115551, kind=ExpKind.BIG_E)
     def test_matches_mpmath(self, pv, frac, kind):
         q = QParam(pv if kind is ExpKind.SMALL_E else 1.0 / pv)
         p = q.q if kind is ExpKind.SMALL_E else 1.0 / q.q  # the float base of the product
         radius = 1.0 / (1.0 - q.q) if q.q < 1.0 else q.q / (q.q - 1.0)
         x = -frac * radius
         assume(-radius < x)
-        want, abs_sum, cond = mp_finite_exp(x, p)
         got = q_exp(x, q, kind)
-        if _sums_series(x, q.q, kind):
-            assert abs(got - want) <= 8.0 * UNIT_ROUNDOFF * abs_sum
-            assert abs_sum <= 2.0**20 * want
+        if -x * p**_SETTLED_POWER <= _SETTLED_BY_TABLE and len(_exp_divisors(q.q)) > 1:
+            want, r = mp_reciprocal_entire(x, q.q)
+            assert abs(got - want) <= r * UNIT_ROUNDOFF * want
         else:  # plus the spacing of subnormals, where e_p(x) underflows
+            want, _, cond = mp_finite_exp(x, p)
             assert abs(got - want) <= 8.0 * UNIT_ROUNDOFF * (1.0 + cond) * want + 2.0 * math.ulp(0.0)
 
     @settings(deadline=None, max_examples=150)

@@ -15,6 +15,7 @@ from _oracles import (
     central_diff,
     mp_h_aux,
     mp_log_q_gamma,
+    mp_polylog_series,
     mp_q_psi,
     outcome,
     series_tolerance,
@@ -79,7 +80,9 @@ class TestQGamma:
         for x in (1.0, 1.5, 2.0, 2.5, 3.0):
             assert q_gamma(x, q) == pytest.approx(math.gamma(x), rel=0.01)
 
-    @pytest.mark.parametrize(("x", "qv"), [(1e300, 0.5), (5.0, 1e300)])
+    # at q > 1 past x ~ 1e154 the log's term x(x-1)/2 log q is inf itself;
+    # at q = 10, x = 1.7e308 the term (1-x) log(q-1) is -inf as well
+    @pytest.mark.parametrize(("x", "qv"), [(1e300, 0.5), (5.0, 1e300), (1e160, 2.0), (1.7e308, 10.0)])
     def test_overflow_names_x_and_q(self, x, qv):
         q = QParam(qv)
         with pytest.raises(OverflowError, match=re.escape(
@@ -256,10 +259,15 @@ def _reference_polylog(s, z):
     """polylog as math.fsum of a plain list of its terms, stopping where the
     running sum is finite and outweighs the last term by 1/REL_TERM_TOL;
     ConvergenceError after 400,000 terms."""
+    return math.fsum(_reference_polylog_terms(s, z))
+
+
+def _reference_polylog_terms(s, z):
+    """The terms _reference_polylog sums, as a list."""
     if not abs(z) < 1.0:
         raise DomainError(f"polylogarithm series needs |z| < 1, got z={z!r}")
     if z == 0.0:
-        return 0.0
+        return [0.0]
     terms = []
     acc = 0.0
     zk = 1.0
@@ -269,7 +277,7 @@ def _reference_polylog(s, z):
         terms.append(term)
         acc += term
         if math.isfinite(acc) and abs(term) <= REL_TERM_TOL * abs(acc):
-            return math.fsum(terms)
+            return terms
     raise ConvergenceError("polylogarithm series did not settle within 400000 terms")
 
 
@@ -505,15 +513,52 @@ class TestPolylog:
     @example(s=-140.0, z=0.5)
     @example(s=-180.0, z=-0.5)
     def test_plain_terms_kept_wherever_they_return(self, s, z):
-        # where the plain terms k^s fail, a value or the named overflow;
+        # where the plain terms k^s fail, a value, the named overflow or (z
+        # < 0) the named cancellation; where the plain terms (z < 0) cancel
+        # past 2^20 u of the sum of their |terms|, the named cancellation;
         # everywhere else the same outcome, bit for bit
         want = outcome(_reference_polylog, s, z)
         got = outcome(polylog, s, z)
+        cancelled = (ConvergenceError,
+                     f"polylogarithm series cancels below its rounding error at s = {s!r}, z = {z!r}")
         if want[0] in (OverflowError, ZeroDivisionError):
             assert got[0] == "value" or got == (
-                OverflowError, f"polylogarithm overflows a float at s = {s!r}, z = {z!r}")
+                OverflowError, f"polylogarithm overflows a float at s = {s!r}, z = {z!r}"
+            ) or z < 0.0 and got == cancelled
+        elif want[0] == "value" and z < 0.0:
+            terms = _reference_polylog_terms(s, z)
+            try:
+                total = math.fsum(map(abs, terms))
+            except OverflowError:
+                total = math.inf
+            cancels = abs(math.fsum(terms)) < 2.0**20 * UNIT_ROUNDOFF * total
+            assert got == (cancelled if cancels else want)
         else:
             assert got == want
+
+    @pytest.mark.parametrize("s", [-20.0, -60.0])
+    def test_negative_z_noise_is_refused(self, s):
+        # Li_-60(-1/2) = -1.57e71, where the float sum of its terms (up to
+        # ~1e81) was +2.98e74; Li_-20(-1/2) came out 2.5e-4 relative off
+        with pytest.raises(ConvergenceError, match=re.escape(
+                f"cancels below its rounding error at s = {s!r}, z = -0.5")):
+            polylog(s, -0.5)
+
+    @settings(deadline=None, max_examples=100)
+    @given(s=st.floats(-30.0, 20.0), z=st.floats(-0.9, -1e-3))
+    @example(s=-10.0, z=-0.5)
+    def test_negative_z_matches_mpmath(self, s, z):
+        # where a value is returned, its error is that of the rounded terms:
+        # a few u times the sum of their |terms|, at most 2^-20 / u times
+        # the value
+        want, total = mp_polylog_series(s, z)
+        try:
+            got = polylog(s, z)
+        except ConvergenceError as exc:
+            assert "cancels below its rounding error" in str(exc)
+            assert abs(want) < 2.0 * 2.0**20 * UNIT_ROUNDOFF * total
+            return
+        assert abs(got - want) <= 8.0 * UNIT_ROUNDOFF * total
 
 
 class TestHAux:
